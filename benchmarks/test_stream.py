@@ -32,7 +32,12 @@ from repro._util.fsio import atomic_write_json
 from repro._util.retry import RetryPolicy
 from repro.mpe.clocksync import SyncPoint
 from repro.mpe.records import BareEvent, EventDef
-from repro.mpe.salvage import AppendPartialWriter, partial_path
+from repro.mpe.salvage import (
+    AppendPartialWriter,
+    find_partials,
+    merge_partial_logs,
+    partial_path,
+)
 from repro.perf import PerfRecorder, peak_rss_bytes
 from repro.stream.follow import exit_path
 from repro.stream.service import StreamService
@@ -135,6 +140,14 @@ def test_stream_tail_to_tile_latency(comparison, tmp_path, artifacts_dir):
             thread.join(timeout=30.0)
 
     rss_mb = peak_rss_bytes() / (1024 * 1024)
+    # End the run the way a clean engine finalize does: merge the
+    # partials into the base CLOG2, remove them, then write the exit
+    # sidecar.  (Left on disk, they would send the service down its
+    # salvage path, whose banner makes the run "degraded".)
+    partials = find_partials(base)
+    merge_partial_logs(base, out_path=base)
+    for path in partials:
+        os.remove(path)
     atomic_write_json(exit_path(base), {"finished": True, "ok": True,
                                         "crashed_ranks": {}})
     assert service.wait_finalized(30.0)
@@ -143,6 +156,7 @@ def test_stream_tail_to_tile_latency(comparison, tmp_path, artifacts_dir):
 
     assert client_errors == [], client_errors[:5]
     assert final_status["records_folded"] >= total - RANKS
+    assert final_status["state"] == "final", final_status["banner"]
 
     fold_p50, fold_p95 = _percentiles([s * 1e3 for s in fold_latencies])
     tile_p50, tile_p95 = _percentiles([s * 1e3 for s in tile_latencies])

@@ -90,10 +90,7 @@ class _StageTimer:
         return self
 
     def __exit__(self, *exc) -> None:
-        elapsed = time.perf_counter() - self._t0
-        stats = self._recorder._stats(self._name)
-        stats.seconds += elapsed
-        stats.calls += 1
+        self._recorder.record(self._name, time.perf_counter() - self._t0)
 
     def count(self, **kw: int) -> None:
         """Attribute counters to this timer's stage (records=, bytes=,
@@ -124,6 +121,12 @@ class PerfRecorder:
     def stage(self, name: str) -> _StageTimer:
         """``with perf.stage("merge"): ...`` times one stage entry."""
         return _StageTimer(self, name)
+
+    def record(self, name: str, seconds: float) -> None:
+        """Account one entry of stage ``name`` timed by the caller."""
+        stats = self._stats(name)
+        stats.seconds += seconds
+        stats.calls += 1
 
     def count(self, name: str, *, records: int = 0, bytes: int = 0,
               drawables: int = 0) -> None:

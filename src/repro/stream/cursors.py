@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, field
 
-from repro._util.fsio import atomic_write_json, read_json
+from repro._util.fsio import read_json
 
 #: Sidecar naming convention: ``<mpe base path>.cursors.json``.
 CURSORS_SUFFIX = ".cursors.json"
@@ -54,8 +54,9 @@ class StreamCursors:
     def total_records(self) -> int:
         return sum(c.records for c in self.ranks.values())
 
-    def save(self, path: str) -> None:
-        atomic_write_json(path, {
+    def to_json(self) -> dict:
+        """The sidecar's contents, as :meth:`load` reads them back."""
+        return {
             "version": _FORMAT_VERSION,
             "base_path": os.path.basename(self.base_path),
             "finalized": self.finalized,
@@ -63,7 +64,7 @@ class StreamCursors:
             "reason": self.reason,
             "ranks": {str(rank): asdict(cur)
                       for rank, cur in sorted(self.ranks.items())},
-        })
+        }
 
     @classmethod
     def load(cls, path: str, base_path: str) -> "StreamCursors | None":

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from repro._util.fsio import atomic_write_json
 from repro._util.retry import RetryPolicy
 from repro.mpe.salvage import (
     APPEND_MAGIC,
@@ -113,6 +114,7 @@ class LogFollower:
         self.resumed = False
         self._last_growth = clock()
         self._replay_skip: dict[int, int] = {}
+        self._saved: dict | None = None  # sidecar contents last written
         loaded = StreamCursors.load(self.cursors_file, base_path)
         if loaded is not None and loaded.ranks:
             # A previous service instance followed this run.  Its fold
@@ -157,11 +159,19 @@ class LogFollower:
             self.perf.count("stream-tail", records=update.record_count)
         return update
 
-    def save_cursors(self) -> None:
+    def save_cursors(self) -> bool:
+        """Persist the resume cursors if they changed since the last
+        save; returns whether they did.  A poll that found nothing
+        changes nothing, so it writes (and fsyncs) nothing."""
         self.cursors.finalized = self.finished
         self.cursors.degraded = self.degraded
         self.cursors.reason = self.reason
-        self.cursors.save(self.cursors_file)
+        data = self.cursors.to_json()
+        if data == self._saved:
+            return False
+        atomic_write_json(self.cursors_file, data)
+        self._saved = data
+        return True
 
     # -- per-rank tailing --------------------------------------------------
 

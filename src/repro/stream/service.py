@@ -15,12 +15,16 @@ The follower thread polls under the service's
 :class:`~repro._util.retry.RetryPolicy` (backing off while the writer
 is quiet, snapping back on growth), folds eligible records into a
 *provisional* frame tree, and persists resume cursors after every
-pass.  When the writer ends — cleanly or not — the service rebuilds
-the **canonical** tree through the exact batch pipeline (strict read of
-the merged log, or a salvage merge of the partials with the crash
-banner attached), atomically swaps it in, bumps the tile epoch and
-clears the cache: from that moment every tile served is byte-identical
-to one rendered straight off the batch pipeline.
+pass that moved them.  It is the only thread that touches the follower
+and the fold: after each pass that changed something it publishes an
+immutable ``/status`` + ``/ranks`` snapshot, and the handlers serve
+copies of that, never the live state.  When the writer ends — cleanly
+or not — the service rebuilds the **canonical** tree through the exact
+batch pipeline (strict read of the merged log, or a salvage merge of
+the partials with the crash banner attached), atomically swaps it in,
+bumps the tile epoch and clears the cache: from that moment every tile
+served is byte-identical to one rendered straight off the batch
+pipeline.
 
 Slow or dead clients cannot wedge the service: the HTTP server is
 threading with daemon threads, every client socket carries a send
@@ -85,10 +89,12 @@ class StreamService:
         self.client_timeout = client_timeout
         self.perf = perf
         if perf is not None:
-            # Handler threads only touch pre-created stages; the
-            # recorder itself is documented single-threaded.
+            # The recorder is single-threaded: handler threads record
+            # into the pre-created "stream-serve" stage only, and only
+            # while holding _perf_lock.
             for stage in ("stream-tail", "stream-fold", "stream-serve"):
                 perf.count(stage)
+        self._perf_lock = threading.Lock()
         self.follower = LogFollower(base_path, policy=self.policy,
                                     cursors_file=cursors_file,
                                     journal_dir=journal_dir, perf=perf)
@@ -103,7 +109,12 @@ class StreamService:
         self.banner = ""
         self._doc: "Slog2Doc | None" = None
         self._tree: "FrameTree | None" = None
+        # Guards what handler threads read: the tree, epoch and final
+        # flag tiles render from, and the published snapshots.
         self._lock = threading.Lock()
+        self._status: dict = {}
+        self._ranks: dict = {}
+        self._publish()
         self._clients: list[queue.Queue] = []
         self._clients_lock = threading.Lock()
         self._stop = threading.Event()
@@ -165,6 +176,7 @@ class StreamService:
         except Exception as exc:  # pragma: no cover - last-resort guard
             self.degraded = True
             self.reason = f"stream service internal error: {exc!r}"
+            self._publish()
             self._broadcast("degraded", {"reason": self.reason})
             self._finalized.set()
 
@@ -179,19 +191,20 @@ class StreamService:
         if update.finished:
             for rank in self.follower.cursors.ranks:
                 self.fold.mark_rank_finished(rank)
+        # Before the fold, so the tree a fold builds is published the
+        # moment it exists, not one fsync later.
+        moved = self.follower.save_cursors()
         if perf is not None:
             with perf.stage("stream-fold"):
                 folded = self.fold.advance()
         else:
             folded = self.fold.advance()
-        if folded and not self.final:
-            with self._lock:
-                self._tree = self.fold.tree
-                # The tree changed under the live epoch: cached tiles
-                # are stale now.  (Finalize invalidates by epoch bump
-                # instead, so final tiles stay cached forever.)
-                self.cache.clear()
-        self.follower.save_cursors()
+        newly_degraded = update.degraded and not self.degraded
+        if newly_degraded:
+            self.degraded = True
+            self.reason = update.reason
+        if folded or moved:
+            self._publish(self.fold.tree if folded else None)
         if update.new_ranks:
             self._broadcast("ranks", {"new_ranks": update.new_ranks})
         if folded:
@@ -199,14 +212,36 @@ class StreamService:
                 "watermark": self.fold.watermark,
                 "records_folded": self.fold.records_folded,
                 "epoch": self.epoch})
-        if update.degraded and not self.degraded:
-            self.degraded = True
-            self.reason = update.reason
+        if newly_degraded:
             self._broadcast("degraded", {
                 "reason": update.reason,
                 "crashed_ranks": {str(r): at for r, at
                                   in update.crashed_ranks.items()}})
         return update.grew
+
+    def _publish(self, tree: "FrameTree | None" = None, *,
+                 final: bool = False) -> None:
+        """Show handlers the follower's latest state: the tree tiles
+        render from (when ``tree`` is given), then fresh ``/status`` and
+        ``/ranks`` snapshots.  Follower thread only (and the
+        constructor), so the fold and follower state read here cannot
+        change underneath it."""
+        if tree is not None or final:
+            with self._lock:
+                if tree is not None:
+                    self._tree = tree
+                if final:
+                    self.final = True
+                    self.epoch += 1
+                # Tiles cached from the old tree are stale now.  The
+                # live phase keeps one epoch; finalize bumps it, so
+                # final tiles stay cached forever.
+                self.cache.clear()
+        status = self._status_snapshot()
+        ranks = self._ranks_snapshot()
+        with self._lock:
+            self._status = status
+            self._ranks = ranks
 
     # -- finalize: swap in the canonical batch tree ------------------------
 
@@ -256,32 +291,23 @@ class StreamService:
                            or f"batch finalize failed: {exc!r}")
             self._drain_provisional()
             return
-        with self._lock:
-            self._doc = doc
-            self._tree = tree
-            self.final = True
-            self.epoch += 1
-            self.cache.clear()
         # Same rule as the Jumpshot viewers: any non-empty recovery
         # report (drops, missing ranks, crash annotations) is bannered.
         if doc.salvaged is not None and not doc.salvaged.empty:
             self.banner = doc.salvaged.banner()
         self.degraded = self.degraded or bool(self.banner)
-        self._finalized.set()
-        self._broadcast("finalized", {
-            "epoch": self.epoch, "degraded": self.degraded,
-            "banner": self.banner, "reason": self.reason})
+        self._doc = doc
+        self._finish(tree)
 
     def _drain_provisional(self) -> None:
         """Last resort: no batch input exists, so promote whatever the
         provisional fold holds (watermark lifted)."""
         self.fold.advance(drain=True)
-        with self._lock:
-            self._tree = self.fold.tree
-            self.final = True
-            self.epoch += 1
-            self.cache.clear()
         self.banner = self.reason
+        self._finish(self.fold.tree)
+
+    def _finish(self, tree: "FrameTree | None") -> None:
+        self._publish(tree, final=True)
         self._finalized.set()
         self._broadcast("finalized", {
             "epoch": self.epoch, "degraded": self.degraded,
@@ -304,16 +330,32 @@ class StreamService:
             return cached, epoch, final
         body = render_tile(tree, level, frame)
         self.cache.put(epoch, level, frame, body)
-        if self.perf is not None:
-            self.perf.count("stream-serve", bytes=len(body))
         return body, epoch, final
 
     def status(self) -> dict:
+        """The last published status plus the tile cache's counters."""
         with self._lock:
-            doc = self._doc
-            tree = self._tree
-            epoch = self.epoch
-            final = self.final
+            status = dict(self._status)
+        status["cache"] = {"tiles": len(self.cache),
+                           "hits": self.cache.hits,
+                           "misses": self.cache.misses}
+        return status
+
+    def ranks(self) -> dict:
+        """The last published per-rank cursors."""
+        with self._lock:
+            return dict(self._ranks)
+
+    def record_request(self, seconds: float, nbytes: int) -> None:
+        """Account one served request to the ``stream-serve`` stage."""
+        if self.perf is not None:
+            with self._perf_lock:
+                self.perf.record("stream-serve", seconds)
+                self.perf.count("stream-serve", bytes=nbytes)
+
+    def _status_snapshot(self) -> dict:
+        doc = self._doc
+        final = self.final
         if final:
             state = "degraded" if self.degraded else "final"
         else:
@@ -329,6 +371,7 @@ class StreamService:
                 for rank, at in sorted(
                     self.follower.crashed_ranks.items())]
             num_ranks = self.fold.num_ranks
+        tree = self._tree
         span = ((tree.root.t0, tree.root.t1) if tree is not None
                 else self.fold.span())
         return {
@@ -337,7 +380,7 @@ class StreamService:
             "degraded": self.degraded,
             "reason": self.reason,
             "banner": self.banner,
-            "epoch": epoch,
+            "epoch": self.epoch,
             "watermark": self.fold.watermark,
             "records_folded": self.fold.records_folded,
             "records_buffered": self.fold.buffered_records(),
@@ -349,11 +392,9 @@ class StreamService:
                            for c in categories],
             "markers": [{"rank": m.rank, "kind": m.kind, "at": m.at,
                          "label": m.label} for m in markers],
-            "cache": {"tiles": len(self.cache), "hits": self.cache.hits,
-                      "misses": self.cache.misses},
         }
 
-    def ranks(self) -> dict:
+    def _ranks_snapshot(self) -> dict:
         names = self.fold.rank_names()
         out = []
         for rank, cur in sorted(self.follower.cursors.ranks.items()):
@@ -412,6 +453,12 @@ class _ProvisionalMarker:
 def _make_handler(service: StreamService) -> type:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # A response goes out as two writes (headers, then body).  On a
+        # keep-alive socket Nagle's algorithm would hold the body until
+        # the client ACKs the headers, which a delayed ACK puts off by
+        # ~40 ms; TCP_NODELAY sends both at once.
+        disable_nagle_algorithm = True
+
         # The service's logs go through its own channel; per-request
         # stderr noise would swamp a chaos run.
         def log_message(self, fmt: str, *args: object) -> None:
@@ -422,14 +469,20 @@ def _make_handler(service: StreamService) -> type:
             self.connection.settimeout(service.client_timeout)
 
         def do_GET(self) -> None:  # noqa: N802  (stdlib naming)
-            try:
-                self._route()
-            except (BrokenPipeError, ConnectionResetError, TimeoutError,
-                    OSError):
-                pass  # slow/dead client: drop it, never the service
-
-        def _route(self) -> None:
             path = self.path.split("?", 1)[0].rstrip("/") or "/"
+            started = time.perf_counter()
+            self._sent = 0
+            try:
+                if path == "/events":
+                    self._events()  # unbounded: not a timed request
+                    return
+                self._route(path)
+            except OSError:
+                return  # slow/dead client: drop it, never the service
+            service.record_request(time.perf_counter() - started,
+                                   self._sent)
+
+        def _route(self, path: str) -> None:
             if path == "/":
                 self._send(200, VIEWER_HTML.encode("utf-8"),
                            "text/html; charset=utf-8")
@@ -439,8 +492,6 @@ def _make_handler(service: StreamService) -> type:
                 self._json(200, service.ranks())
             elif path.startswith("/tiles/"):
                 self._tile(path)
-            elif path == "/events":
-                self._events()
             else:
                 self._json(404, {"error": f"no such endpoint: {path}"})
 
@@ -510,6 +561,7 @@ def _make_handler(service: StreamService) -> type:
                 self.send_header(key, value)
             self.end_headers()
             self.wfile.write(body)
+            self._sent += len(body)
 
     return Handler
 

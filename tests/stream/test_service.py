@@ -264,3 +264,153 @@ def test_discover_base_and_cli_parser(tmp_path):
         ["serve", str(tmp_path), "--port", "0", "--deadline", "2.5"])
     assert args.deadline == 2.5
     assert args.path == str(tmp_path)
+
+
+def test_keep_alive_status_is_one_segment(tmp_path):
+    """Ten ``GET /status`` on one HTTP/1.1 connection to an idle service.
+    With the headers and body in separate segments, Nagle plus the
+    client's delayed ACK held every response back ~40 ms."""
+    import http.client
+    import statistics
+    import time
+
+    svc = StreamService(str(tmp_path / "idle.clog2"), policy=FAST).start()
+    conn = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=10.0)
+    try:
+        took = []
+        for _ in range(10):
+            t0 = time.perf_counter()
+            conn.request("GET", "/status")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            json.loads(resp.read())
+            took.append(time.perf_counter() - t0)
+    finally:
+        conn.close()
+        svc.stop()
+    assert statistics.median(took) < 0.020, took
+
+
+def test_served_requests_are_timed(tmp_path):
+    from repro.perf import PerfRecorder
+
+    perf = PerfRecorder()
+    svc = StreamService(str(tmp_path / "idle.clog2"), policy=FAST,
+                        perf=perf).start()
+    try:
+        sizes = [len(get(svc, path)[2]) for path in ("/status", "/ranks")]
+    finally:
+        svc.stop()
+    serve = perf.stages["stream-serve"]
+    assert serve.calls == 2
+    assert serve.bytes == sum(sizes)
+    assert serve.seconds > 0
+
+
+def test_polls_race_new_ranks_and_a_crash(tmp_path):
+    """Handlers serve published snapshots, so clients polling hard while
+    the follower attaches new ranks and records a crash never see a
+    dropped connection or a 5xx, and every request is timed once."""
+    import http.client
+    import sys
+    import threading
+    import time
+
+    from repro.perf import PerfRecorder
+
+    base = str(tmp_path / "run.clog2")
+    perf = PerfRecorder()
+    svc = StreamService(base, policy=FAST, expected_ranks=6,
+                        perf=perf).start()
+    stop = threading.Event()
+    failures: list[str] = []
+    served = [0] * 8
+
+    def poll(me: int) -> None:
+        conn = http.client.HTTPConnection("127.0.0.1", svc.port,
+                                          timeout=10.0)
+        try:
+            while not stop.is_set():
+                for path in ("/status", "/ranks"):
+                    conn.request("GET", path)
+                    resp = conn.getresponse()
+                    json.loads(resp.read())
+                    if resp.status != 200:
+                        failures.append(f"{path}: HTTP {resp.status}")
+                    served[me] += 1
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            failures.append(repr(exc))
+        finally:
+            conn.close()
+
+    pollers = [threading.Thread(target=poll, args=(me,))
+               for me in range(len(served))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in pollers:
+            thread.start()
+        logs: dict = {}
+        writers: dict = {}
+        for step in range(6):
+            # Rank ``step`` brings up its partial; the others grow.
+            logs[step] = SimpleNamespace(
+                definitions=[EventDef(9, "tick", "red"),
+                             RankName(step, f"P{step}")],
+                sync_points=[SyncPoint(0.0, 0.0)], records=[])
+            writers[step] = AppendPartialWriter(partial_path(base, step),
+                                                step, 1e-6)
+            for rank, log in logs.items():
+                log.records.extend(
+                    BareEvent(1e-4 * (step * 8 + i + 1), rank, 9, "x")
+                    for i in range(8))
+                writers[rank].checkpoint(log)
+            time.sleep(0.02)
+        finish_run(base, ok=False, reason="rank 2 crashed",
+                   crashed={"2": 0.003})
+        assert svc.wait_finalized(30.0)
+        time.sleep(0.05)  # keep polling the final snapshot too
+    finally:
+        stop.set()
+        for thread in pollers:
+            thread.join(30.0)
+        sys.setswitchinterval(interval)
+        # A handler records its request just after sending the reply.
+        deadline = time.monotonic() + 10.0
+        while (perf.stages["stream-serve"].calls < sum(served)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        status = svc.status()
+        ranks = svc.ranks()["ranks"]
+        svc.stop()
+    assert not any(thread.is_alive() for thread in pollers)
+    assert failures == [], failures[:5]
+    assert sum(served) > 16
+    assert perf.stages["stream-serve"].calls == sum(served)
+    assert status["state"] == "degraded"
+    assert [r["rank"] for r in ranks] == list(range(6))
+    assert [r["crashed"] for r in ranks] == [r == 2 for r in range(6)]
+
+
+def test_empty_poll_leaves_the_cursor_sidecar_untouched(tmp_path):
+    import os
+
+    from repro.stream.cursors import cursors_path
+
+    base = str(tmp_path / "run.clog2")
+    write_run(base)
+    svc = StreamService(base, policy=FAST)  # polled by hand, not started
+    try:
+        svc._poll_once()
+        sidecar = cursors_path(base)
+        before = os.stat(sidecar)
+        assert svc._poll_once() is False  # nothing new on disk
+        after = os.stat(sidecar)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                     before.st_mtime_ns)
+        # A pass that does move a cursor still persists it.
+        write_run(base, ranks=3)
+        assert svc._poll_once() is True
+        assert os.stat(sidecar).st_ino != before.st_ino
+    finally:
+        svc._httpd.server_close()
