@@ -12,6 +12,7 @@ hovering in any browser reproduces the right-click information window.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from xml.sax.saxutils import escape
 
 from repro._util.text import format_seconds
@@ -88,15 +89,35 @@ def _render_svg(view: View, path: str | None, *, width: int,
     parts.append(f'<rect width="{width}" height="{total_h:.0f}" fill="{BACKGROUND}"/>')
     parts.append(_defs())
     parts.append(_axes(view, canvas))
-    parts.append(_previews(view, canvas, previews))
+    # Each category's fill, resolved once per render (index = category).
+    fills = [rgb(view.legend.entries[c.name].color)
+             for c in view.doc.categories]
+    parts.append(_previews(view, canvas, previews, fills))
     # States below, then arrows, then bubbles on top — Jumpshot stacking.
-    for s in sorted((d for d in drawables if isinstance(d, State)),
-                    key=lambda s: s.depth):
-        parts.append(_state(view, canvas, s))
-    for a in (d for d in drawables if isinstance(d, Arrow)):
-        parts.append(_arrow(view, canvas, a))
-    for e in (d for d in drawables if isinstance(d, Event)):
-        parts.append(_event(view, canvas, e))
+    states: list[State] = []
+    arrows: list[Arrow] = []
+    events: list[Event] = []
+    for d in drawables:
+        kind = d.__class__
+        if kind is State:
+            states.append(d)
+        elif kind is Arrow:
+            arrows.append(d)
+        else:
+            events.append(d)
+    states.sort(key=attrgetter("depth"))
+    # Replayed intervals of a recovered rank are striped, like
+    # Jumpshot's preview rectangles, so they read as "reconstructed"
+    # rather than ordinary execution.
+    state_fills = [f"url(#{RECOVERY_PATTERN_ID})"
+                   if c.name == RECOVERY_STATE_NAME else fill
+                   for c, fill in zip(view.doc.categories, fills)]
+    for s in states:
+        parts.append(_state(view, canvas, s, state_fills[s.category]))
+    for a in arrows:
+        parts.append(_arrow(view, canvas, a, fills[a.category]))
+    for e in events:
+        parts.append(_event(view, canvas, e, fills[e.category]))
     if highlight_path is not None:
         parts.append(_critical_overlay(view, canvas, highlight_path))
     parts.append(_salvage_overlay(view, canvas))
@@ -145,43 +166,33 @@ def _axes(view: View, canvas: Canvas) -> str:
     return "\n".join(parts)
 
 
-def _state(view: View, canvas: Canvas, s: State) -> str:
+def _state(view: View, canvas: Canvas, s: State, fill: str) -> str:
     box = canvas.state_box(s.rank, s.start, s.end, s.depth)
     if box is None:
         return ""
     x, y, w, h = box
-    name = view.doc.categories[s.category].name
-    if name == RECOVERY_STATE_NAME:
-        # Replayed interval of a recovered rank: striped, like
-        # Jumpshot's preview rectangles, so it reads as "reconstructed"
-        # rather than ordinary execution.
-        fill = f"url(#{RECOVERY_PATTERN_ID})"
-    else:
-        fill = rgb(view.legend.entries[name].color)
     title = escape(view.popup(s))
     return (f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
             f'fill="{fill}" stroke="black" stroke-width="0.4">'
             f'<title>{title}</title></rect>')
 
 
-def _event(view: View, canvas: Canvas, e: Event) -> str:
+def _event(view: View, canvas: Canvas, e: Event, color: str) -> str:
     row = canvas.row(e.rank)
     if row is None or not (view.t0 <= e.time <= view.t1):
         return ""
     x = canvas.x(e.time)
-    color = rgb(view.legend.entries[view.doc.categories[e.category].name].color)
     title = escape(view.popup(e))
     return (f'<circle cx="{x:.2f}" cy="{row.y_center:.2f}" r="3.2" '
             f'fill="{color}" stroke="black" stroke-width="0.5">'
             f'<title>{title}</title></circle>')
 
 
-def _arrow(view: View, canvas: Canvas, a: Arrow) -> str:
+def _arrow(view: View, canvas: Canvas, a: Arrow, color: str) -> str:
     src = canvas.row(a.src_rank)
     dst = canvas.row(a.dst_rank)
     if src is None or dst is None:
         return ""
-    color = rgb(view.legend.entries[view.doc.categories[a.category].name].color)
     x1, y1 = canvas.clamp_x(a.start), src.y_center
     x2, y2 = canvas.clamp_x(a.end), dst.y_center
     title = escape(view.popup(a))
@@ -190,7 +201,8 @@ def _arrow(view: View, canvas: Canvas, a: Arrow) -> str:
             f'<title>{title}</title></line>')
 
 
-def _previews(view: View, canvas: Canvas, nodes: list[FrameNode]) -> str:
+def _previews(view: View, canvas: Canvas, nodes: list[FrameNode],
+              fills: list[str]) -> str:
     """Zoomed-out intervals: an outline rectangle striped horizontally,
     stripe widths proportional to each category's duration share
     (paper's description of Fig. 1)."""
@@ -214,11 +226,9 @@ def _previews(view: View, canvas: Canvas, nodes: list[FrameNode]) -> str:
             for cat, dur in sorted(shares):
                 frac = dur / total if total else 0
                 sh = max((h - 2) * frac, 0.0)
-                name = view.doc.categories[cat].name
-                color = rgb(view.legend.entries[name].color)
                 parts.append(f'<rect x="{x + 1:.2f}" y="{sy:.2f}" '
                              f'width="{max(w - 2, 0):.2f}" height="{sh:.2f}" '
-                             f'fill="{color}" opacity="0.85"/>')
+                             f'fill="{fills[cat]}" opacity="0.85"/>')
                 sy += sh
     return "\n".join(parts)
 

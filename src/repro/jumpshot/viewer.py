@@ -158,12 +158,13 @@ class View:
         for d in drawables:
             if d.category in hidden:
                 continue
-            if isinstance(d, Arrow):
+            kind = d.__class__
+            if kind is Arrow:
                 if d.src_rank not in shown_rows and d.dst_rank not in shown_rows:
                     continue
             elif d.rank not in shown_rows:
                 continue
-            if isinstance(d, State) and d.duration < min_duration:
+            elif kind is State and d.end - d.start < min_duration:
                 small_states.append(d)
                 continue
             out.append(d)
@@ -180,16 +181,18 @@ class View:
         from repro.slog2.frames import FrameNode
 
         width = self.span / self._PREVIEW_BUCKETS
-        buckets: dict[int, FrameNode] = {}
+        buckets: dict[int, list[State]] = {}
         for s in small_states:
             idx = int(((s.start + s.end) / 2 - self.t0) / width)
             idx = min(max(idx, 0), self._PREVIEW_BUCKETS - 1)
-            node = buckets.get(idx)
-            if node is None:
-                node = buckets[idx] = FrameNode(
-                    self.t0 + idx * width, self.t0 + (idx + 1) * width, 0)
-            node.preview.add(s)
-        return [buckets[i] for i in sorted(buckets)]
+            buckets.setdefault(idx, []).append(s)
+        nodes = []
+        for idx in sorted(buckets):
+            node = FrameNode(self.t0 + idx * width,
+                             self.t0 + (idx + 1) * width, 0)
+            node.preview.add(*buckets[idx])
+            nodes.append(node)
+        return nodes
 
     def window_stats(self) -> dict[str, CategoryStats]:
         """Statistics for the currently selected duration."""
@@ -221,7 +224,8 @@ class View:
         and message size — and nothing more, per Section III.B.
         """
         cat = self.doc.categories[drawable.category].name
-        if isinstance(drawable, State):
+        kind = drawable.__class__
+        if kind is State:
             lines = [f"state: {cat}",
                      f"rank: {drawable.rank}",
                      f"start: {drawable.start:.9f}  end: {drawable.end:.9f}",
@@ -231,14 +235,14 @@ class View:
             if drawable.end_text:
                 lines.append(drawable.end_text)
             return "\n".join(lines)
-        if isinstance(drawable, Event):
+        if kind is Event:
             lines = [f"event: {cat}",
                      f"rank: {drawable.rank}",
                      f"time: {drawable.time:.9f}"]
             if drawable.text:
                 lines.append(drawable.text)
             return "\n".join(lines)
-        assert isinstance(drawable, Arrow)
+        assert kind is Arrow
         return "\n".join([
             f"arrow: {cat}",
             f"from rank {drawable.src_rank} to rank {drawable.dst_rank}",

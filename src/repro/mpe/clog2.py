@@ -67,7 +67,9 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
+from repro._util.text import clamp_text
 from repro.mpe.records import (
+    TEXT_LIMIT,
     BareEvent,
     Definition,
     EventDef,
@@ -688,8 +690,12 @@ def parse_clog2_bytes(data: bytes) -> Clog2File:
     memory.  Raises :class:`Clog2FormatError` on any damage.
 
     BareEvent/MsgEvent (the overwhelming bulk of any log) are decoded
-    inline with pre-bound ``unpack_from``; definitions fall through to
-    :func:`_parse_item_at`.
+    inline with pre-bound ``unpack_from`` and built the way
+    :meth:`repro.slog2.convert.StreamConverter.feed_all` builds
+    drawables: ``object.__new__``, then one ``object.__setattr__`` per
+    field.  A text is clamped only when its on-disk length exceeds
+    :data:`TEXT_LIMIT` (a foreign writer's); anything shorter is already
+    within it.  Definitions fall through to :func:`_parse_item_at`.
     """
     header = read_header(io.BytesIO(data[:_HDR.size]))
     if header.checksummed:
@@ -700,29 +706,44 @@ def parse_clog2_bytes(data: bytes) -> Clog2File:
     rrec = records.append
     pos = _HDR.size
     end = len(data)
-    bare_unpack = _BARE.unpack_from
-    msg_unpack = _MSG.unpack_from
-    u16_unpack = _U16.unpack_from
-    bare_size = _BARE.size
-    msg_size = _MSG.size
+    # Type byte, fields and (for BareEvent) the text's u16 length in
+    # one unpack per record.
+    bare_unpack = _BARE_FULL_U16.unpack_from
+    msg_unpack = _MSG_FULL.unpack_from
+    bare_size = _BARE_FULL_U16.size
+    msg_size = _MSG_FULL.size
+    new = object.__new__
+    sa = object.__setattr__
     try:
         while pos < end:
             t = data[pos]
             if t == _T_BARE:
-                ts, rank, eid = bare_unpack(data, pos + 1)
-                cursor = pos + 1 + bare_size
-                (n,) = u16_unpack(data, cursor)
-                cursor += 2
+                _, ts, rank, eid, n = bare_unpack(data, pos)
+                cursor = pos + bare_size
                 tail = cursor + n
                 if tail > end:
                     raise Clog2FormatError("truncated CLOG2 file")
-                rrec(BareEvent(ts, rank, eid,
-                               data[cursor:tail].decode("utf-8")))
+                text = data[cursor:tail].decode("utf-8")
+                if n > TEXT_LIMIT:
+                    text = clamp_text(text, TEXT_LIMIT)
+                rec = new(BareEvent)
+                sa(rec, "timestamp", ts)
+                sa(rec, "rank", rank)
+                sa(rec, "event_id", eid)
+                sa(rec, "text", text)
+                rrec(rec)
                 pos = tail
             elif t == _T_MSG:
-                ts, rank, kind, other, tag, size = msg_unpack(data, pos + 1)
-                rrec(MsgEvent(ts, rank, kind, other, tag, size))
-                pos += 1 + msg_size
+                _, ts, rank, kind, other, tag, size = msg_unpack(data, pos)
+                rec = new(MsgEvent)
+                sa(rec, "timestamp", ts)
+                sa(rec, "rank", rank)
+                sa(rec, "kind", kind)
+                sa(rec, "other_rank", other)
+                sa(rec, "tag", tag)
+                sa(rec, "size", size)
+                rrec(rec)
+                pos += msg_size
             else:
                 parsed = _parse_item_at(data, pos, end)
                 if parsed is None:
@@ -732,6 +753,12 @@ def parse_clog2_bytes(data: bytes) -> Clog2File:
     except struct.error:
         # unpack_from ran past the buffer: a record torn at EOF.
         raise Clog2FormatError("truncated CLOG2 file") from None
+    except UnicodeDecodeError as exc:
+        # A damaged text byte; unframed (version-1) logs have no CRC to
+        # catch it first.
+        raise Clog2FormatError(
+            f"undecodable text in the item at offset {pos} ({exc.reason})"
+        ) from None
     if len(records) != header.num_records:
         raise Clog2FormatError(
             f"header promised {header.num_records} records, "

@@ -181,10 +181,16 @@ class StreamConverter:
         state_defs, event_defs = self._state_defs, self._event_defs
         built = self._categories is not None
         arrow_idx = self._arrow_idx
-        # Drawables are built via object.__new__ + __dict__.update —
-        # equal (and equally hashable) to constructor-built ones, minus
-        # the frozen dataclass's per-field object.__setattr__ calls.
+        # Drawables are built via object.__new__ and one
+        # object.__setattr__ per field: equal, equally hashable and
+        # picklable like constructor-built ones, at about half the cost
+        # of the frozen dataclass's __init__.  Going through __dict__
+        # instead would give every instance a dict object of its own:
+        # more memory (CPython 3.11: ~360 B per State with
+        # dict.update(**fields), ~170 B without), more work for the
+        # cyclic GC, and slower attribute loads in the viewer.
         new = object.__new__
+        sa = object.__setattr__
         for item in items:
             kind = type(item)
             if kind is BareEvent:
@@ -204,10 +210,13 @@ class StreamConverter:
                         # Well-nested close: the common case.
                         _, start_t, start_text = stack.pop()
                         state = new(State)
-                        state.__dict__.update(
-                            category=cat, rank=item.rank, start=start_t,
-                            end=item.timestamp, depth=len(stack),
-                            start_text=start_text, end_text=item.text)
+                        sa(state, "category", cat)
+                        sa(state, "rank", item.rank)
+                        sa(state, "start", start_t)
+                        sa(state, "end", item.timestamp)
+                        sa(state, "depth", len(stack))
+                        sa(state, "start_text", start_text)
+                        sa(state, "end_text", item.text)
                         states.append(state)
                         if sink is not None:
                             sink(state)
@@ -217,8 +226,10 @@ class StreamConverter:
                 cat = event_cat.get(eid)
                 if cat is not None:
                     event = new(Event)
-                    event.__dict__.update(category=cat, rank=item.rank,
-                                          time=item.timestamp, text=item.text)
+                    sa(event, "category", cat)
+                    sa(event, "rank", item.rank)
+                    sa(event, "time", item.timestamp)
+                    sa(event, "text", item.text)
                     events.append(event)
                     if sink is not None:
                         sink(event)
@@ -248,9 +259,13 @@ class StreamConverter:
                     continue
                 st, rt = send.timestamp, recv.timestamp
                 arrow = new(Arrow)
-                arrow.__dict__.update(category=arrow_idx, src_rank=send.rank,
-                                      dst_rank=recv.rank, start=st, end=rt,
-                                      tag=send.tag, size=send.size)
+                sa(arrow, "category", arrow_idx)
+                sa(arrow, "src_rank", send.rank)
+                sa(arrow, "dst_rank", recv.rank)
+                sa(arrow, "start", st)
+                sa(arrow, "end", rt)
+                sa(arrow, "tag", send.tag)
+                sa(arrow, "size", send.size)
                 if rt < st:
                     report.causality_violations.append(
                         f"arrow {send.rank}->{recv.rank} tag={send.tag} "

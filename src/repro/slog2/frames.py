@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.slog2.model import Arrow, Drawable, Event, Slog2Doc, State, drawable_span
+from repro.slog2.model import Arrow, Drawable, Event, Slog2Doc, State
 
 # Approximate serialised size per drawable, for the byte budget.
 _DRAWABLE_BYTES = {State: 64, Event: 48, Arrow: 56}
@@ -36,18 +36,21 @@ class Preview:
     duration: dict[tuple[int, int], float] = field(default_factory=dict)
     count: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def add(self, drawable: Drawable) -> None:
-        if isinstance(drawable, State):
-            key = (drawable.rank, drawable.category)
-            dur = drawable.duration
-        elif isinstance(drawable, Event):
-            key = (drawable.rank, drawable.category)
-            dur = 0.0
-        else:
-            key = (drawable.src_rank, drawable.category)
-            dur = 0.0
-        self.duration[key] = self.duration.get(key, 0.0) + dur
-        self.count[key] = self.count.get(key, 0) + 1
+    def add(self, *drawables: Drawable) -> None:
+        duration, count = self.duration, self.count
+        for d in drawables:
+            kind = d.__class__
+            if kind is State:
+                key = (d.rank, d.category)
+                dur = d.end - d.start
+            elif kind is Event:
+                key = (d.rank, d.category)
+                dur = 0.0
+            else:
+                key = (d.src_rank, d.category)
+                dur = 0.0
+            duration[key] = duration.get(key, 0.0) + dur
+            count[key] = count.get(key, 0) + 1
 
     @property
     def total_count(self) -> int:
@@ -71,13 +74,6 @@ class FrameNode:
     @property
     def nbytes(self) -> int:
         return self._nbytes
-
-    def _add(self, drawable: Drawable) -> None:
-        self.drawables.append(drawable)
-        self._nbytes += _DRAWABLE_BYTES[type(drawable)]
-
-    def contains(self, lo: float, hi: float) -> bool:
-        return self.t0 <= lo and hi <= self.t1
 
     def overlaps(self, lo: float, hi: float) -> bool:
         return lo <= self.t1 and self.t0 <= hi
@@ -146,33 +142,38 @@ class FrameTree:
         return self
 
     def _insert(self, node: FrameNode, drawable: Drawable) -> None:
-        lo, hi = drawable_span(drawable)
-        while True:
-            if node.depth >= self.max_depth or node.nbytes < self.frame_size:
-                node._add(drawable)
-                return
+        # drawable_span inlined: inserts run once per drawable per open.
+        kind = drawable.__class__
+        if kind is Event:
+            lo = hi = drawable.time
+        else:
+            lo, hi = drawable.start, drawable.end
+            if lo > hi:
+                lo, hi = hi, lo
+        frame_size, max_depth = self.frame_size, self.max_depth
+        while node.depth < max_depth and node._nbytes >= frame_size:
             # Node full: descend if a child can fully contain the span.
-            if not node.children:
+            children = node.children
+            if not children:
                 mid = node.midpoint
-                node.children = [
+                children = node.children = [
                     FrameNode(node.t0, mid, node.depth + 1),
                     FrameNode(mid, node.t1, node.depth + 1),
                 ]
-            placed = False
-            for child in node.children:
-                if child.contains(lo, hi):
-                    node = child
-                    placed = True
-                    break
-            if not placed:
+            left, right = children
+            if left.t0 <= lo and hi <= left.t1:
+                node = left
+            elif right.t0 <= lo and hi <= right.t1:
+                node = right
+            else:
                 # Straddles the midpoint: must live here even if full.
-                node._add(drawable)
-                return
+                break
+        node.drawables.append(drawable)
+        node._nbytes += _DRAWABLE_BYTES[kind]
 
     def _build_previews(self, node: FrameNode) -> Preview:
         agg = Preview()
-        for d in node.drawables:
-            agg.add(d)
+        agg.add(*node.drawables)
         for child in node.children:
             sub = self._build_previews(child)
             for key, dur in sub.duration.items():
@@ -206,10 +207,18 @@ class FrameTree:
         if (node.t1 - node.t0) < min_duration and node.preview.total_count:
             previewed.append(node)
             return
+        append = out.append
         for d in node.drawables:
-            lo, hi = drawable_span(d)
+            # drawable_span inlined, as in _insert.
+            if d.__class__ is Event:
+                if t0 <= d.time <= t1:
+                    append(d)
+                continue
+            lo, hi = d.start, d.end
+            if lo > hi:
+                lo, hi = hi, lo
             if lo <= t1 and t0 <= hi:
-                out.append(d)
+                append(d)
         for child in node.children:
             self._query(child, t0, t1, min_duration, out, previewed)
 

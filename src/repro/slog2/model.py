@@ -121,7 +121,32 @@ class Slog2Doc:
 
     @property
     def time_range(self) -> tuple[float, float]:
-        spans = [drawable_span(d) for d in self.drawables]
-        if not spans:
+        """(earliest, latest) time any drawable touches — the union of
+        :func:`drawable_span` over every drawable, in one pass."""
+        inf = float("inf")
+        lo, hi = inf, -inf
+        for s in self.states:
+            a, b = s.start, s.end
+            if a > b:
+                a, b = b, a
+            if a < lo:
+                lo = a
+            if b > hi:
+                hi = b
+        for e in self.events:
+            t = e.time
+            if t < lo:
+                lo = t
+            if t > hi:
+                hi = t
+        for r in self.arrows:
+            a, b = r.start, r.end
+            if a > b:
+                a, b = b, a
+            if a < lo:
+                lo = a
+            if b > hi:
+                hi = b
+        if lo == inf:
             return 0.0, 0.0
-        return min(s[0] for s in spans), max(s[1] for s in spans)
+        return lo, hi

@@ -12,6 +12,7 @@ absence of special-purpose profiling tools."
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -36,14 +37,16 @@ def compute_stats(doc: Slog2Doc, t0: float | None = None,
     "draw a picture from user-selected duration" feature for analysing
     a portion of the run, Section II.B).
     """
-    lo, hi = doc.time_range
-    if t0 is not None:
-        lo = t0
-    if t1 is not None:
-        hi = t1
+    # A missing bound is open-ended: every drawable lies within the
+    # document's time range, so clipping at infinity is clipping at the
+    # range's edge, without a pass over the document to find it.
+    lo = -math.inf if t0 is None else t0
+    hi = math.inf if t1 is None else t1
     stats: dict[str, CategoryStats] = {}
     for cat in doc.categories:
         stats[cat.name] = CategoryStats(cat.name, cat.color, cat.shape)
+    # Each category's entry, resolved once (index = category).
+    entries = [stats[cat.name] for cat in doc.categories]
 
     # States: clip to window; exclusive = inclusive minus direct children.
     by_rank: dict[int, list[State]] = defaultdict(list)
@@ -52,14 +55,14 @@ def compute_stats(doc: Slog2Doc, t0: float | None = None,
         if clipped is not None:
             by_rank[s.rank].append(clipped)
     for rank_states in by_rank.values():
-        _accumulate_rank(rank_states, doc, stats)
+        _accumulate_rank(rank_states, entries)
 
     for e in doc.events:
         if lo <= e.time <= hi:
-            stats[doc.categories[e.category].name].count += 1
+            entries[e.category].count += 1
     for a in doc.arrows:
         if a.start <= hi and lo <= a.end:
-            entry = stats[doc.categories[a.category].name]
+            entry = entries[a.category]
             entry.count += 1
             entry.incl += max(0.0, min(a.end, hi) - max(a.start, lo))
     return stats
@@ -74,30 +77,29 @@ def _clip(s: State, lo: float, hi: float) -> State | None:
                  s.depth, s.start_text, s.end_text)
 
 
-def _accumulate_rank(states: list[State], doc: Slog2Doc,
-                     stats: dict[str, CategoryStats]) -> None:
+def _accumulate_rank(states: list[State],
+                     entries: list[CategoryStats]) -> None:
     """Stack sweep over one rank's states (sorted by start, outer first)
     charging each child's duration against its *immediate* parent."""
     ordered = sorted(states, key=lambda s: (s.start, -s.duration, s.depth))
-    stack: list[tuple[State, float]] = []  # (state, accumulated child time)
+    stack: list[list] = []  # [state, accumulated child time]
     for s in ordered:
         while stack and stack[-1][0].end <= s.start + 1e-18:
-            _pop(stack, doc, stats)
+            _pop(stack, entries)
         if stack:
-            parent, child_time = stack[-1]
-            stack[-1] = (parent, child_time + s.duration)
-        stack.append((s, 0.0))
+            stack[-1][1] += s.duration
+        stack.append([s, 0.0])
     while stack:
-        _pop(stack, doc, stats)
+        _pop(stack, entries)
 
 
-def _pop(stack: list[tuple[State, float]], doc: Slog2Doc,
-         stats: dict[str, CategoryStats]) -> None:
+def _pop(stack: list[list], entries: list[CategoryStats]) -> None:
     state, child_time = stack.pop()
-    entry = stats[doc.categories[state.category].name]
+    duration = state.duration
+    entry = entries[state.category]
     entry.count += 1
-    entry.incl += state.duration
-    entry.excl += max(0.0, state.duration - child_time)
+    entry.incl += duration
+    entry.excl += max(0.0, duration - child_time)
 
 
 def sorted_stats(stats: dict[str, CategoryStats],

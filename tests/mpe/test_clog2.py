@@ -1,10 +1,20 @@
 """CLOG2 binary format: round-trips, limits, corruption handling."""
 
+import pickle
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpe.clog2 import Clog2File, Clog2FormatError, read_clog2, write_clog2
+from repro.mpe.clog2 import (
+    Clog2File,
+    Clog2FormatError,
+    parse_clog2_bytes,
+    read_clog2,
+    read_log,
+    write_clog2,
+)
 from repro.mpe.records import TEXT_LIMIT, BareEvent, EventDef, MsgEvent, StateDef
 
 
@@ -87,7 +97,86 @@ class TestLimits:
         raw.decode("utf-8")  # must not raise
 
 
+def foreign_image(texts: list[bytes]) -> bytes:
+    """A version-1 image holding one BareEvent per raw text, packed by
+    hand the way a writer that does not clamp (another MPE build, a
+    hand-edited file) would store it."""
+    image = struct.pack("<8sHdiI", b"CLOG2PY1", 1, 1e-6, 1, len(texts))
+    for i, raw in enumerate(texts):
+        image += struct.pack("<BdiiH", 0x03, i * 1e-3, 0, 1, len(raw)) + raw
+    return image
+
+
+class TestStrictFastPath:
+    """The strict reader builds records without their constructor; the
+    result must be indistinguishable from constructor-built records."""
+
+    def test_records_equal_hash_and_pickle_like_constructed(self, tmp_path):
+        path = str(tmp_path / "x.clog2")
+        log = sample_log()
+        write_clog2(path, log)
+        back = read_log(path).log.records
+        assert back == log.records
+        for got, want in zip(back, log.records):
+            assert type(got) is type(want)
+            assert hash(got) == hash(want)
+            assert vars(got) == vars(want)
+            assert repr(got) == repr(want)
+            assert pickle.loads(pickle.dumps(got)) == want
+        assert pickle.loads(pickle.dumps(back)) == log.records
+
+    def test_records_stay_frozen(self, tmp_path):
+        path = str(tmp_path / "x.clog2")
+        write_clog2(path, sample_log())
+        rec = read_log(path).log.records[0]
+        with pytest.raises(AttributeError):
+            rec.timestamp = 1.0
+
+    def test_foreign_long_text_clamped_at_char_boundary(self):
+        # 1 + 30 * 2 = 61 bytes: the 40-byte cut falls inside an "é".
+        long_text = ("a" + "é" * 30).encode("utf-8")
+        exact = ("b" * TEXT_LIMIT).encode("utf-8")
+        over = ("c" * (TEXT_LIMIT + 1)).encode("utf-8")
+        log = parse_clog2_bytes(foreign_image([long_text, exact, over]))
+        texts = [r.text for r in log.records]
+        assert texts[0] == "a" + "é" * 19
+        assert len(texts[0].encode("utf-8")) == TEXT_LIMIT - 1
+        assert texts[1] == "b" * TEXT_LIMIT
+        assert texts[2] == "c" * TEXT_LIMIT
+        # Same result as building the records through the constructor.
+        assert log.records == [
+            BareEvent(i * 1e-3, 0, 1, raw.decode("utf-8"))
+            for i, raw in enumerate([long_text, exact, over])]
+
+
 class TestCorruption:
+    def test_damaged_text_byte_unframed_raises_format_error(self, tmp_path):
+        # Version-1 logs (the -pisvc=j default) carry no CRC, so a
+        # damaged text byte reaches the UTF-8 decoder.
+        path = str(tmp_path / "text.clog2")
+        write_clog2(path, sample_log())
+        data = bytearray(open(path, "rb").read())
+        at = data.index(b"Line: 10")
+        data[at] = 0xFF
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        with pytest.raises(Clog2FormatError, match="undecodable text"):
+            read_log(path)
+        log, report = read_log(path, errors="salvage")
+        assert not report.clean
+        assert len(log.records) < len(sample_log().records)
+
+    def test_damaged_definition_name_unframed_raises_format_error(
+            self, tmp_path):
+        path = str(tmp_path / "def.clog2")
+        write_clog2(path, sample_log())
+        data = bytearray(open(path, "rb").read())
+        data[data.index(b"PI_Write")] = 0xC3  # lead byte, no continuation
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        with pytest.raises(Clog2FormatError):
+            read_log(path)
+
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.clog2")
         with open(path, "wb") as fh:

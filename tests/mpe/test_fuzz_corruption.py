@@ -1,12 +1,15 @@
-"""Seeded corruption fuzzer over the CRC-framed CLOG2 pipeline.
+"""Seeded corruption fuzzer over the CLOG2 readers.
 
 The acceptance bar from the durability work: for every fuzzer-injected
-corruption of a version-2 log — random byte flips anywhere in the body,
-truncations at any byte including exact block boundaries — ``fsck``
-must report damage (100% detection), and both readers must either
-salvage to a valid prefix/subset or raise a clean
+corruption of a version-2 (CRC-framed) log — random byte flips anywhere
+in the body, truncations at any byte including exact block boundaries
+— ``fsck`` must report damage (100% detection), and both readers must
+either salvage to a valid prefix/subset or raise a clean
 :class:`Clog2FormatError`; never a crash, hang, or silently wrong
-parse.  Seeds are fixed so every run fuzzes the same corpus.
+parse.  Unframed version-1 logs (the ``-pisvc=j`` default) cannot
+detect every flip, so the bar there is the readers' contract alone:
+strict parses or raises :class:`Clog2FormatError`, salvage always
+returns.  Seeds are fixed so every run fuzzes the same corpus.
 """
 
 import os
@@ -18,6 +21,7 @@ from repro.mpe.clog2 import (
     _HDR,
     Clog2File,
     Clog2FormatError,
+    _parse_item_at,
     read_log,
     write_clog2,
 )
@@ -46,13 +50,25 @@ def fuzz_log(rng):
     return Clog2File(1e-6, 3, defs, recs)
 
 
-def write_fuzz_base(tmp_path, seed):
+def write_fuzz_base(tmp_path, seed, *, checksum=True):
     rng = random.Random(seed)
     path = str(tmp_path / f"base{seed}.clog2")
     log = fuzz_log(rng)
-    write_clog2(path, log, checksum=True)
+    write_clog2(path, log, checksum=checksum)
     with open(path, "rb") as fh:
         return path, fh.read(), rng
+
+
+def text_offsets(data):
+    """Offsets of every BareEvent text byte in an unframed image."""
+    offsets = []
+    pos = _HDR.size
+    while pos < len(data):
+        item, end = _parse_item_at(data, pos, len(data))
+        if isinstance(item, BareEvent):
+            offsets.extend(range(end - len(item.text.encode("utf-8")), end))
+        pos = end
+    return offsets
 
 
 def reader_survives(path):
@@ -160,3 +176,38 @@ class TestTruncations:
             again = fsck_path(repaired)
             assert again.clean
             assert again.records_kept == report.records_kept
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestUnframedByteFlips:
+    """Version-1 logs: no CRC, so a flip may decode into a different
+    but well-formed record; what must hold is that strict either
+    parses or raises Clog2FormatError and salvage always returns."""
+
+    def test_random_body_flips(self, tmp_path, seed):
+        path, data, rng = write_fuzz_base(tmp_path, seed, checksum=False)
+        target = str(tmp_path / "flipped.clog2")
+        for _ in range(FLIPS_PER_SEED):
+            pos = rng.randrange(_HDR.size, len(data))
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << rng.randrange(8)
+            with open(target, "wb") as fh:
+                fh.write(bytes(flipped))
+            reader_survives(target)
+
+    def test_text_byte_flips(self, tmp_path, seed):
+        # Random flips rarely land in a text, so aim these there,
+        # setting the high bit: in an ASCII text that byte can no
+        # longer decode.
+        path, data, rng = write_fuzz_base(tmp_path, seed, checksum=False)
+        offsets = text_offsets(data)
+        assert offsets
+        target = str(tmp_path / "flipped.clog2")
+        for _ in range(FLIPS_PER_SEED):
+            flipped = bytearray(data)
+            flipped[rng.choice(offsets)] |= 0x80
+            with open(target, "wb") as fh:
+                fh.write(bytes(flipped))
+            strict_failed, _, report = reader_survives(target)
+            assert strict_failed
+            assert not report.clean

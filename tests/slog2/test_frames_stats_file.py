@@ -123,6 +123,22 @@ class TestStats:
         stats = compute_stats(doc, 4.0, 6.0)
         assert stats["Compute"].incl == pytest.approx(2.0)
 
+    def test_windows_never_walk_the_full_range(self, monkeypatch):
+        doc = doc_with(states=[State(0, 0, 0.0, 10.0, 0)],
+                       events=[Event(2, 0, 12.0)],
+                       arrows=[Arrow(3, 0, 1, 9.0, 11.0, 0, 8)])
+        expected = {window: compute_stats(doc, *window) for window in (
+            (0.0, 12.0), (4.0, 12.0), (0.0, 6.0), (4.0, 6.0))}
+        monkeypatch.setattr(Slog2Doc, "time_range", property(
+            lambda self: pytest.fail("compute_stats walked time_range")))
+        # A missing bound means the document's edge.
+        assert compute_stats(doc) == expected[(0.0, 12.0)]
+        assert compute_stats(doc, 4.0) == expected[(4.0, 12.0)]
+        assert compute_stats(doc, None, 6.0) == expected[(0.0, 6.0)]
+        assert compute_stats(doc, 4.0, 6.0) == expected[(4.0, 6.0)]
+        assert expected[(4.0, 6.0)]["Compute"].incl == pytest.approx(2.0)
+        assert expected[(4.0, 12.0)]["message"].incl == pytest.approx(2.0)
+
     def test_events_counted_in_window(self):
         doc = doc_with(events=[Event(2, 0, 1.0), Event(2, 0, 5.0)])
         stats = compute_stats(doc, 0.0, 2.0)
