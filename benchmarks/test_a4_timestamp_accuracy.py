@@ -14,7 +14,7 @@ import statistics
 
 import pytest
 
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 from repro.pilot.hooks import PilotHooks
 from repro.apps import Lab2Config, lab2_main
@@ -63,7 +63,7 @@ def test_a4_timestamp_accuracy(benchmark, comparison, tmp_path):
             m.groupdict() for m in map(_NATIVE_LINE.match,
                                        open(native_path))
             if m is not None]
-        box["doc"], _ = convert(read_clog2(mpe_path))
+        box["doc"], _ = convert(read_log(mpe_path).log)
         return box["doc"]
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)

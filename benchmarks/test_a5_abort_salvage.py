@@ -14,8 +14,7 @@ import os
 
 import pytest
 
-from repro.mpe import read_clog2
-from repro.mpe.salvage import find_partials, merge_partials
+from repro.mpe.salvage import find_partials, merge_partial_logs
 from repro.apps import ThumbnailConfig, thumbnail_main
 from repro.pilot import PilotOptions, run_pilot
 from repro.pilot.api import PI_Abort
@@ -115,7 +114,7 @@ def test_a5_salvage_recovery(benchmark, comparison, tmp_path):
     assert find_partials(base_lost) == []
 
     # With salvage: merge the partials post mortem and convert.
-    merged = merge_partials(base_saved)
+    merged = merge_partial_logs(base_saved).log
     doc, report = convert(merged)
     writes_recovered = len(doc.states_of("PI_Write"))
     assert writes_recovered > 100

@@ -10,7 +10,7 @@ real (multiple rounds).
 import pytest
 
 from repro import jumpshot, slog2, vmpi
-from repro.mpe import MpeLogger, MpeOptions, read_clog2
+from repro.mpe import MpeLogger, MpeOptions, read_log
 from repro.pilot import PilotOptions, run_pilot
 from repro.apps import Lab2Config, lab2_main
 
@@ -74,14 +74,14 @@ def lab2_artifacts(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("micro") / "lab2.clog2")
     run_pilot(lab2_main, 6, argv=("-pisvc=j",),
               options=PilotOptions(mpe_log_path=path))
-    clog = read_clog2(path)
+    clog = read_log(path).log
     doc, _ = slog2.convert(clog)
     return path, clog, doc
 
 
 def test_clog2_read_throughput(benchmark, lab2_artifacts):
     path, clog, _ = lab2_artifacts
-    out = benchmark(read_clog2, path)
+    out = benchmark(read_log, path).log
     assert len(out.records) == len(clog.records)
 
 

@@ -22,7 +22,7 @@ import tempfile
 from repro import jumpshot, slog2
 from repro.apps import DYNAMIC, STATIC, Lab3Config, lab3_main
 import repro.apps.labs as labs_module
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 
 OUT_DIR = os.environ.get("REPRO_OUT_DIR") or os.path.join(os.path.dirname(__file__), "out")
@@ -35,7 +35,7 @@ def run_scheme(scheme: str):
                     argv=("-pisvc=j",),
                     options=PilotOptions(mpe_log_path=clog))
     assert res.ok
-    doc, report = slog2.convert(read_clog2(clog))
+    doc, report = slog2.convert(read_log(clog).log)
     assert report.clean, report.summary()
     return res, doc
 

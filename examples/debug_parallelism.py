@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import jumpshot, slog2
 from repro.apps import GOOD, INSTANCE_A, INSTANCE_B, CollisionConfig, collisions_main
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 
 OUT_DIR = os.environ.get("REPRO_OUT_DIR") or os.path.join(os.path.dirname(__file__), "out")
@@ -35,7 +35,7 @@ def run_variant(variant: str):
     out = result.vmpi.results[0]
     ok = all(np.array_equal(out["results"][k], out["expected"][k])
              for k in out["expected"])
-    doc, _ = slog2.convert(read_clog2(clog_path),
+    doc, _ = slog2.convert(read_log(clog_path).log,
                            {p.rank: p.name for p in result.run.processes})
     return result, doc, ok
 

@@ -16,7 +16,7 @@ import tempfile
 
 from repro import jumpshot, slog2
 from repro.apps import Lab2Config, lab2_main
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 
 OUT_DIR = os.environ.get("REPRO_OUT_DIR") or os.path.join(os.path.dirname(__file__), "out")
@@ -34,7 +34,7 @@ def run_and_render(cfg: Lab2Config, tag: str):
           f"the paper says under 3 ms)")
 
     doc, report = slog2.convert(
-        read_clog2(clog_path),
+        read_log(clog_path).log,
         {p.rank: p.name for p in result.run.processes})
     print(f"[{tag}] {report.summary()}")
 

@@ -12,7 +12,7 @@ import os
 import tempfile
 
 from repro import jumpshot, slog2
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import (
     PI_MAIN,
     PilotOptions,
@@ -68,7 +68,7 @@ if __name__ == "__main__":
           f"(wrap-up {result.wrapup_time * 1e3:.3f} ms)")
 
     # The paper's workflow: CLOG2 -> (convert) -> SLOG2 -> Jumpshot.
-    clog = read_clog2(clog_path)
+    clog = read_log(clog_path).log
     rank_names = {p.rank: p.name for p in result.run.processes}
     doc, report = slog2.convert(clog, rank_names)
     print(report.summary())

@@ -16,7 +16,7 @@ import tempfile
 
 from repro import jumpshot, slog2
 from repro.apps import ThumbnailConfig, thumbnail_main
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 
 OUT_DIR = os.environ.get("REPRO_OUT_DIR") or os.path.join(os.path.dirname(__file__), "out")
@@ -43,7 +43,7 @@ if __name__ == "__main__":
           f"MPE wrap-up {result.wrapup_time:.3f}s")
 
     doc, report = slog2.convert(
-        read_clog2(clog_path),
+        read_log(clog_path).log,
         {p.rank: p.name for p in result.run.processes})
     print(report.summary())
 

@@ -16,11 +16,7 @@ from repro.mpe.clog2 import (
     Clog2ReadResult,
     Clog2FormatError,
     Clog2Writer,
-    iter_clog2,
-    read_clog2,
-    read_clog2_tolerant,
     read_log,
-    read_one_item,
     write_clog2,
 )
 from repro.mpe.fsck import FsckIssue, FsckReport, fsck_path
@@ -29,11 +25,7 @@ from repro.mpe.salvage import (
     MergeResult,
     PartialReadResult,
     merge_partial_logs,
-    merge_partials,
-    merge_partials_tolerant,
-    read_partial,
     read_partial_log,
-    read_partial_tolerant,
 )
 from repro.mpe.records import (
     RECV,
@@ -75,17 +67,9 @@ __all__ = [
     "SyncPoint",
     "definition_key",
     "fsck_path",
-    "iter_clog2",
     "merge_partial_logs",
-    "merge_partials",
-    "merge_partials_tolerant",
-    "read_clog2",
-    "read_clog2_tolerant",
     "read_log",
-    "read_one_item",
-    "read_partial",
     "read_partial_log",
-    "read_partial_tolerant",
     "sync_clocks",
     "write_clog2",
 ]

@@ -43,9 +43,10 @@ batched:
   ~256 KiB slabs; :class:`Clog2Writer` streams records to disk without
   ever holding the whole log (the header's record count is patched on
   close);
-* :func:`iter_items` / :func:`iter_clog2` parse out of a refillable
-  chunk buffer with ``unpack_from`` — a log never needs to be fully
-  resident to read it either.
+* reading is two loops: :func:`decode_items` decodes item bytes with
+  one fused ``unpack_from`` per record, and :func:`iter_frames` steps
+  over length-prefixed frames (the version-2 CRC blocks here, the
+  append-partial chunks in :mod:`repro.mpe.salvage`).
 
 Byte-for-byte output compatibility with the original eager writer is a
 contract (see ``benchmarks/_legacy.py`` and the equivalence tests).
@@ -53,16 +54,14 @@ contract (see ``benchmarks/_legacy.py`` and the equivalence tests).
 The one reader entry point is :func:`read_log` with
 ``errors="strict"`` (raise on damage) or ``errors="salvage"``
 (skip torn spans, account them in a RecoveryReport); it always returns
-a :class:`Clog2ReadResult` ``(log, recovery)`` pair.  The historical
-names :func:`read_clog2` / :func:`read_clog2_tolerant` survive as thin
-deprecated aliases.
+a :class:`Clog2ReadResult` ``(log, recovery)`` pair.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import struct
-import warnings
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -79,8 +78,9 @@ from repro.mpe.records import (
     StateDef,
 )
 
+from repro.mpe.recovery import RecoveryReport
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpe.recovery import RecoveryReport
     from repro.perf import PerfRecorder
 
 MAGIC = b"CLOG2PY1"
@@ -98,10 +98,6 @@ _T_RANKNAME = 0x05
 _HDR = struct.Struct("<8sHdiI")
 #: Version-2 block frame: payload length u32, crc32-of-payload u32.
 _BLOCK = struct.Struct("<II")
-_STATEDEF = struct.Struct("<ii")
-_EVENTDEF = struct.Struct("<i")
-_BARE = struct.Struct("<dii")
-_MSG = struct.Struct("<diBiiq")
 _U16 = struct.Struct("<H")
 
 # Fused type-byte + payload formats ("<" means no padding, so packing
@@ -117,8 +113,6 @@ _BARE_FULL_U16 = struct.Struct("<BdiiH")
 
 #: Flush threshold for the batched writer (bytes of packed parts).
 _WRITE_BATCH = 256 * 1024
-#: Refill chunk size for the streaming reader.
-_READ_CHUNK = 1 << 20
 
 
 class Clog2FormatError(ValueError):
@@ -150,31 +144,11 @@ class _BlockWriter:
         return len(data)
 
 
-def _pack_str(out: io.BufferedIOBase, s: str) -> None:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise Clog2FormatError(f"string too long for CLOG2 ({len(raw)} bytes)")
-    out.write(_U16.pack(len(raw)))
-    out.write(raw)
-
-
 def _str_bytes(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise Clog2FormatError(f"string too long for CLOG2 ({len(raw)} bytes)")
     return _U16.pack(len(raw)) + raw
-
-
-def _unpack_str(buf: io.BufferedIOBase) -> str:
-    (n,) = _U16.unpack(_read_exact(buf, 2))
-    return _read_exact(buf, n).decode("utf-8")
-
-
-def _read_exact(buf: io.BufferedIOBase, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise Clog2FormatError("truncated CLOG2 file")
-    return data
 
 
 @dataclass
@@ -451,113 +425,187 @@ def write_clog2(path: str, log: Clog2File, *, checksum: bool = False,
 # ---------------------------------------------------------------------------
 # reading
 # ---------------------------------------------------------------------------
+#
+# Two loops do all the decoding: decode_items (item bytes -> definitions
+# and records) and iter_frames (length-prefixed frames).  Strict and
+# salvage reading are a few lines over them each, in scan_items and
+# read_image below and in repro.mpe.salvage.
+
+#: Definition type byte -> (fused head struct, string count, class).
+_DEFINITIONS = {
+    _T_STATEDEF: (_STATEDEF_FULL, 2, StateDef),
+    _T_EVENTDEF: (_IDONLY_FULL, 2, EventDef),
+    _T_RANKNAME: (_IDONLY_FULL, 1, RankName),
+}
+_VALID_TYPE_BYTES = frozenset((_T_BARE, _T_MSG, *_DEFINITIONS))
 
 
-def _parse_item_at(data, pos: int, end: int):
-    """Parse one item out of ``data[pos:end]``.
+class Damage(NamedTuple):
+    """Why :func:`decode_items` stopped before the end of its span.
 
-    Returns ``(item, next_pos)``, or ``None`` when the remaining bytes
-    cannot hold the whole item (the streaming reader refills and
-    retries; the eager reader treats it as truncation).  Raises
-    :class:`Clog2FormatError` on an unknown type byte.
+    ``kind`` is ``"torn"`` (the item runs past the end), ``"type"`` (an
+    unknown type byte) or ``"text"`` (a string that is not UTF-8);
+    ``detail`` is what salvage reports for it, ``message`` what strict
+    reading raises."""
+
+    kind: str
+    detail: str
+    message: str
+
+
+_TORN = Damage("torn", "truncated CLOG2 file", "truncated CLOG2 file")
+
+
+def decode_items(data: bytes, pos: int, end: int, definitions: list,
+                 records: list) -> "tuple[int, Damage | None]":
+    """The one item loop: decode the items in ``data[pos:end]``.
+
+    Definitions and records are appended to the caller's lists in file
+    order.  Returns ``(stop, damage)``: ``stop`` is the offset of the
+    first byte not decoded, and ``damage`` is ``None`` when ``stop ==
+    end``, else the :class:`Damage` of the item starting at ``stop``.
+
+    BareEvent/MsgEvent (the overwhelming bulk of any log) take one
+    ``unpack_from`` each — type byte, fields and (for BareEvent) the
+    text's u16 length together — and are built the way
+    :meth:`repro.slog2.convert.StreamConverter.feed_all` builds
+    drawables: ``object.__new__``, then one ``object.__setattr__`` per
+    field.  A text is clamped only when its on-disk length exceeds
+    :data:`TEXT_LIMIT` (a foreign writer's); anything shorter is already
+    within it.  Definitions are rare and use their constructors.
     """
-    t = data[pos]
-    if t == _T_MSG:
-        if pos + 1 + _MSG.size > end:
-            return None
-        ts, rank, kind, other, tag, size = _MSG.unpack_from(data, pos + 1)
-        return MsgEvent(ts, rank, kind, other, tag, size), pos + 1 + _MSG.size
-    if t == _T_BARE:
-        cursor = pos + 1 + _BARE.size
-        if cursor + 2 > end:
-            return None
-        ts, rank, eid = _BARE.unpack_from(data, pos + 1)
-        (n,) = _U16.unpack_from(data, cursor)
-        cursor += 2
-        if cursor + n > end:
-            return None
-        text = bytes(data[cursor:cursor + n]).decode("utf-8")
-        return BareEvent(ts, rank, eid, text), cursor + n
-    if t == _T_STATEDEF:
-        cursor = pos + 1 + _STATEDEF.size
-        if cursor > end:
-            return None
-        start, sto = _STATEDEF.unpack_from(data, pos + 1)
-        parsed = _parse_strs(data, cursor, end, 2)
-        if parsed is None:
-            return None
-        (name, color), cursor = parsed
-        return StateDef(start, sto, name, color), cursor
-    if t == _T_EVENTDEF:
-        cursor = pos + 1 + _EVENTDEF.size
-        if cursor > end:
-            return None
-        (eid,) = _EVENTDEF.unpack_from(data, pos + 1)
-        parsed = _parse_strs(data, cursor, end, 2)
-        if parsed is None:
-            return None
-        (name, color), cursor = parsed
-        return EventDef(eid, name, color), cursor
-    if t == _T_RANKNAME:
-        cursor = pos + 1 + _EVENTDEF.size
-        if cursor > end:
-            return None
-        (rank,) = _EVENTDEF.unpack_from(data, pos + 1)
-        parsed = _parse_strs(data, cursor, end, 1)
-        if parsed is None:
-            return None
-        (name,), cursor = parsed
-        return RankName(rank, name), cursor
-    raise Clog2FormatError(f"unknown record type byte 0x{t:02x}")
-
-
-def _parse_strs(data, pos: int, end: int, count: int):
-    """Parse ``count`` length-prefixed strings; None if bytes run out."""
-    out = []
-    for _ in range(count):
-        if pos + 2 > end:
-            return None
-        (n,) = _U16.unpack_from(data, pos)
-        pos += 2
-        if pos + n > end:
-            return None
-        out.append(bytes(data[pos:pos + n]).decode("utf-8"))
-        pos += n
-    return out, pos
-
-
-def iter_items(fh) -> Iterator[Definition | LogRecord]:
-    """Lazily parse a headerless item stream from a binary file object.
-
-    Reads in ~1 MiB chunks and keeps only the unparsed tail resident, so
-    arbitrarily large streams cost constant memory.  Raises
-    :class:`Clog2FormatError` on a record torn at EOF or an unknown
-    type byte, exactly like the eager reader.
-    """
-    buf = b""
-    pos = 0
-    eof = False
-    while True:
-        end = len(buf)
+    drec = definitions.append
+    rrec = records.append
+    bare_unpack = _BARE_FULL_U16.unpack_from
+    msg_unpack = _MSG_FULL.unpack_from
+    u16_unpack = _U16.unpack_from
+    bare_size = _BARE_FULL_U16.size
+    msg_size = _MSG_FULL.size
+    new = object.__new__
+    sa = object.__setattr__
+    try:
         while pos < end:
-            parsed = _parse_item_at(buf, pos, end)
-            if parsed is None:
+            t = data[pos]
+            if t == _T_BARE:
+                _, ts, rank, eid, n = bare_unpack(data, pos)
+                cursor = pos + bare_size
+                tail = cursor + n
+                if tail > end:
+                    return pos, _TORN
+                text = data[cursor:tail].decode("utf-8")
+                if n > TEXT_LIMIT:
+                    text = clamp_text(text, TEXT_LIMIT)
+                rec = new(BareEvent)
+                sa(rec, "timestamp", ts)
+                sa(rec, "rank", rank)
+                sa(rec, "event_id", eid)
+                sa(rec, "text", text)
+                rrec(rec)
+                pos = tail
+            elif t == _T_MSG:
+                if pos + msg_size > end:
+                    return pos, _TORN
+                _, ts, rank, kind, other, tag, size = msg_unpack(data, pos)
+                rec = new(MsgEvent)
+                sa(rec, "timestamp", ts)
+                sa(rec, "rank", rank)
+                sa(rec, "kind", kind)
+                sa(rec, "other_rank", other)
+                sa(rec, "tag", tag)
+                sa(rec, "size", size)
+                rrec(rec)
+                pos += msg_size
+            elif t in _DEFINITIONS:
+                head, nstrs, cls = _DEFINITIONS[t]
+                fields = list(head.unpack_from(data, pos)[1:])
+                cursor = pos + head.size
+                for _ in range(nstrs):
+                    if cursor + 2 > end:
+                        return pos, _TORN
+                    (n,) = u16_unpack(data, cursor)
+                    cursor += 2
+                    if cursor + n > end:
+                        return pos, _TORN
+                    fields.append(data[cursor:cursor + n].decode("utf-8"))
+                    cursor += n
+                drec(cls(*fields))
+                pos = cursor
+            else:
+                what = f"unknown record type byte 0x{t:02x}"
+                return pos, Damage("type", what, what)
+    except struct.error:
+        # unpack_from ran past the buffer: an item torn at its end.
+        return pos, _TORN
+    except UnicodeDecodeError as exc:
+        # A damaged text byte; unframed (version-1) logs have no CRC to
+        # catch it first.
+        return pos, Damage("text", str(exc),
+                           f"undecodable text in the item at offset {pos} "
+                           f"({exc.reason})")
+    return pos, None
+
+
+def scan_items(data: bytes, pos: int, end: int, definitions: list,
+               records: list, report: RecoveryReport | None = None,
+               source: str = "") -> None:
+    """Decode ``data[pos:end]`` with :func:`decode_items`.
+
+    Strict (no ``report``): damage raises :class:`Clog2FormatError`.
+    Salvage: each damaged span is dropped into ``report`` up to the
+    first later offset where an item decodes and is followed by the end
+    or another plausible item, and decoding resumes there — the resync
+    probes run the same loop, and the accepted probe's items are kept.
+    """
+    stop, damage = decode_items(data, pos, end, definitions, records)
+    while damage is not None:
+        if report is None:
+            raise Clog2FormatError(damage.message)
+        resync = end
+        for off in range(stop + 1, end):
+            if data[off] not in _VALID_TYPE_BYTES:
+                continue
+            defs: list = []
+            recs: list = []
+            after, next_damage = decode_items(data, off, end, defs, recs)
+            n = len(defs) + len(recs)
+            if n > 1 or (n == 1 and (next_damage is None
+                                     or next_damage.kind != "type")):
+                resync = off
                 break
-            item, pos = parsed
-            yield item
-        if pos >= end and eof:
+        report.drop(source, stop, resync,
+                    f"unparseable record ({damage.detail})")
+        if resync >= end:
             return
-        chunk = fh.read(_READ_CHUNK)
-        if chunk:
-            buf = buf[pos:] + chunk
-            pos = 0
-        elif eof or pos >= len(buf):
-            # No growth possible and a partial item remains.
-            if pos < len(buf):
-                raise Clog2FormatError("truncated CLOG2 file")
+        definitions.extend(defs)
+        records.extend(recs)
+        stop, damage = after, next_damage
+
+
+def iter_frames(data: bytes, pos: int, head: struct.Struct,
+                length_at: int) -> Iterator[tuple]:
+    """The one walk over length-prefixed frames from ``data[pos]`` on.
+
+    ``head`` is the frame header (version-2 blocks: ``<II`` length,
+    crc; append-partial chunks: ``<BI`` kind, length) and ``length_at``
+    the index of its payload length.  Yields ``(start, fields, body,
+    stop)`` per frame, the payload being ``data[body:stop]``.  Only the
+    last frame may be torn: its ``fields`` are ``None`` when the header
+    itself is cut short, else its ``stop`` lies past ``len(data)``.
+    What a torn or bad frame means is the caller's mode: strict raises,
+    salvage drops exactly that frame, tail holds it and resumes at
+    ``start`` on the next poll.
+    """
+    end = len(data)
+    size = head.size
+    while pos < end:
+        if pos + size > end:
+            yield pos, None, end, end
             return
-        else:
-            eof = True
+        fields = head.unpack_from(data, pos)
+        body = pos + size
+        stop = body + fields[length_at]
+        yield pos, fields, body, stop
+        pos = stop
 
 
 class Clog2Header(NamedTuple):
@@ -575,8 +623,10 @@ class Clog2Header(NamedTuple):
 
 def read_header(fh) -> Clog2Header:
     """Parse and validate the CLOG2 header from an open binary file."""
-    magic, version, resolution, num_ranks, nrecords = _HDR.unpack(
-        _read_exact(fh, _HDR.size))
+    head = fh.read(_HDR.size)
+    if len(head) != _HDR.size:
+        raise Clog2FormatError("truncated CLOG2 file")
+    magic, version, resolution, num_ranks, nrecords = _HDR.unpack(head)
     if magic != MAGIC:
         raise Clog2FormatError(f"bad magic {magic!r}")
     if version not in _KNOWN_VERSIONS:
@@ -584,67 +634,86 @@ def read_header(fh) -> Clog2Header:
     return Clog2Header(resolution, num_ranks, nrecords, version)
 
 
-def iter_framed_items(fh) -> Iterator[Definition | LogRecord]:
-    """Lazily parse a version-2 block-framed item stream.
-
-    One block is read and CRC-verified at a time, so memory stays
-    bounded by the writer's flush slab.  Raises
-    :class:`Clog2ChecksumError` on a CRC mismatch and
-    :class:`Clog2FormatError` on a torn frame.
-    """
-    while True:
-        head = fh.read(_BLOCK.size)
-        if not head:
+def _scan_blocks(data: bytes, pos: int, definitions: list, records: list,
+                 report: RecoveryReport | None, source: str) -> None:
+    """Read the version-2 CRC blocks from ``data[pos]`` on: strict raises
+    on a torn or mismatching block; salvage drops exactly that block
+    (its frame length says where the next one starts)."""
+    end = len(data)
+    for start, fields, body, stop in iter_frames(data, pos, _BLOCK, 0):
+        if fields is None or stop > end:
+            what = ("block header" if fields is None else
+                    f"block (promised {fields[0]} bytes, got {end - body})")
+            if report is None:
+                raise Clog2FormatError(f"truncated CLOG2 {what}")
+            report.drop(source, start, end, f"truncated {what}")
             return
-        if len(head) < _BLOCK.size:
-            raise Clog2FormatError("truncated CLOG2 block header")
-        length, crc = _BLOCK.unpack(head)
-        payload = fh.read(length)
-        if len(payload) < length:
-            raise Clog2FormatError(
-                f"truncated CLOG2 block (promised {length} bytes, "
-                f"got {len(payload)})")
-        if zlib.crc32(payload) != crc:
-            raise Clog2ChecksumError(
-                f"block checksum mismatch (stored 0x{crc:08x}, "
-                f"computed 0x{zlib.crc32(payload):08x})")
-        pos = 0
-        end = length
-        while pos < end:
-            parsed = _parse_item_at(payload, pos, end)
-            if parsed is None:
-                # Blocks end on item boundaries by construction; a
-                # partial item inside a CRC-valid block is a writer bug.
-                raise Clog2FormatError("item torn across a block boundary")
-            item, pos = parsed
-            yield item
+        crc = fields[1]
+        computed = zlib.crc32(data[body:stop])
+        if computed != crc:
+            crcs = f"(stored 0x{crc:08x}, computed 0x{computed:08x})"
+            if report is None:
+                raise Clog2ChecksumError(
+                    f"block checksum mismatch at offset {start} {crcs}")
+            report.drop(source, start, stop, f"block checksum mismatch {crcs}")
+            continue
+        scan_items(data, body, stop, definitions, records, report, source)
 
 
-def iter_clog2(path: str) -> tuple[Clog2Header, Iterator[Definition | LogRecord]]:
-    """Open a CLOG2 file for streaming: ``(header, item iterator)``.
+def read_image(data: bytes, base: int = 0,
+               report: RecoveryReport | None = None,
+               source: str = "") -> Clog2File:
+    """Read the CLOG2 image (header + items) at ``data[base:]``.
 
-    The iterator owns the file handle and closes it on exhaustion,
-    error, or garbage collection.  Item order is exactly file order
-    (definitions first, as the writers emit them).  Version-2 files are
-    de-framed and CRC-verified block by block as they stream.
+    Strict without a ``report``; with one, damage is accounted into it
+    at offsets within ``data`` (the rewrite-mode partials embed an image
+    after their own header) and whatever survives is returned.
     """
-    fh = open(path, "rb")
+    end = len(data)
     try:
-        header = read_header(fh)
-    except Exception:
-        fh.close()
-        raise
+        header = read_header(io.BytesIO(data[base:base + _HDR.size]))
+    except Clog2FormatError as exc:
+        if report is None:
+            raise
+        reason = (f"too short for a CLOG2 header ({end - base} bytes)"
+                  if end - base < _HDR.size else str(exc))
+        report.drop(source, base, end, reason)
+        return Clog2File(1e-6, 0, [], [])
+    definitions: list[Definition] = []
+    records: list[LogRecord] = []
+    pos = base + _HDR.size
+    if not header.checksummed:
+        scan_items(data, pos, end, definitions, records, report, source)
+    else:
+        _scan_blocks(data, pos, definitions, records, report, source)
+    nrecords = header.num_records
+    if report is None:
+        if len(records) != nrecords:
+            raise Clog2FormatError(
+                f"header promised {nrecords} records, found {len(records)}")
+    else:
+        report.records_kept += len(records)
+        if len(records) < nrecords:
+            # The header knows how many records the writer meant to
+            # store; anything the torn spans swallowed is the difference.
+            report.records_dropped = max(report.records_dropped,
+                                         nrecords - len(records))
+            report.note(f"{source}: header promised {nrecords} records, "
+                        f"salvaged {len(records)}")
+    return Clog2File(header.clock_resolution, header.num_ranks,
+                     definitions, records)
 
-    def _gen():
-        try:
-            if header.checksummed:
-                yield from iter_framed_items(fh)
-            else:
-                yield from iter_items(fh)
-        finally:
-            fh.close()
 
-    return header, _gen()
+def parse_clog2_bytes(data: bytes) -> Clog2File:
+    """Strictly parse a complete CLOG2 image (header + items) held in
+    memory.  Raises :class:`Clog2FormatError` on any damage."""
+    return read_image(data)
+
+
+def check_errors_mode(errors: str) -> None:
+    if errors not in ("strict", "salvage"):
+        raise ValueError(
+            f"errors must be 'strict' or 'salvage', got {errors!r}")
 
 
 def read_log(path: str, *, errors: str = "strict",
@@ -659,21 +728,19 @@ def read_log(path: str, *, errors: str = "strict",
     intact — silent tolerance of a writer bug would be a regression,
     not robustness.
     """
-    _check_errors_mode(errors)
+    check_errors_mode(errors)
     if errors == "salvage":
-        return _read_log_salvage(path)
+        report = RecoveryReport(source=os.path.basename(path))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return Clog2ReadResult(read_image(data, 0, report, report.source),
+                               report)
     if perf is not None:
         with perf.stage("clog2-read"):
             log = _read_log_strict(path, perf)
     else:
         log = _read_log_strict(path, None)
     return Clog2ReadResult(log, None)
-
-
-def _check_errors_mode(errors: str) -> None:
-    if errors not in ("strict", "salvage"):
-        raise ValueError(
-            f"errors must be 'strict' or 'salvage', got {errors!r}")
 
 
 def _read_log_strict(path: str, perf: "PerfRecorder | None") -> Clog2File:
@@ -683,427 +750,3 @@ def _read_log_strict(path: str, perf: "PerfRecorder | None") -> Clog2File:
     if perf is not None:
         perf.count("clog2-read", records=len(log.records), bytes=len(data))
     return log
-
-
-def parse_clog2_bytes(data: bytes) -> Clog2File:
-    """Strictly parse a complete CLOG2 image (header + items) held in
-    memory.  Raises :class:`Clog2FormatError` on any damage.
-
-    BareEvent/MsgEvent (the overwhelming bulk of any log) are decoded
-    inline with pre-bound ``unpack_from`` and built the way
-    :meth:`repro.slog2.convert.StreamConverter.feed_all` builds
-    drawables: ``object.__new__``, then one ``object.__setattr__`` per
-    field.  A text is clamped only when its on-disk length exceeds
-    :data:`TEXT_LIMIT` (a foreign writer's); anything shorter is already
-    within it.  Definitions fall through to :func:`_parse_item_at`.
-    """
-    header = read_header(io.BytesIO(data[:_HDR.size]))
-    if header.checksummed:
-        data = _deframe_strict(data)
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    drec = definitions.append
-    rrec = records.append
-    pos = _HDR.size
-    end = len(data)
-    # Type byte, fields and (for BareEvent) the text's u16 length in
-    # one unpack per record.
-    bare_unpack = _BARE_FULL_U16.unpack_from
-    msg_unpack = _MSG_FULL.unpack_from
-    bare_size = _BARE_FULL_U16.size
-    msg_size = _MSG_FULL.size
-    new = object.__new__
-    sa = object.__setattr__
-    try:
-        while pos < end:
-            t = data[pos]
-            if t == _T_BARE:
-                _, ts, rank, eid, n = bare_unpack(data, pos)
-                cursor = pos + bare_size
-                tail = cursor + n
-                if tail > end:
-                    raise Clog2FormatError("truncated CLOG2 file")
-                text = data[cursor:tail].decode("utf-8")
-                if n > TEXT_LIMIT:
-                    text = clamp_text(text, TEXT_LIMIT)
-                rec = new(BareEvent)
-                sa(rec, "timestamp", ts)
-                sa(rec, "rank", rank)
-                sa(rec, "event_id", eid)
-                sa(rec, "text", text)
-                rrec(rec)
-                pos = tail
-            elif t == _T_MSG:
-                _, ts, rank, kind, other, tag, size = msg_unpack(data, pos)
-                rec = new(MsgEvent)
-                sa(rec, "timestamp", ts)
-                sa(rec, "rank", rank)
-                sa(rec, "kind", kind)
-                sa(rec, "other_rank", other)
-                sa(rec, "tag", tag)
-                sa(rec, "size", size)
-                rrec(rec)
-                pos += msg_size
-            else:
-                parsed = _parse_item_at(data, pos, end)
-                if parsed is None:
-                    raise Clog2FormatError("truncated CLOG2 file")
-                item, pos = parsed
-                drec(item)
-    except struct.error:
-        # unpack_from ran past the buffer: a record torn at EOF.
-        raise Clog2FormatError("truncated CLOG2 file") from None
-    except UnicodeDecodeError as exc:
-        # A damaged text byte; unframed (version-1) logs have no CRC to
-        # catch it first.
-        raise Clog2FormatError(
-            f"undecodable text in the item at offset {pos} ({exc.reason})"
-        ) from None
-    if len(records) != header.num_records:
-        raise Clog2FormatError(
-            f"header promised {header.num_records} records, "
-            f"found {len(records)}")
-    return Clog2File(header.clock_resolution, header.num_ranks,
-                     definitions, records)
-
-
-def _deframe_strict(data: bytes) -> bytes:
-    """Strictly unwrap a version-2 image's blocks into a version-1-shaped
-    image (header + raw item bytes).  Raises on torn frames and CRC
-    mismatches."""
-    parts = [data[:_HDR.size]]
-    pos = _HDR.size
-    end = len(data)
-    while pos < end:
-        if pos + _BLOCK.size > end:
-            raise Clog2FormatError("truncated CLOG2 block header")
-        length, crc = _BLOCK.unpack_from(data, pos)
-        pos += _BLOCK.size
-        if pos + length > end:
-            raise Clog2FormatError(
-                f"truncated CLOG2 block (promised {length} bytes, "
-                f"got {end - pos})")
-        payload = data[pos:pos + length]
-        if zlib.crc32(payload) != crc:
-            raise Clog2ChecksumError(
-                f"block checksum mismatch at offset {pos - _BLOCK.size} "
-                f"(stored 0x{crc:08x}, computed 0x{zlib.crc32(payload):08x})")
-        parts.append(payload)
-        pos += length
-    return b"".join(parts)
-
-
-def _read_log_salvage(path: str) -> Clog2ReadResult:
-    import os
-
-    from repro.mpe.recovery import RecoveryReport
-
-    report = RecoveryReport(source=os.path.basename(path))
-    with open(path, "rb") as fh:
-        data = fh.read()
-    log = parse_clog2_bytes_tolerant(data, report, report.source)
-    return Clog2ReadResult(log, report)
-
-
-# -- deprecated aliases ------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(f"{old} is deprecated; use {new}",
-                  DeprecationWarning, stacklevel=3)
-
-
-def read_clog2(path: str) -> Clog2File:
-    """Deprecated alias for ``read_log(path).log``."""
-    _deprecated("read_clog2", "read_log(path)")
-    return read_log(path).log
-
-
-def read_clog2_tolerant(path: str):
-    """Deprecated alias for ``read_log(path, errors='salvage')``."""
-    _deprecated("read_clog2_tolerant", "read_log(path, errors='salvage')")
-    return tuple(read_log(path, errors="salvage"))
-
-
-def read_one_item(fh) -> Definition | LogRecord | None:
-    """Parse one definition or record; ``None`` on clean EOF.
-
-    Raises :class:`Clog2FormatError` on an unknown type byte or a
-    record torn mid-field — the tolerant reader catches exactly these.
-    """
-    tbyte = fh.read(1)
-    if not tbyte:
-        return None
-    t = tbyte[0]
-    if t == _T_STATEDEF:
-        start, end = _STATEDEF.unpack(_read_exact(fh, _STATEDEF.size))
-        name = _unpack_str(fh)
-        color = _unpack_str(fh)
-        return StateDef(start, end, name, color)
-    if t == _T_EVENTDEF:
-        (eid,) = _EVENTDEF.unpack(_read_exact(fh, _EVENTDEF.size))
-        name = _unpack_str(fh)
-        color = _unpack_str(fh)
-        return EventDef(eid, name, color)
-    if t == _T_BARE:
-        ts, rank, eid = _BARE.unpack(_read_exact(fh, _BARE.size))
-        text = _unpack_str(fh)
-        return BareEvent(ts, rank, eid, text)
-    if t == _T_RANKNAME:
-        (rank,) = _EVENTDEF.unpack(_read_exact(fh, _EVENTDEF.size))
-        name = _unpack_str(fh)
-        return RankName(rank, name)
-    if t == _T_MSG:
-        ts, rank, kind, other, tag, size = _MSG.unpack(
-            _read_exact(fh, _MSG.size))
-        return MsgEvent(ts, rank, kind, other, tag, size)
-    raise Clog2FormatError(f"unknown record type byte 0x{t:02x}")
-
-
-def read_items(fh) -> tuple[list[Definition], list[LogRecord]]:
-    """Parse a headerless definition+record stream until EOF."""
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    for item in iter_items(fh):
-        if isinstance(item, (BareEvent, MsgEvent)):
-            records.append(item)
-        else:
-            definitions.append(item)
-    return definitions, records
-
-
-# -- growing files (live tailing) --------------------------------------------
-
-
-class GrowingRead(NamedTuple):
-    """What :func:`read_growing` hands back for one poll of a file that
-    a writer may still be appending to.
-
-    ``items`` is every whole item parsed since the given offset;
-    ``offset`` is the first byte *not* consumed — pass it back on the
-    next poll to resume without re-reading; ``torn_bytes`` counts the
-    bytes currently held at the tail because they do not yet form a
-    complete item (version 1) or a complete CRC-valid block (version
-    2).  A non-zero ``torn_bytes`` is not damage: it is "the writer has
-    not finished this flush yet", and the held bytes are re-examined on
-    the next poll once the file has grown."""
-
-    items: list[Definition | LogRecord]
-    offset: int
-    torn_bytes: int
-
-
-def open_growing(path: str) -> tuple[Clog2Header, int] | None:
-    """Read the header of a possibly-still-being-written CLOG2 file.
-
-    Returns ``(header, body_offset)`` once the fixed header is fully on
-    disk, or ``None`` while the file is still shorter than a header
-    (the writer has opened it but not flushed yet).  Bad magic or an
-    unknown version still raise — a file that *starts* wrong will not
-    become right by growing.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HDR.size)
-    if len(head) < _HDR.size:
-        return None
-    return read_header(io.BytesIO(head)), _HDR.size
-
-
-def read_growing(path: str, offset: int, *,
-                 checksummed: bool = False) -> GrowingRead:
-    """Parse whole items from ``offset`` to the current end of ``path``.
-
-    The growing-file contract (unlike :func:`iter_items` /
-    :func:`iter_framed_items`, which treat a torn tail as a format
-    error): a partial item or partial block at the tail is *held*, not
-    raised and not dropped — the returned offset stops at the last
-    clean boundary so the caller can re-poll after the writer's next
-    flush.  Real damage still raises: an unknown type byte, or a
-    version-2 block whose bytes are all present but whose CRC does not
-    match, cannot be healed by waiting.
-    """
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        data = fh.read()
-    items: list[Definition | LogRecord] = []
-    pos = 0
-    end = len(data)
-    if checksummed:
-        while pos < end:
-            if pos + _BLOCK.size > end:
-                break  # block header still being written
-            length, crc = _BLOCK.unpack_from(data, pos)
-            body = pos + _BLOCK.size
-            if body + length > end:
-                break  # block payload still being written
-            payload = data[body:body + length]
-            if zlib.crc32(payload) != crc:
-                raise Clog2ChecksumError(
-                    f"block checksum mismatch at offset {offset + pos} "
-                    f"(stored 0x{crc:08x}, "
-                    f"computed 0x{zlib.crc32(payload):08x})")
-            ipos = 0
-            while ipos < length:
-                parsed = _parse_item_at(payload, ipos, length)
-                if parsed is None:
-                    # Blocks end on item boundaries by construction.
-                    raise Clog2FormatError(
-                        "item torn across a block boundary")
-                item, ipos = parsed
-                items.append(item)
-            pos = body + length
-    else:
-        while pos < end:
-            parsed = _parse_item_at(data, pos, end)
-            if parsed is None:
-                break  # item still being written
-            item, pos = parsed
-            items.append(item)
-    return GrowingRead(items, offset + pos, end - pos)
-
-
-# -- tolerant reading (the crash-tolerant pipeline) -------------------------
-
-_PARSE_ERRORS = (Clog2FormatError, struct.error, UnicodeDecodeError,
-                 IndexError)
-
-_VALID_TYPE_BYTES = frozenset(
-    (_T_STATEDEF, _T_EVENTDEF, _T_BARE, _T_MSG, _T_RANKNAME))
-
-
-def _resync_offset(data: bytes, start: int) -> int:
-    """First offset >= ``start`` where a whole item parses and is
-    followed by EOF or another plausible item start; ``len(data)`` when
-    no such point exists (the rest of the file is unrecoverable)."""
-    end = len(data)
-    for off in range(start, end):
-        if data[off] not in _VALID_TYPE_BYTES:
-            continue
-        try:
-            parsed = _parse_item_at(data, off, end)
-        except _PARSE_ERRORS:
-            continue
-        if parsed is None:
-            continue
-        pos = parsed[1]
-        if pos >= end or data[pos] in _VALID_TYPE_BYTES:
-            return off
-    return end
-
-
-def read_items_tolerant(data: bytes, report, source: str,
-                        base_offset: int = 0
-                        ) -> tuple[list[Definition], list[LogRecord]]:
-    """Parse a headerless item stream, skipping torn/corrupt spans.
-
-    ``data`` is the stream body only; offsets recorded in ``report``
-    (a :class:`repro.mpe.recovery.RecoveryReport`) are shifted by
-    ``base_offset`` so they refer to positions in the enclosing file.
-    """
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    pos = 0
-    end = len(data)
-    while pos < end:
-        try:
-            parsed = _parse_item_at(data, pos, end)
-            if parsed is None:
-                raise Clog2FormatError("truncated CLOG2 file")
-        except _PARSE_ERRORS as exc:
-            skip_to = _resync_offset(data, pos + 1)
-            report.drop(source, base_offset + pos, base_offset + skip_to,
-                        f"unparseable record ({exc})")
-            if skip_to >= end:
-                break
-            pos = skip_to
-            continue
-        item, pos = parsed
-        if isinstance(item, (BareEvent, MsgEvent)):
-            records.append(item)
-        else:
-            definitions.append(item)
-    return definitions, records
-
-
-def _read_framed_tolerant(data: bytes, report, source: str,
-                          base_offset: int
-                          ) -> tuple[list[Definition], list[LogRecord]]:
-    """Tolerantly walk a version-2 block sequence.
-
-    A CRC mismatch drops *exactly* the damaged block — the frame length
-    tells us where the next one starts, so corruption is localised
-    instead of smeared forward the way the version-1 resync scan has to.
-    A torn frame at EOF drops the tail.
-    """
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    pos = _HDR.size
-    end = len(data)
-    while pos < end:
-        frame_start = pos
-        if pos + _BLOCK.size > end:
-            report.drop(source, base_offset + frame_start, base_offset + end,
-                        "truncated block header")
-            break
-        length, crc = _BLOCK.unpack_from(data, pos)
-        pos += _BLOCK.size
-        if pos + length > end:
-            report.drop(source, base_offset + frame_start, base_offset + end,
-                        f"truncated block (promised {length} bytes, "
-                        f"got {end - pos})")
-            break
-        payload = data[pos:pos + length]
-        pos += length
-        if zlib.crc32(payload) != crc:
-            report.drop(source, base_offset + frame_start, base_offset + pos,
-                        f"block checksum mismatch (stored 0x{crc:08x}, "
-                        f"computed 0x{zlib.crc32(payload):08x})")
-            continue
-        # CRC passed: the payload is exactly what the writer flushed.
-        # Any parse failure inside it would be a writer bug, which the
-        # tolerant item walk still surfaces as a dropped span.
-        defs, recs = read_items_tolerant(
-            payload, report, source,
-            base_offset=base_offset + frame_start + _BLOCK.size)
-        definitions.extend(defs)
-        records.extend(recs)
-    return definitions, records
-
-
-def parse_clog2_bytes_tolerant(data: bytes, report, source: str,
-                               base_offset: int = 0) -> Clog2File:
-    """Tolerantly parse a complete CLOG2 image (header + items) held in
-    memory, accounting losses into ``report``.  Shared by the salvage
-    modes of :func:`read_log` and the partial reader (whose
-    rewrite-mode partials embed a whole CLOG2 body)."""
-    empty = Clog2File(1e-6, 0, [], [])
-    if len(data) < _HDR.size:
-        report.drop(source, base_offset, base_offset + len(data),
-                    f"too short for a CLOG2 header ({len(data)} bytes)")
-        return empty
-    magic, version, resolution, num_ranks, nrecords = _HDR.unpack(
-        data[:_HDR.size])
-    if magic != MAGIC:
-        report.drop(source, base_offset, base_offset + len(data),
-                    f"bad magic {magic!r}")
-        return empty
-    if version not in _KNOWN_VERSIONS:
-        report.drop(source, base_offset, base_offset + len(data),
-                    f"unsupported CLOG2 version {version}")
-        return empty
-    if version >= CHECKSUM_VERSION:
-        definitions, records = _read_framed_tolerant(
-            data, report, source, base_offset)
-    else:
-        definitions, records = read_items_tolerant(
-            data[_HDR.size:], report, source,
-            base_offset=base_offset + _HDR.size)
-    report.records_kept += len(records)
-    if len(records) < nrecords:
-        missing = nrecords - len(records)
-        # The header knows how many records the writer meant to store;
-        # anything the torn spans swallowed is exactly the difference.
-        report.records_dropped = max(report.records_dropped, missing)
-        report.note(f"{source}: header promised {nrecords} records, "
-                    f"salvaged {len(records)}")
-    return Clog2File(resolution, num_ranks, definitions, records)

@@ -42,9 +42,12 @@ skipped and accounted):
   CLOG2 via a heap-based k-way merge (see :mod:`repro.mpe.merge`) and
   returns ``(Clog2File, RecoveryReport | None)``.
 
-The historical names (:func:`read_partial`,
-:func:`read_partial_tolerant`, :func:`merge_partials`,
-:func:`merge_partials_tolerant`) survive as thin deprecated aliases.
+:func:`tail_partial` reads a growing append-mode partial incrementally
+for live following.  All three decode with the two loops of
+:mod:`repro.mpe.clog2`: the chunk walk is
+:func:`~repro.mpe.clog2.iter_frames` and every record chunk goes
+through :func:`~repro.mpe.clog2.decode_items`.  A strict read of an
+append partial is the tail read from offset 0.
 
 Rewrite layout: magic ``CLOGPART``, sync section, one CLOG2 body.
 Append layout: magic ``CLOGPARA``, then framed chunks — each chunk is
@@ -58,7 +61,6 @@ from __future__ import annotations
 import glob
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -67,15 +69,18 @@ from repro.mpe.clocksync import SyncPoint
 from repro.mpe.clog2 import (
     Clog2File,
     Clog2FormatError,
-    parse_clog2_bytes,
+    check_errors_mode,
+    iter_frames,
+    read_image,
+    scan_items,
     write_clog2,
     write_clog2_to,
 )
 from repro.mpe.merge import dedup_definitions, merged_records, rank_stream
 from repro.mpe.records import Definition, LogRecord
+from repro.mpe.recovery import RecoveryReport
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpe.recovery import RecoveryReport
     from repro.perf import PerfRecorder
 
 PARTIAL_MAGIC = b"CLOGPART"
@@ -179,44 +184,6 @@ class MergeResult(NamedTuple):
     recovery: "RecoveryReport | None"
 
 
-def _check_errors_mode(errors: str) -> None:
-    if errors not in ("strict", "salvage"):
-        raise ValueError(
-            f"errors must be 'strict' or 'salvage', got {errors!r}")
-
-
-def _read_append_partial(path: str) -> Partial:
-    import io
-
-    from repro.mpe.clog2 import read_items
-
-    with open(path, "rb") as fh:
-        head = fh.read(_AHDR.size)
-        magic, rank, resolution, _ = _AHDR.unpack(head)
-        sync_points: list[SyncPoint] = []
-        definitions: list[Definition] = []
-        records: list[LogRecord] = []
-        while True:
-            frame = fh.read(_CHUNK.size)
-            if len(frame) < _CHUNK.size:
-                break  # clean EOF or torn frame header: stop here
-            kind, length = _CHUNK.unpack(frame)
-            payload = fh.read(length)
-            if len(payload) < length:
-                break  # torn chunk from an abort mid-write: drop it
-            if kind == _K_SYNC:
-                local_time, offset = _SYNC.unpack(payload)
-                sync_points.append(SyncPoint(local_time, offset))
-            elif kind == _K_RECORDS:
-                defs, recs = read_items(io.BytesIO(payload))
-                definitions.extend(defs)
-                records.extend(recs)
-            else:
-                raise Clog2FormatError(
-                    f"unknown partial chunk kind 0x{kind:02x}")
-    return Partial(rank, sync_points, definitions, records, resolution)
-
-
 class PartialTail(NamedTuple):
     """One poll of a growing append-mode partial (see
     :func:`tail_partial`).  ``offset`` resumes the next poll at the
@@ -247,8 +214,8 @@ def tail_partial(path: str, offset: int = 0) -> PartialTail | None:
     :func:`read_partial_log` instead.
     """
     with open(path, "rb") as fh:
+        head = fh.read(_AHDR.size)
         if offset == 0:
-            head = fh.read(_AHDR.size)
             if len(head) < 8:
                 return None
             if head[:8] == PARTIAL_MAGIC:
@@ -259,45 +226,119 @@ def tail_partial(path: str, offset: int = 0) -> PartialTail | None:
                 raise Clog2FormatError(f"bad partial magic {head[:8]!r}")
             if len(head) < _AHDR.size:
                 return None
-            _, rank, resolution, _ = _AHDR.unpack(head)
             offset = _AHDR.size
-        else:
-            head = fh.read(_AHDR.size)
-            if len(head) < _AHDR.size:
-                raise Clog2FormatError(f"{path}: shrank below its header")
-            _, rank, resolution, _ = _AHDR.unpack(head)
-            fh.seek(offset)
+        elif len(head) < _AHDR.size:
+            raise Clog2FormatError(f"{path}: shrank below its header")
+        fh.seek(offset)
         data = fh.read()
-    import io as _io
+    _, rank, resolution, _ = _AHDR.unpack(head)
+    part = Partial(rank, [], [], [], resolution)
+    held = _read_chunks(data, 0, part)
+    return PartialTail(rank, resolution, part.sync_points, part.definitions,
+                       part.records, offset + held, len(data) - held)
 
-    from repro.mpe.clog2 import read_items
 
-    sync_points: list[SyncPoint] = []
-    definitions: list[Definition] = []
-    records: list[LogRecord] = []
-    pos = 0
+def _read_chunks(data: bytes, pos: int, part: Partial,
+                 report: RecoveryReport | None = None,
+                 source: str = "") -> int:
+    """Read the append-partial chunks of ``data[pos:]`` into ``part``.
+
+    Strict and tail reads (no ``report``): a malformed whole chunk
+    raises, and a torn final chunk — one the writer has not finished,
+    or an abort cut short — is held: the returned offset is its start
+    (``len(data)`` when nothing is held).  Salvage: a bad chunk is
+    dropped into ``report``, and the complete records before the tear
+    of a torn final record chunk are kept.
+    """
     end = len(data)
-    while pos < end:
-        if pos + _CHUNK.size > end:
-            break  # chunk frame still being written
-        kind, length = _CHUNK.unpack_from(data, pos)
-        body = pos + _CHUNK.size
-        if body + length > end:
-            break  # chunk payload still being written
-        payload = data[body:body + length]
+    for start, fields, body, stop in iter_frames(data, pos, _CHUNK, 1):
+        torn = fields is None or stop > end
+        if report is None:
+            if torn:
+                return start
+            kind, length = fields
+            if kind == _K_RECORDS:
+                scan_items(data, body, stop, part.definitions, part.records)
+            elif kind != _K_SYNC:
+                raise Clog2FormatError(
+                    f"unknown partial chunk kind 0x{kind:02x}")
+            elif length != _SYNC.size:
+                raise Clog2FormatError(
+                    f"sync chunk at offset {start} holds {length} bytes, "
+                    f"not {_SYNC.size}")
+            else:
+                part.sync_points.append(
+                    SyncPoint(*_SYNC.unpack_from(data, body)))
+            continue
+        if fields is None:
+            report.drop(source, start, end, "torn chunk frame header")
+            break
+        kind, length = fields
         if kind == _K_SYNC:
-            local_time, off = _SYNC.unpack(payload)
-            sync_points.append(SyncPoint(local_time, off))
+            if min(stop, end) - body < _SYNC.size:
+                report.drop(source, start, end, "torn sync chunk")
+                break
+            part.sync_points.append(SyncPoint(*_SYNC.unpack_from(data, body)))
         elif kind == _K_RECORDS:
-            defs, recs = read_items(_io.BytesIO(payload))
-            definitions.extend(defs)
-            records.extend(recs)
+            scan_items(data, body, min(stop, end), part.definitions,
+                       part.records, report, source)
+            if torn:
+                # The missing tail held at least one record we cannot
+                # recover (possibly cut mid-write by the abort).
+                report.note(f"{source}: final record chunk torn at byte "
+                            f"{end} (frame promised {length} bytes)")
+                report.drop(source, end, stop,
+                            "torn final chunk (abort mid-write)", records=1)
+        elif torn:
+            report.drop(source, start, end,
+                        f"torn chunk with unknown kind 0x{kind:02x}")
         else:
-            raise Clog2FormatError(
-                f"unknown partial chunk kind 0x{kind:02x}")
-        pos = body + length
-    return PartialTail(rank, resolution, sync_points, definitions, records,
-                       offset + pos, end - pos)
+            report.drop(source, start, stop,
+                        f"unknown chunk kind 0x{kind:02x}, skipped")
+    return end
+
+
+def _read_partial(data: bytes, report: RecoveryReport | None = None,
+                  source: str = "") -> Partial:
+    """Parse a partial of either layout held in memory: strict without
+    a ``report``; with one, damage is accounted and a file too damaged
+    to identify yields a ``Partial`` with ``rank == -1``."""
+    end = len(data)
+
+    def lost(start: int, reason: str) -> None:
+        if report is None:
+            raise Clog2FormatError(reason)
+        report.drop(source, start, end, reason)
+
+    unidentified = Partial(-1, [], [], [], 1e-6)
+    if end < _PHDR.size:
+        lost(0, f"too short for a partial header ({end} bytes)")
+        return unidentified
+    magic, rank, nsync = _PHDR.unpack_from(data)
+    if magic == APPEND_MAGIC:
+        if end < _AHDR.size:
+            lost(0, f"too short for an append header ({end} bytes)")
+            return unidentified
+        _, rank, resolution, _ = _AHDR.unpack_from(data)
+        part = Partial(rank, [], [], [], resolution)
+        _read_chunks(data, _AHDR.size, part, report, source)
+        if report is not None:
+            report.records_kept += len(part.records)
+        return part
+    if magic != PARTIAL_MAGIC:
+        lost(0, f"bad partial magic {magic!r}")
+        return unidentified
+    points: list[SyncPoint] = []
+    pos = _PHDR.size
+    for i in range(nsync):
+        if pos + _SYNC.size > end:
+            lost(pos, f"torn sync section ({nsync - i} points lost)")
+            return Partial(rank, points, [], [], 1e-6)
+        points.append(SyncPoint(*_SYNC.unpack_from(data, pos)))
+        pos += _SYNC.size
+    clog = read_image(data, pos, report, source)
+    return Partial(rank, points, clog.definitions, clog.records,
+                   clog.clock_resolution)
 
 
 def read_partial_log(path: str, *, errors: str = "strict"
@@ -310,26 +351,14 @@ def read_partial_log(path: str, *, errors: str = "strict"
     damaged to identify (no readable header) yields a ``Partial`` with
     ``rank == -1`` and everything accounted as dropped.
     """
-    _check_errors_mode(errors)
-    if errors == "salvage":
-        return PartialReadResult(*_read_partial_salvage(path))
+    check_errors_mode(errors)
     with open(path, "rb") as fh:
-        head = fh.read(_PHDR.size)
-        if len(head) != _PHDR.size:
-            raise Clog2FormatError("truncated partial header")
-        magic, rank, nsync = _PHDR.unpack(head)
-        if magic == APPEND_MAGIC:
-            return PartialReadResult(_read_append_partial(path), None)
-        if magic != PARTIAL_MAGIC:
-            raise Clog2FormatError(f"bad partial magic {magic!r}")
-        points = []
-        for _ in range(nsync):
-            local_time, offset = _SYNC.unpack(fh.read(_SYNC.size))
-            points.append(SyncPoint(local_time, offset))
-        clog = parse_clog2_bytes(fh.read())
-    return PartialReadResult(
-        Partial(rank, points, clog.definitions, clog.records,
-                clog.clock_resolution), None)
+        data = fh.read()
+    if errors == "strict":
+        return PartialReadResult(_read_partial(data), None)
+    report = RecoveryReport(source=os.path.basename(path))
+    return PartialReadResult(_read_partial(data, report, report.source),
+                             report)
 
 
 def find_partials(base_path: str) -> list[str]:
@@ -373,7 +402,7 @@ def merge_partial_logs(base_path: str, out_path: str | None = None, *,
     from a fault plan or an :class:`~repro.vmpi.errors.AbortedError`
     so the viewers can mark the timelines.
     """
-    _check_errors_mode(errors)
+    check_errors_mode(errors)
     if errors == "salvage":
         return MergeResult(*_merge_partials_salvage(
             base_path, out_path, expected_ranks=expected_ranks,
@@ -394,108 +423,11 @@ def merge_partial_logs(base_path: str, out_path: str | None = None, *,
     return MergeResult(log, None)
 
 
-# -- tolerant salvage (the crash-tolerant pipeline) -------------------------
-
-
-def _read_partial_salvage(path: str) -> "tuple[Partial, RecoveryReport]":
-    from repro.mpe.clog2 import parse_clog2_bytes_tolerant
-    from repro.mpe.recovery import RecoveryReport
-
-    source = os.path.basename(path)
-    report = RecoveryReport(source=source)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _PHDR.size:
-        report.drop(source, 0, len(data),
-                    f"too short for a partial header ({len(data)} bytes)")
-        return Partial(-1, [], [], [], 1e-6), report
-    magic = data[:8]
-    if magic == APPEND_MAGIC:
-        return _read_append_partial_tolerant(data, report, source)
-    if magic != PARTIAL_MAGIC:
-        report.drop(source, 0, len(data), f"bad partial magic {magic!r}")
-        return Partial(-1, [], [], [], 1e-6), report
-    _, rank, nsync = _PHDR.unpack(data[:_PHDR.size])
-    points: list[SyncPoint] = []
-    pos = _PHDR.size
-    for i in range(nsync):
-        if pos + _SYNC.size > len(data):
-            report.drop(source, pos, len(data),
-                        f"torn sync section ({nsync - i} points lost)")
-            return Partial(rank, points, [], [], 1e-6), report
-        local_time, offset = _SYNC.unpack(data[pos:pos + _SYNC.size])
-        points.append(SyncPoint(local_time, offset))
-        pos += _SYNC.size
-    clog = parse_clog2_bytes_tolerant(data[pos:], report, source,
-                                      base_offset=pos)
-    return (Partial(rank, points, clog.definitions, clog.records,
-                    clog.clock_resolution), report)
-
-
-def _read_append_partial_tolerant(data: bytes, report, source: str
-                                  ) -> "tuple[Partial, RecoveryReport]":
-    from repro.mpe.clog2 import read_items_tolerant
-
-    if len(data) < _AHDR.size:
-        report.drop(source, 0, len(data),
-                    f"too short for an append header ({len(data)} bytes)")
-        return Partial(-1, [], [], [], 1e-6), report
-    _, rank, resolution, _ = _AHDR.unpack(data[:_AHDR.size])
-    sync_points: list[SyncPoint] = []
-    definitions = []
-    records = []
-    pos = _AHDR.size
-    while pos < len(data):
-        if pos + _CHUNK.size > len(data):
-            report.drop(source, pos, len(data), "torn chunk frame header")
-            break
-        kind, length = _CHUNK.unpack(data[pos:pos + _CHUNK.size])
-        payload_start = pos + _CHUNK.size
-        payload_end = payload_start + length
-        payload = data[payload_start:min(payload_end, len(data))]
-        torn = payload_end > len(data)
-        if kind == _K_SYNC:
-            if len(payload) < _SYNC.size:
-                report.drop(source, pos, len(data), "torn sync chunk")
-                break
-            local_time, offset = _SYNC.unpack(payload[:_SYNC.size])
-            sync_points.append(SyncPoint(local_time, offset))
-        elif kind == _K_RECORDS:
-            # Even a torn record chunk holds complete records before the
-            # tear; salvage those and account the tail.
-            defs, recs = read_items_tolerant(payload, report, source,
-                                             base_offset=payload_start)
-            definitions.extend(defs)
-            records.extend(recs)
-            if torn:
-                report.note(f"{source}: final record chunk torn at byte "
-                            f"{len(data)} (frame promised {length} bytes)")
-        else:
-            if torn:
-                report.drop(source, pos, len(data),
-                            f"torn chunk with unknown kind 0x{kind:02x}")
-                break
-            report.drop(source, pos, payload_end,
-                        f"unknown chunk kind 0x{kind:02x}, skipped")
-        if torn:
-            if kind == _K_RECORDS:
-                # The missing tail held at least one record we cannot
-                # recover (possibly cut mid-write by the abort).
-                report.drop(source, len(data), payload_end,
-                            "torn final chunk (abort mid-write)", records=1)
-            break
-        pos = payload_end
-    report.records_kept += len(records)
-    return Partial(rank, sync_points, definitions, records, resolution), report
-
-
 def _merge_partials_salvage(base_path: str, out_path: str | None, *,
                             expected_ranks: int | None,
                             crashed_ranks: "dict[int, float | None] | None",
                             perf: "PerfRecorder | None" = None
                             ) -> "tuple[Clog2File, RecoveryReport]":
-    from repro.mpe.recovery import RecoveryReport
-
     report = RecoveryReport(source=os.path.basename(base_path))
     paths = find_partials(base_path)
     if not paths:
@@ -505,7 +437,7 @@ def _merge_partials_salvage(base_path: str, out_path: str | None, *,
     usable: list[Partial] = []
     for p in paths:
         try:
-            part, sub = _read_partial_salvage(p)
+            part, sub = read_partial_log(p, errors="salvage")
         except OSError as exc:
             report.note(f"{os.path.basename(p)}: unreadable ({exc})")
             continue
@@ -534,46 +466,6 @@ def _merge_partials_salvage(base_path: str, out_path: str | None, *,
         report.mark_crashed(rank, at)
     write_clog2(out_path or base_path, log, perf=perf)
     return log, report
-
-
-# -- deprecated aliases ------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(f"{old} is deprecated; use {new}",
-                  DeprecationWarning, stacklevel=3)
-
-
-def read_partial(path: str) -> Partial:
-    """Deprecated alias for ``read_partial_log(path).partial``."""
-    _deprecated("read_partial", "read_partial_log(path)")
-    return read_partial_log(path).partial
-
-
-def read_partial_tolerant(path: str) -> "tuple[Partial, RecoveryReport]":
-    """Deprecated alias for ``read_partial_log(path, errors='salvage')``."""
-    _deprecated("read_partial_tolerant",
-                "read_partial_log(path, errors='salvage')")
-    return tuple(read_partial_log(path, errors="salvage"))
-
-
-def merge_partials(base_path: str, out_path: str | None = None) -> Clog2File:
-    """Deprecated alias for ``merge_partial_logs(...).log``."""
-    _deprecated("merge_partials", "merge_partial_logs(base_path)")
-    return merge_partial_logs(base_path, out_path).log
-
-
-def merge_partials_tolerant(base_path: str, out_path: str | None = None, *,
-                            expected_ranks: int | None = None,
-                            crashed_ranks: "dict[int, float | None] | None" = None
-                            ) -> "tuple[Clog2File, RecoveryReport]":
-    """Deprecated alias for
-    ``merge_partial_logs(..., errors='salvage')``."""
-    _deprecated("merge_partials_tolerant",
-                "merge_partial_logs(base_path, errors='salvage')")
-    return tuple(merge_partial_logs(
-        base_path, out_path, errors="salvage",
-        expected_ranks=expected_ranks, crashed_ranks=crashed_ranks))
 
 
 def cleanup_partials(base_path: str) -> int:

@@ -21,9 +21,8 @@ as Jumpshot's own converter does.
 The engine is :class:`StreamConverter`: records are :meth:`fed
 <StreamConverter.feed>` one at a time and drawables can be handed to a
 ``sink`` callback the moment they complete, so the conversion composes
-with the streaming reader (:func:`repro.mpe.clog2.iter_clog2`) and the
-incremental frame tree without a drawables-in-flight list between
-stages.  :func:`convert` is the eager wrapper over a parsed
+with the incremental frame tree without a drawables-in-flight list
+between stages.  :func:`convert` is the eager wrapper over a parsed
 :class:`~repro.mpe.clog2.Clog2File`; :func:`convert_with_tree` is the
 fused convert-plus-frame-tree used by the viewers' pipeline.
 """

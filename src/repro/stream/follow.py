@@ -4,15 +4,14 @@
 (``<base>.rankNNNN.part``), the engine's exit sidecar
 (``<base>.exit.json``, written by the runner when streaming is armed)
 and optionally the run's journal, and turns each poll into a
-:class:`FollowUpdate` of new records.  The three failure modes the
-tentpole names are distinguished here:
+:class:`FollowUpdate` of new records.  Three failure modes are
+distinguished here:
 
-* **writer hasn't flushed yet** — the growing readers
-  (:func:`repro.mpe.salvage.tail_partial`,
-  :func:`repro.mpe.clog2.read_growing`) hold a torn tail and return a
-  resumable offset; the service backs off under its
+* **writer hasn't flushed yet** — the growing reader
+  (:func:`repro.mpe.salvage.tail_partial`) holds a torn tail and
+  returns a resumable offset; the service backs off under its
   :class:`~repro._util.retry.RetryPolicy` and re-polls;
-* **torn CRC frame at tail** — same holding behaviour: the partial
+* **torn chunk frame at tail** — same holding behaviour: the partial
   frame is *never* emitted downstream; it is re-examined once the file
   grows past it;
 * **writer died** — detected through the exit sidecar (normal end or

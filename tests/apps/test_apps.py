@@ -101,7 +101,7 @@ class TestThumbnail:
         assert r1.total_time == r2.total_time
 
     def test_stage_states_subdivide_decompressor_work(self, tmp_path):
-        from repro.mpe import read_clog2
+        from repro.mpe import read_log
         from repro.slog2 import compute_stats, convert
 
         cfg = ThumbnailConfig(nfiles=20, stage_states=True)
@@ -110,7 +110,7 @@ class TestThumbnail:
                         argv=("-pisvc=j",),
                         options=PilotOptions(mpe_log_path=path))
         assert res.ok
-        doc, report = convert(read_clog2(path))
+        doc, report = convert(read_log(path).log)
         assert report.clean, report.summary()
         stats = compute_stats(doc)
         assert stats["decode"].count == 20

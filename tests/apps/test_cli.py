@@ -81,10 +81,10 @@ class TestAppsCli:
                       "--pisvc", "j", "--render", "ascii", "--width", "60"],
                      tmp_path, monkeypatch)
         assert rc == 0
-        from repro.mpe import read_clog2
+        from repro.mpe import read_log
         from repro.slog2 import convert
 
-        doc, _ = convert(read_clog2(str(tmp_path / "run.clog2")))
+        doc, _ = convert(read_log(str(tmp_path / "run.clog2")).log)
         assert doc.states_of("decode")
         assert doc.states_of("crop+downsample")
 

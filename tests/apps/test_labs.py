@@ -73,7 +73,7 @@ class TestLab3:
     def test_imbalance_visible_in_the_log(self, tmp_path):
         """The whole point: the visual log exposes the imbalance."""
         from repro.jumpshot import View, imbalance_ratio, per_rank_load
-        from repro.mpe import read_clog2
+        from repro.mpe import read_log
         from repro.pilot import PilotOptions
         from repro.slog2 import convert
 
@@ -85,7 +85,7 @@ class TestLab3:
                             cfg.workers + 1, argv=("-pisvc=j",),
                             options=PilotOptions(mpe_log_path=path))
             assert res.ok
-            doc, _ = convert(read_clog2(path))
+            doc, _ = convert(read_log(path).log)
             view = View(doc)
             ratios[scheme] = imbalance_ratio(per_rank_load(view))
         assert ratios[STATIC] > 1.5  # glaring in the timeline

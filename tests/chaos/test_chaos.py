@@ -17,7 +17,7 @@ import pytest
 from repro.jumpshot.ascii import render_ascii
 from repro.jumpshot.svg import render_svg
 from repro.jumpshot.viewer import View
-from repro.mpe.salvage import find_partials, merge_partials_tolerant, partial_path
+from repro.mpe.salvage import find_partials, merge_partial_logs, partial_path
 from repro.pilot import PilotOptions, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
@@ -114,8 +114,9 @@ class TestCrashSalvagePipeline:
         assert res.vmpi.engine.abort_hook_errors == []
         assert find_partials(base)
 
-        log, report = merge_partials_tolerant(
-            base, expected_ranks=3, crashed_ranks=plan.crashed_ranks())
+        log, report = merge_partial_logs(
+            base, errors="salvage", expected_ranks=3,
+            crashed_ranks=plan.crashed_ranks())
         assert log.records, "salvage recovered nothing"
         assert not report.empty
         assert report.crashed_ranks == {1: 4e-3}
@@ -153,8 +154,9 @@ class TestCrashSalvagePipeline:
         with open(victim, "r+b") as fh:
             fh.truncate(os.path.getsize(victim) - 9)
 
-        log, report = merge_partials_tolerant(
-            base, expected_ranks=3, crashed_ranks=plan.crashed_ranks())
+        log, report = merge_partial_logs(
+            base, errors="salvage", expected_ranks=3,
+            crashed_ranks=plan.crashed_ranks())
         assert report.records_dropped > 0
         assert not report.clean
         # The linter surfaces the torn tail as TR005 and still finds
@@ -183,8 +185,8 @@ class TestCrashSalvagePipeline:
         # A fault plan that never fired leaves a log the trace linter
         # considers pristine.
         assert lint_clog2(base) == []
-        log, report = merge_partials_tolerant(base) if find_partials(base) \
-            else (None, None)
+        log, report = (merge_partial_logs(base, errors="salvage")
+                       if find_partials(base) else (None, None))
         # Nothing to salvage: the normal finalize path owned the log.
 
 
@@ -205,7 +207,7 @@ class TestDegradedRuns:
             ClockFault(rank=1, offset=-2e-3, drift=5e-4),))
         base, res = launch(tmp_path, plan, rounds=6)
         assert res.aborted is None
-        from repro.mpe.clog2 import read_clog2
+        from repro.mpe.clog2 import read_log
 
-        doc, conv = convert(read_clog2(base))
+        doc, conv = convert(read_log(base).log)
         assert doc.states  # a usable timeline came out the other end

@@ -50,7 +50,7 @@ class TestComparison:
 
     def test_real_before_after(self, tmp_path):
         from repro.apps import DYNAMIC, STATIC, Lab3Config, lab3_main
-        from repro.mpe import read_clog2
+        from repro.mpe import read_log
         from repro.pilot import PilotOptions, run_pilot
         from repro.slog2 import convert
 
@@ -61,7 +61,7 @@ class TestComparison:
                                              Lab3Config(ntasks=16)), 5,
                       argv=("-pisvc=j",),
                       options=PilotOptions(mpe_log_path=clog))
-            docs[scheme], _ = convert(read_clog2(clog))
+            docs[scheme], _ = convert(read_log(clog).log)
         svg = render_comparison_svg(docs[STATIC], docs[DYNAMIC],
                                     label_a="static", label_b="dynamic")
         assert "static — makespan" in svg

@@ -9,7 +9,7 @@ from repro.jumpshot.source_view import (
     render_source_ansi,
     render_source_html,
 )
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 from repro.slog2 import convert
 from repro.slog2.model import Event, SlogCategory, Slog2Doc, State
@@ -91,7 +91,7 @@ class TestEndToEnd:
         res = run_pilot(lab2_main, 6, argv=("-pisvc=j",),
                         options=PilotOptions(mpe_log_path=clog))
         assert res.ok
-        doc, _ = convert(read_clog2(clog))
+        doc, _ = convert(read_log(clog).log)
         source = inspect.getsource(lab2_module)
         ann = annotate_lines(doc)
         # The annotated line numbers correspond to PI_* calls in lab2.py.

@@ -4,7 +4,7 @@ cross-rank timestamp correction."""
 import pytest
 
 from repro import vmpi
-from repro.mpe import MpeLogger, MpeOptions, read_clog2
+from repro.mpe import MpeLogger, MpeOptions, read_log
 from repro.mpe.records import RECV, SEND, BareEvent, MsgEvent
 from repro.vmpi.clock import ClockSkew
 
@@ -60,7 +60,7 @@ class TestMergeAndWrite:
                 mpe.log_event(pair[1])
 
         run_logged(body, 3, path)
-        log = read_clog2(path)
+        log = read_log(path).log
         stamps = [r.timestamp for r in log.records]
         assert stamps == sorted(stamps)
         assert sum(isinstance(r, BareEvent) for r in log.records) == 18
@@ -76,7 +76,7 @@ class TestMergeAndWrite:
             mpe.log_event(pair[1])
 
         run_logged(body, 4, path)
-        log = read_clog2(path)
+        log = read_log(path).log
         assert len(log.definitions) == 1  # not 4 copies
 
     def test_merge_report(self, tmp_path):
@@ -108,7 +108,7 @@ class TestMergeAndWrite:
                 mpe.log_receive(0, 42, 1024)
 
         run_logged(body, 2, path)
-        log = read_clog2(path)
+        log = read_log(path).log
         msgs = [r for r in log.records if isinstance(r, MsgEvent)]
         assert [m.kind for m in msgs] == [SEND, RECV]
         assert all(m.tag == 42 and m.size == 1024 for m in msgs)
@@ -145,7 +145,7 @@ class TestClockCorrection:
 
         run_logged(body, 2, path, skews={1: ClockSkew(offset=1.0)},
                    clock_resolution=1e-9)
-        log = read_clog2(path)
+        log = read_log(path).log
         events = [r for r in log.records if isinstance(r, BareEvent)]
         t0 = next(e.timestamp for e in events if e.rank == 0)
         t1 = next(e.timestamp for e in events if e.rank == 1)
@@ -165,7 +165,7 @@ class TestClockCorrection:
         logger_box = {}
         vmpi.mpirun(main, 2, skews={1: ClockSkew(offset=1.0)},
                     clock_resolution=1e-9)
-        log = read_clog2(path)
+        log = read_log(path).log
         events = [r for r in log.records if isinstance(r, BareEvent)]
         t = {e.rank: e.timestamp for e in events}
         assert t[1] - t[0] > 0.9  # skew survives un-synced

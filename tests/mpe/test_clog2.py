@@ -11,7 +11,6 @@ from repro.mpe.clog2 import (
     Clog2File,
     Clog2FormatError,
     parse_clog2_bytes,
-    read_clog2,
     read_log,
     write_clog2,
 )
@@ -44,7 +43,7 @@ class TestRoundTrip:
         path = str(tmp_path / "x.clog2")
         log = sample_log()
         write_clog2(path, log)
-        back = read_clog2(path)
+        back = read_log(path).log
         assert back.definitions == log.definitions
         assert back.records == log.records
         assert back.num_ranks == 3
@@ -58,7 +57,7 @@ class TestRoundTrip:
     def test_empty_log(self, tmp_path):
         path = str(tmp_path / "empty.clog2")
         write_clog2(path, Clog2File(1e-6, 1, [], []))
-        back = read_clog2(path)
+        back = read_log(path).log
         assert back.records == [] and back.definitions == []
 
     def test_unicode_text(self, tmp_path):
@@ -66,7 +65,7 @@ class TestRoundTrip:
         log = Clog2File(1e-6, 1, [EventDef(1, "é vén t", "blue")],
                         [BareEvent(0.0, 0, 1, "héllo wörld")])
         write_clog2(path, log)
-        back = read_clog2(path)
+        back = read_log(path).log
         assert back.records[0].text == "héllo wörld"
 
     @settings(deadline=None, max_examples=30)
@@ -80,7 +79,7 @@ class TestRoundTrip:
         path = str(tmp_path_factory.mktemp("clog") / "p.clog2")
         records = [BareEvent(t, r, e, txt) for t, r, e, txt in rows]
         write_clog2(path, Clog2File(1e-6, 32, [], records))
-        assert read_clog2(path).records == records
+        assert read_log(path).log.records == records
 
 
 class TestLimits:
@@ -182,7 +181,7 @@ class TestCorruption:
         with open(path, "wb") as fh:
             fh.write(b"NOTCLOG2" + b"\0" * 40)
         with pytest.raises(Clog2FormatError):
-            read_clog2(path)
+            read_log(path)
 
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "trunc.clog2")
@@ -191,7 +190,7 @@ class TestCorruption:
         with open(path, "wb") as fh:
             fh.write(data[:len(data) - 5])
         with pytest.raises(Clog2FormatError):
-            read_clog2(path)
+            read_log(path)
 
     def test_record_count_mismatch(self, tmp_path):
         path = str(tmp_path / "count.clog2")
@@ -202,7 +201,7 @@ class TestCorruption:
         with open(path, "wb") as fh:
             fh.write(bytes(data))
         with pytest.raises(Clog2FormatError):
-            read_clog2(path)
+            read_log(path)
 
     def test_unknown_record_type_byte(self, tmp_path):
         path = str(tmp_path / "weird.clog2")
@@ -210,4 +209,4 @@ class TestCorruption:
         with open(path, "ab") as fh:
             fh.write(b"\x7f")
         with pytest.raises(Clog2FormatError):
-            read_clog2(path)
+            read_log(path)

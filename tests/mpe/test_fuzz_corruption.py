@@ -9,24 +9,36 @@ either salvage to a valid prefix/subset or raise a clean
 parse.  Unframed version-1 logs (the ``-pisvc=j`` default) cannot
 detect every flip, so the bar there is the readers' contract alone:
 strict parses or raises :class:`Clog2FormatError`, salvage always
-returns.  Seeds are fixed so every run fuzzes the same corpus.
+returns.  The per-rank salvage partials of both layouts are held to the
+same contract, and the live tail reader with them.  Seeds are fixed so
+every run fuzzes the same corpus.
 """
 
+import io
 import os
 import random
 
 import pytest
 
+from repro.mpe.api import RankLog
+from repro.mpe.clocksync import SyncPoint
 from repro.mpe.clog2 import (
     _HDR,
     Clog2File,
     Clog2FormatError,
-    _parse_item_at,
+    parse_clog2_bytes,
     read_log,
     write_clog2,
+    write_items,
 )
 from repro.mpe.fsck import KIND_TRUNCATION, fsck_path
 from repro.mpe.records import BareEvent, EventDef, MsgEvent, StateDef
+from repro.mpe.salvage import (
+    AppendPartialWriter,
+    read_partial_log,
+    tail_partial,
+    write_partial,
+)
 
 SEEDS = (101, 202, 303)
 FLIPS_PER_SEED = 40
@@ -59,14 +71,22 @@ def write_fuzz_base(tmp_path, seed, *, checksum=True):
         return path, fh.read(), rng
 
 
+def encoded_size(definitions, records):
+    buf = io.BytesIO()
+    write_items(buf, definitions, records)
+    return len(buf.getvalue())
+
+
 def text_offsets(data):
-    """Offsets of every BareEvent text byte in an unframed image."""
+    """Offsets of every BareEvent text byte in an unframed image (its
+    items sit back to back, so re-encoding each one locates it)."""
+    log = parse_clog2_bytes(data)
     offsets = []
-    pos = _HDR.size
-    while pos < len(data):
-        item, end = _parse_item_at(data, pos, len(data))
-        if isinstance(item, BareEvent):
-            offsets.extend(range(end - len(item.text.encode("utf-8")), end))
+    pos = _HDR.size + encoded_size(log.definitions, [])
+    for rec in log.records:
+        end = pos + encoded_size([], [rec])
+        if isinstance(rec, BareEvent):
+            offsets.extend(range(end - len(rec.text.encode("utf-8")), end))
         pos = end
     return offsets
 
@@ -211,3 +231,73 @@ class TestUnframedByteFlips:
             strict_failed, _, report = reader_survives(target)
             assert strict_failed
             assert not report.clean
+
+
+#: Records per fuzzed partial: small enough to cut at every byte.
+PARTIAL_RECORDS = 40
+
+
+def write_fuzz_partial(tmp_path, seed, layout):
+    """One rank's partial of ``layout`` ("rewrite" or "append") built
+    from the seed's fuzz log, checkpointed every 8 records with a sync
+    point midway; returns ``(path, bytes, rng)``."""
+    rng = random.Random(seed)
+    base = fuzz_log(rng)
+    path = str(tmp_path / f"{layout}{seed}.part")
+    log = RankLog(definitions=list(base.definitions),
+                  sync_points=[SyncPoint(0.0, 0.0)])
+    writer = (AppendPartialWriter(path, 0, base.clock_resolution)
+              if layout == "append" else None)
+    for i, rec in enumerate(base.records[:PARTIAL_RECORDS]):
+        log.records.append(rec)
+        if i == PARTIAL_RECORDS // 2:
+            log.sync_points.append(SyncPoint(rec.timestamp, 1e-6))
+        if writer is not None and i % 8 == 7:
+            writer.checkpoint(log)
+    if writer is None:
+        write_partial(path, 0, log, base.clock_resolution)
+    with open(path, "rb") as fh:
+        return path, fh.read(), rng
+
+
+def partial_readers_survive(path):
+    """Strict read and tail either return or raise Clog2FormatError;
+    salvage always returns a report.  Returns what strict and tail
+    returned (``None`` where they raised or found no header)."""
+    parsed = []
+    for read in (lambda p: read_partial_log(p).partial, tail_partial):
+        try:
+            parsed.append(read(path))
+        except Clog2FormatError:
+            parsed.append(None)
+    _, report = read_partial_log(path, errors="salvage")
+    assert report is not None
+    return parsed
+
+
+@pytest.mark.parametrize("layout", ["rewrite", "append"])
+@pytest.mark.parametrize("seed", SEEDS)
+class TestPartialLayouts:
+    def test_every_truncation(self, tmp_path, seed, layout):
+        path, data, _ = write_fuzz_partial(tmp_path, seed, layout)
+        full = read_partial_log(path).partial
+        target = str(tmp_path / "cut.part")
+        for cut in range(len(data)):
+            with open(target, "wb") as fh:
+                fh.write(data[:cut])
+            for part in partial_readers_survive(target):
+                # Strict and tail hold back a torn tail: whatever they
+                # return is a prefix of the original stream.
+                if part is not None:
+                    assert part.records == full.records[:len(part.records)]
+
+    def test_random_body_flips(self, tmp_path, seed, layout):
+        path, data, rng = write_fuzz_partial(tmp_path, seed, layout)
+        target = str(tmp_path / "flipped.part")
+        for _ in range(FLIPS_PER_SEED):
+            pos = rng.randrange(len(data))
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << rng.randrange(8)
+            with open(target, "wb") as fh:
+                fh.write(bytes(flipped))
+            partial_readers_survive(target)

@@ -13,14 +13,14 @@ import pytest
 
 from repro.mpe.api import RankLog
 from repro.mpe.clocksync import SyncPoint
-from repro.mpe.clog2 import read_clog2, read_clog2_tolerant, write_clog2
+from repro.mpe.clog2 import read_log, write_clog2
 from repro.mpe.recovery import DroppedRange, RecoveryReport
 from repro.mpe.records import BareEvent, EventDef, StateDef
 from repro.mpe.salvage import (
     AppendPartialWriter,
-    merge_partials_tolerant,
+    merge_partial_logs,
     partial_path,
-    read_partial_tolerant,
+    read_partial_log,
     write_partial,
 )
 
@@ -88,8 +88,8 @@ class TestTolerantClog2:
         path = str(tmp_path / "ok.clog2")
         log = fresh_log()
         write_clog2(path, Clog2File(1e-6, 1, log.definitions, log.records))
-        strict = read_clog2(path)
-        tolerant, rep = read_clog2_tolerant(path)
+        strict = read_log(path).log
+        tolerant, rep = read_log(path, errors="salvage")
         assert rep.clean
         assert tolerant.records == strict.records
         assert tolerant.definitions == strict.definitions
@@ -103,8 +103,8 @@ class TestTolerantClog2:
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - 5)
         with pytest.raises(Exception):
-            read_clog2(path)
-        tolerant, rep = read_clog2_tolerant(path)
+            read_log(path)
+        tolerant, rep = read_log(path, errors="salvage")
         assert len(tolerant.records) == 9
         assert not rep.clean
         assert rep.records_dropped >= 1
@@ -126,7 +126,7 @@ class TestTolerantClog2:
         mangled = data[:target] + b"\xee" + data[target + 1:]
         with open(path, "wb") as fh:
             fh.write(mangled)
-        tolerant, rep = read_clog2_tolerant(path)
+        tolerant, rep = read_log(path, errors="salvage")
         assert not rep.clean
         texts = [r.text for r in tolerant.records]
         assert "r0e0" in texts and "r0e7" in texts  # ends survived
@@ -136,7 +136,7 @@ class TestTolerantClog2:
         path = str(tmp_path / "noise.clog2")
         with open(path, "wb") as fh:
             fh.write(b"\x00" * 64)
-        tolerant, rep = read_clog2_tolerant(path)
+        tolerant, rep = read_log(path, errors="salvage")
         assert tolerant.records == []
         assert not rep.clean
 
@@ -152,7 +152,7 @@ class TestTolerantPartials:
         writer.checkpoint(log)
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - 6)
-        part, rep = read_partial_tolerant(path)
+        part, rep = read_partial_log(path, errors="salvage")
         assert part.rank == 2
         # All of chunk 1 plus the complete leading records of chunk 2.
         assert len(part.records) >= 4
@@ -169,7 +169,7 @@ class TestTolerantPartials:
             fh.write(struct.pack("<BI", ord("Z"), 4) + b"zzzz")
             fh.write(struct.pack("<BI", ord("S"), 16)
                      + struct.pack("<dd", 1.0, 0.25))
-        part, rep = read_partial_tolerant(path)
+        part, rep = read_partial_log(path, errors="salvage")
         assert len(part.records) == 3
         assert SyncPoint(1.0, 0.25) in part.sync_points
         assert any("unknown chunk kind" in r.reason
@@ -179,14 +179,14 @@ class TestTolerantPartials:
         path = str(tmp_path / "g.part")
         with open(path, "wb") as fh:
             fh.write(os.urandom(40))
-        part, rep = read_partial_tolerant(path)
+        part, rep = read_partial_log(path, errors="salvage")
         assert part.rank == -1
         assert not rep.clean
 
     def test_rewrite_mode_partial_reads_tolerantly(self, tmp_path):
         path = str(tmp_path / "r.part")
         write_partial(path, 1, fresh_log(rank=1, n=5), 1e-8)
-        part, rep = read_partial_tolerant(path)
+        part, rep = read_partial_log(path, errors="salvage")
         assert rep.clean
         assert part.rank == 1
         assert len(part.records) == 5
@@ -204,34 +204,36 @@ class TestTolerantMerge:
         base = self.build_partials(tmp_path)
         with open(partial_path(base, 1), "r+b") as fh:
             fh.write(b"XXXXXXXX")  # destroy the magic
-        log, rep = merge_partials_tolerant(base)
+        log, rep = merge_partial_logs(base, errors="salvage")
         ranks_seen = {r.rank for r in log.records}
         assert ranks_seen == {0, 2}
         assert 1 in rep.missing_ranks
         assert not rep.clean
         # The merged file on disk is strict-readable.
-        assert read_clog2(base).num_ranks == 3
+        assert read_log(base).log.num_ranks == 3
 
     def test_missing_rank_partial_detected(self, tmp_path):
         base = self.build_partials(tmp_path, ranks=(0, 2))
-        log, rep = merge_partials_tolerant(base)
+        log, rep = merge_partial_logs(base, errors="salvage")
         assert rep.missing_ranks == [1]
         assert {r.rank for r in log.records} == {0, 2}
 
     def test_expected_ranks_widens_the_check(self, tmp_path):
         base = self.build_partials(tmp_path, ranks=(0, 1))
-        log, rep = merge_partials_tolerant(base, expected_ranks=4)
+        log, rep = merge_partial_logs(base, errors="salvage",
+                                      expected_ranks=4)
         assert rep.missing_ranks == [2, 3]
         assert log.num_ranks == 4
 
     def test_crashed_ranks_annotated(self, tmp_path):
         base = self.build_partials(tmp_path)
-        _, rep = merge_partials_tolerant(base, crashed_ranks={2: 0.75})
+        _, rep = merge_partial_logs(base, errors="salvage",
+                                    crashed_ranks={2: 0.75})
         assert rep.crashed_ranks == {2: 0.75}
         assert rep.clean  # crash annotation alone is not data loss
 
     def test_no_partials_yields_empty_log_and_note(self, tmp_path):
         base = str(tmp_path / "nothing.clog2")
-        log, rep = merge_partials_tolerant(base)
+        log, rep = merge_partial_logs(base, errors="salvage")
         assert log.records == []
         assert rep.notes

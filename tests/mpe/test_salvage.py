@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-from repro.mpe import read_clog2
 from repro.mpe.api import RankLog
 from repro.mpe.clocksync import SyncPoint
 from repro.mpe.clog2 import Clog2FormatError
@@ -12,9 +11,9 @@ from repro.mpe.records import BareEvent, EventDef, StateDef
 from repro.mpe.salvage import (
     cleanup_partials,
     find_partials,
-    merge_partials,
+    merge_partial_logs,
     partial_path,
-    read_partial,
+    read_partial_log,
     write_partial,
 )
 from repro.pilot import PilotOptions, run_pilot
@@ -49,7 +48,7 @@ class TestPartialFiles:
         log = make_rank_log(2, 5)
         path = partial_path(base, 2)
         write_partial(path, 2, log, 1e-8)
-        part = read_partial(path)
+        part = read_partial_log(path).partial
         assert part.rank == 2
         assert part.records == log.records
         assert part.definitions == log.definitions
@@ -69,14 +68,14 @@ class TestPartialFiles:
         with open(path, "wb") as fh:
             fh.write(b"NOTAPART" + b"\0" * 20)
         with pytest.raises(Clog2FormatError):
-            read_partial(path)
+            read_partial_log(path)
 
     def test_merge_produces_sorted_clog2(self, tmp_path):
         base = str(tmp_path / "run.clog2")
         for rank in range(3):
             write_partial(partial_path(base, rank), rank,
                           make_rank_log(rank, 4), 1e-8)
-        merged = merge_partials(base)
+        merged = merge_partial_logs(base).log
         assert os.path.exists(base)
         stamps = [r.timestamp for r in merged.records]
         assert stamps == sorted(stamps)
@@ -90,12 +89,12 @@ class TestPartialFiles:
         skewed.sync_points = [SyncPoint(0.0, 1.0)]  # 1s fast
         skewed.records = [BareEvent(1.5, 1, 3, "")]
         write_partial(partial_path(base, 1), 1, skewed, 1e-8)
-        merged = merge_partials(base)
+        merged = merge_partial_logs(base).log
         assert merged.records[0].timestamp == pytest.approx(0.5)
 
     def test_merge_without_partials_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            merge_partials(str(tmp_path / "none.clog2"))
+            merge_partial_logs(str(tmp_path / "none.clog2"))
 
     def test_cleanup(self, tmp_path):
         base = str(tmp_path / "run.clog2")
@@ -148,7 +147,7 @@ class TestEndToEndSalvage:
         base = self._run(tmp_path, salvage=True)
         assert not os.path.exists(base)  # the normal merge never ran...
         assert find_partials(base)  # ...but the partials survived
-        merged = merge_partials(base)
+        merged = merge_partial_logs(base).log
         # The recovered log converts and contains the pre-abort traffic.
         doc, report = convert(merged)
         assert len(doc.states_of("PI_Write")) > 50
@@ -159,7 +158,7 @@ class TestEndToEndSalvage:
         """Salvage recovers events up to the last checkpoint, never
         events that did not happen."""
         base = self._run(tmp_path, salvage=True, rounds=100)
-        merged = merge_partials(base)
+        merged = merge_partial_logs(base).log
         doc, _ = convert(merged)
         # 100 rounds = 100 writes per side; recovered <= that.
         for rank in (0, 1):

@@ -2,17 +2,20 @@
 recovery, and parity with rewrite mode."""
 
 import os
+import struct
 
 import pytest
 
 from repro.mpe.api import RankLog
 from repro.mpe.clocksync import SyncPoint
+from repro.mpe.clog2 import Clog2FormatError
 from repro.mpe.records import BareEvent, EventDef, StateDef
 from repro.mpe.salvage import (
     AppendPartialWriter,
-    merge_partials,
+    merge_partial_logs,
     partial_path,
-    read_partial,
+    read_partial_log,
+    tail_partial,
     write_partial,
 )
 from repro.pilotlog import JumpshotOptions
@@ -37,7 +40,7 @@ class TestAppendWriter:
         log.records.extend(BareEvent(0.01 + 0.001 * i, 1, 3, f"s{i}")
                            for i in range(3))
         assert writer.checkpoint(log) == 3
-        part = read_partial(path)
+        part = read_partial_log(path).partial
         assert part.rank == 1
         assert len(part.records) == 8
         assert part.records == log.records
@@ -82,7 +85,7 @@ class TestAppendWriter:
         # Simulate the abort landing mid-write of the second chunk.
         with open(path, "rb+") as fh:
             fh.truncate(whole + 3)
-        part = read_partial(path)
+        part = read_partial_log(path).partial
         assert len(part.records) == 4
         assert all(r.text == "keep" for r in part.records)
 
@@ -95,7 +98,7 @@ class TestAppendWriter:
         log.sync_points.append(SyncPoint(10.0, 0.5))  # end-of-run sync
         log.records.append(BareEvent(10.0, 0, 3, ""))
         writer.checkpoint(log)
-        part = read_partial(path)
+        part = read_partial_log(path).partial
         assert len(part.sync_points) == 2
         assert part.sync_points[1].offset == 0.5
 
@@ -110,10 +113,42 @@ class TestModeParity:
         writer = AppendPartialWriter(partial_path(base, 1), 1, 1e-8)
         log1.records.append(BareEvent(0.25, 1, 3, "append-mode"))
         writer.checkpoint(log1)
-        merged = merge_partials(base)
+        merged = merge_partial_logs(base).log
         texts = [r.text for r in merged.records]
         assert texts == ["append-mode", "rewrite-mode"]  # time order
 
     def test_option_flag_exists(self):
         assert JumpshotOptions().salvage_mode == "append"
         assert JumpshotOptions(salvage_mode="rewrite").salvage_mode == "rewrite"
+
+
+class TestMalformedPartials:
+    """Short or inconsistent partials raise Clog2FormatError, never a
+    raw ``struct.error`` from an unpack running off the end."""
+
+    CASES = {
+        # header promises 3 sync points, only 20 bytes of them follow
+        "rewrite-torn-sync-section":
+            struct.pack("<8sII", b"CLOGPART", 0, 3) + bytes(20),
+        # header torn 10 bytes after the magic
+        "append-torn-header": b"CLOGPARA" + bytes(10),
+        # a complete sync chunk too short to hold a sync point
+        "append-short-sync-chunk":
+            struct.pack("<8sIdI", b"CLOGPARA", 0, 1e-6, 0)
+            + struct.pack("<BI", ord("S"), 4) + bytes(4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_strict_read_raises_format_error(self, tmp_path, name):
+        path = str(tmp_path / "bad.part")
+        with open(path, "wb") as fh:
+            fh.write(self.CASES[name])
+        with pytest.raises(Clog2FormatError):
+            read_partial_log(path)
+
+    def test_tail_rejects_short_sync_chunk(self, tmp_path):
+        path = str(tmp_path / "bad.part")
+        with open(path, "wb") as fh:
+            fh.write(self.CASES["append-short-sync-chunk"])
+        with pytest.raises(Clog2FormatError):
+            tail_partial(path)

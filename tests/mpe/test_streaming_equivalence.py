@@ -24,7 +24,7 @@ from repro.mpe.clocksync import SyncPoint
 from repro.mpe.clog2 import (
     Clog2File,
     Clog2Writer,
-    iter_clog2,
+    read_header,
     read_log,
     write_clog2,
 )
@@ -143,10 +143,11 @@ def test_streaming_reader_matches_legacy(real_clog2):
     eager = legacy_read_clog2(real_clog2)
     streamed = read_log(real_clog2).log
     assert streamed == eager
-    header, items = iter_clog2(real_clog2)
+    with open(real_clog2, "rb") as fh:
+        header = read_header(fh)
     assert header.num_ranks == eager.num_ranks
     assert header.clock_resolution == eager.clock_resolution
-    assert list(items) == list(eager.definitions) + list(eager.records)
+    assert header.num_records == len(eager.records)
 
 
 def test_salvaged_log_rewrites_identically(real_clog2, tmp_path):

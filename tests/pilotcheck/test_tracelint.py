@@ -237,12 +237,12 @@ class TestRealPipeline:
 
     def test_converted_slog2_lints_clean(self, lab2_clog, tmp_path):
         from repro import slog2
-        from repro.mpe import read_clog2
+        from repro.mpe import read_log
         from repro.slog2.file import write_slog2
 
         path, result = lab2_clog
         doc, _ = slog2.convert(
-            read_clog2(path),
+            read_log(path).log,
             {p.rank: p.name for p in result.run.processes})
         out = str(tmp_path / "lab2.slog2")
         write_slog2(out, doc)

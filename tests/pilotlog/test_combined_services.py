@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
@@ -58,7 +58,7 @@ class TestCombinedServices:
     def test_service_rank_displaces_and_appears_without_compute(self, combined_run):
         res, tmp_path = combined_run
         assert res.run.available_processes == 2  # 3 ranks - service
-        doc, report = convert(read_clog2(str(tmp_path / "m.clog2")))
+        doc, report = convert(read_log(str(tmp_path / "m.clog2")).log)
         assert report.clean, report.summary()
         # The service rank (2) executed the configuration phase, so it
         # has a bisque state — but no gray Compute state: it ran the
@@ -70,7 +70,7 @@ class TestCombinedServices:
 
     def test_mpe_log_complete_despite_service_traffic(self, combined_run):
         res, tmp_path = combined_run
-        doc, _ = convert(read_clog2(str(tmp_path / "m.clog2")))
+        doc, _ = convert(read_log(str(tmp_path / "m.clog2")).log)
         # 6 app messages; the service-feed traffic must NOT appear as
         # arrows (it is infrastructure, not Pilot communication).
         assert len(doc.arrows) == 6

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
@@ -53,7 +53,7 @@ def run_logged(tmp_path, main=staged_worker_program, nprocs=2):
     res = run_pilot(main, nprocs, argv=("-pisvc=j",),
                     options=PilotOptions(mpe_log_path=path))
     assert res.ok
-    doc, report = convert(read_clog2(path))
+    doc, report = convert(read_log(path).log)
     return res, doc, report
 
 

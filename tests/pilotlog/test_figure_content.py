@@ -7,7 +7,7 @@ import pytest
 
 from repro import jumpshot
 from repro.apps import lab2_main
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 from repro.slog2 import convert
 
@@ -18,7 +18,7 @@ def lab2_view(tmp_path_factory):
     res = run_pilot(lab2_main, 6, argv=("-pisvc=j",),
                     options=PilotOptions(mpe_log_path=path))
     assert res.ok
-    doc, report = convert(read_clog2(path),
+    doc, report = convert(read_log(path).log,
                           {p.rank: p.name for p in res.run.processes})
     assert report.clean
     return jumpshot.View(doc)

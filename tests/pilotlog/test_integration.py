@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
@@ -38,7 +38,7 @@ def run_and_convert(main, nprocs, tmp_path, *, argv=("-pisvc=j",),
     opts = PilotOptions(mpe_log_path=path)
     res = run_pilot(main, nprocs, argv=argv, options=opts,
                     mpe_options=jopts, **kw)
-    doc, report = convert(read_clog2(path),
+    doc, report = convert(read_log(path).log,
                           {p.rank: p.name for p in res.run.processes})
     return res, doc, report
 

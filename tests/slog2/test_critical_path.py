@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 from repro.slog2 import convert
 from repro.slog2.critical_path import CriticalPath, PathSegment, critical_path
@@ -86,7 +86,7 @@ class TestRealPrograms:
         res = run_pilot(main, nprocs, argv=("-pisvc=j",),
                         options=PilotOptions(mpe_log_path=clog))
         assert res.ok
-        doc, _ = convert(read_clog2(clog))
+        doc, _ = convert(read_log(clog).log)
         return res, doc, critical_path(doc)
 
     def test_instance_b_path_dominated_by_main(self, tmp_path):

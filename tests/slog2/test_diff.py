@@ -73,7 +73,7 @@ class TestRealComparison:
         """The F4 comparison through the diff tool: fixing the
         serialization shrinks makespan and blocked-read time."""
         from repro.apps import GOOD, INSTANCE_A, CollisionConfig, collisions_main
-        from repro.mpe import read_clog2
+        from repro.mpe import read_log
         from repro.pilot import PilotOptions, run_pilot
         from repro.slog2 import convert
 
@@ -84,7 +84,7 @@ class TestRealComparison:
             run_pilot(lambda argv: collisions_main(argv, variant, cfg), 5,
                       argv=("-pisvc=j",),
                       options=PilotOptions(mpe_log_path=path))
-            docs[variant], _ = convert(read_clog2(path))
+            docs[variant], _ = convert(read_log(path).log)
         d = diff_logs(docs[INSTANCE_A], docs[GOOD],
                       label_a="instance A", label_b="intended")
         assert d.speedup > 1.2

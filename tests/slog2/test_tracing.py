@@ -68,14 +68,14 @@ class TestChromeTrace:
 
     def test_real_run_exports(self, tmp_path):
         from repro.apps import lab2_main
-        from repro.mpe import read_clog2
+        from repro.mpe import read_log
         from repro.pilot import PilotOptions, run_pilot
         from repro.slog2 import convert
 
         clog = str(tmp_path / "l.clog2")
         run_pilot(lab2_main, 6, argv=("-pisvc=j",),
                   options=PilotOptions(mpe_log_path=clog))
-        doc, _ = convert(read_clog2(clog))
+        doc, _ = convert(read_log(clog).log)
         path = str(tmp_path / "lab2.trace.json")
         n = write_chrome_trace(doc, path)
         loaded = json.load(open(path))

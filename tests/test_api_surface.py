@@ -35,7 +35,7 @@ def test_all_sorted_unique(name):
 
 def test_readme_imports():
     from repro import jumpshot, slog2  # noqa: F401
-    from repro.mpe import read_clog2  # noqa: F401
+    from repro.mpe import read_log  # noqa: F401
     from repro.pilot import (  # noqa: F401
         PI_MAIN,
         PilotOptions,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.jumpshot.__main__ import main as jumpshot_main
 from repro.jumpshot.__main__ import open_log
-from repro.mpe import read_clog2
 from repro.pilot import PilotOptions, run_pilot
 from repro.slog2 import read_slog2
 from repro.slog2.__main__ import main as convert_main

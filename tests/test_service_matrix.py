@@ -22,7 +22,7 @@ from repro.apps import (
     lab3_main,
     thumbnail_main,
 )
-from repro.mpe import read_clog2
+from repro.mpe import read_log
 from repro.pilot import PilotOptions, run_pilot
 from repro.slog2 import convert
 
@@ -58,7 +58,7 @@ def test_app_under_services(app, services, tmp_path):
     if "c" in services:
         assert os.path.exists(tmp_path / "n.log")
     if "j" in services:
-        doc, report = convert(read_clog2(str(tmp_path / "m.clog2")))
+        doc, report = convert(read_log(str(tmp_path / "m.clog2")).log)
         assert report.clean, f"{app}/{services}: {report.summary()}"
         assert doc.states  # something was actually logged
     else:
