@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import convert
 
 
@@ -11,9 +11,8 @@ def run_logged(main, nprocs, tmp_path, *, argv=("-pisvc=j",), name="run",
                jopts=None, **kw):
     """Run a Pilot program with MPE logging; return (result, doc, report)."""
     clog_path = str(tmp_path / f"{name}.clog2")
-    options = PilotOptions(mpe_log_path=clog_path)
-    result = run_pilot(main, nprocs, argv=argv, options=options,
-                       mpe_options=jopts, **kw)
+    result = run_pilot(main, nprocs, argv=argv, config=PilotConfig(
+        mpe_log_path=clog_path, mpe=jopts, **kw))
     doc, report = convert(read_log(clog_path).log,
                           {p.rank: p.name for p in result.run.processes})
     return result, doc, report

@@ -15,7 +15,7 @@ import statistics
 import pytest
 
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.hooks import PilotHooks
 from repro.apps import Lab2Config, lab2_main
 from repro.slog2 import convert
@@ -33,12 +33,12 @@ class TruthProbe(PilotHooks):
                            self._run_getter().engine.now))
 
 
-def run_with_probe(argv, options, nprocs=6, **kw):
+def run_with_probe(argv, config, nprocs=6):
     from repro.pilot.program import current_run
 
     probe = TruthProbe(current_run)
     res = run_pilot(lambda a: lab2_main(a, Lab2Config(num=4000)), nprocs,
-                    argv=argv, options=options, extra_hooks=[probe], **kw)
+                    argv=argv, config=config, extra_hooks=[probe])
     assert res.ok
     return res, probe
 
@@ -53,8 +53,8 @@ def test_a4_timestamp_accuracy(benchmark, comparison, tmp_path):
     def experiment():
         native_path = str(tmp_path / "a4.log")
         mpe_path = str(tmp_path / "a4.clog2")
-        opts = PilotOptions(native_log_path=native_path,
-                            mpe_log_path=mpe_path)
+        opts = PilotConfig(native_log_path=native_path,
+                           mpe_log_path=mpe_path)
         # One run with both services so the two logs describe the very
         # same execution.  7 ranks: 6 app + 1 service.
         box["res"], box["probe"] = run_with_probe(

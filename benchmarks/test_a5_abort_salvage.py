@@ -16,7 +16,7 @@ import pytest
 
 from repro.mpe.salvage import find_partials, merge_partial_logs
 from repro.apps import ThumbnailConfig, thumbnail_main
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import PI_Abort
 from repro.pilotlog import JumpshotOptions
 from repro.slog2 import convert
@@ -32,8 +32,7 @@ def run_thumbnail(tmp_path, name, *, salvage, interval=512):
     jopts = JumpshotOptions(salvage=salvage, salvage_interval=interval)
     res = run_pilot(lambda argv: thumbnail_main(argv, cfg), RANKS,
                     argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=base),
-                    mpe_options=jopts)
+                    config=PilotConfig(mpe_log_path=base, mpe=jopts))
     return res, base
 
 
@@ -88,8 +87,7 @@ def run_aborting_pipeline(tmp_path, name, *, salvage, interval=128,
     jopts = JumpshotOptions(salvage=salvage, salvage_interval=interval,
                             salvage_mode=mode)
     res = run_pilot(main, 3, argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=base),
-                    mpe_options=jopts)
+                    config=PilotConfig(mpe_log_path=base, mpe=jopts))
     return res, base
 
 

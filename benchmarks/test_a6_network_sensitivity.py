@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import median_and_variance
 from repro.apps import ThumbnailConfig, thumbnail_main
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.vmpi.comm import NetworkModel
 
 NFILES = 300  # enough pipeline depth; keeps the sweep fast
@@ -29,12 +29,12 @@ def run_case(mode, network, tmp_path, tag):
         argv.append("-pisvc=j")
     elif mode == "native":
         argv.append("-pisvc=c")
-    options = PilotOptions(
+    config = PilotConfig(
         native_log_path=str(tmp_path / f"{tag}.log"),
-        mpe_log_path=str(tmp_path / f"{tag}.clog2"))
+        mpe_log_path=str(tmp_path / f"{tag}.clog2"), network=network)
     cfg = ThumbnailConfig(nfiles=NFILES)
     res = run_pilot(lambda a: thumbnail_main(a, cfg), nprocs=6, argv=argv,
-                    options=options, network=network)
+                    config=config)
     assert res.ok
     return res.exec_end_time
 

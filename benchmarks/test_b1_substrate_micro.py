@@ -11,7 +11,7 @@ import pytest
 
 from repro import jumpshot, slog2, vmpi
 from repro.mpe import MpeLogger, MpeOptions, read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.apps import Lab2Config, lab2_main
 
 pytestmark = pytest.mark.benchmark(group="micro")
@@ -73,7 +73,7 @@ def test_mpe_record_rate(benchmark):
 def lab2_artifacts(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("micro") / "lab2.clog2")
     run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-              options=PilotOptions(mpe_log_path=path))
+              config=PilotConfig(mpe_log_path=path))
     clog = read_log(path).log
     doc, _ = slog2.convert(clog)
     return path, clog, doc
@@ -115,8 +115,8 @@ def test_full_logged_run_wall_time(benchmark, tmp_path):
     """End to end: lab2 with -pisvc=j, per wall second."""
 
     def run():
-        opts = PilotOptions(mpe_log_path=str(tmp_path / "w.clog2"))
-        res = run_pilot(lab2_main, 6, argv=("-pisvc=j",), options=opts)
+        opts = PilotConfig(mpe_log_path=str(tmp_path / "w.clog2"))
+        res = run_pilot(lab2_main, 6, argv=("-pisvc=j",), config=opts)
         assert res.ok
 
     benchmark(run)

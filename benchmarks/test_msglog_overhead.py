@@ -22,7 +22,7 @@ import os
 import time
 
 from repro.apps import GOOD, CollisionConfig, collisions_main
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 
 ROUNDS = 3
 NPROCS = 6
@@ -37,13 +37,13 @@ def _workload(argv):
 
 
 def _run(tmp_path, label, *, recover, services="jp"):
-    opts = PilotOptions(
-        services=frozenset(services),
+    opts = PilotConfig(
+        services=services,
         mpe_log_path=str(tmp_path / f"{label}.clog2"),
         journal_dir=str(tmp_path / f"{label}.journal"),
         recover=recover)
     t0 = time.perf_counter()
-    res = run_pilot(_workload, NPROCS, options=opts)
+    res = run_pilot(_workload, NPROCS, config=opts)
     return time.perf_counter() - t0, res
 
 

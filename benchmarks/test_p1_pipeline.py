@@ -44,7 +44,7 @@ from repro.mpe.clocksync import SyncPoint
 from repro.mpe.merge import dedup_definitions, merge_rank_streams, rank_stream
 from repro.mpe.salvage import Partial
 from repro.perf import peak_rss_bytes
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import convert, write_slog2
 
 ROUNDS = 5
@@ -112,7 +112,7 @@ def _measure_scale(name, main, nprocs, tmp_path):
     clog_path = str(tmp_path / f"{name}.clog2")
     t0 = time.perf_counter()
     run_pilot(main, nprocs, argv=("-pisvc=j",),
-              options=PilotOptions(mpe_log_path=clog_path))
+              config=PilotConfig(mpe_log_path=clog_path))
     run_wall = time.perf_counter() - t0
     log = read_log(clog_path).log
     records = len(log.records)
@@ -271,7 +271,7 @@ def test_p1_pipeline_with_crc_framing(comparison, tmp_path, artifacts_dir):
     name, main, nprocs = next(s for s in SCALES if s[0] == LARGEST)
     clog_path = str(tmp_path / f"{name}.clog2")
     run_pilot(main, nprocs, argv=("-pisvc=j",),
-              options=PilotOptions(mpe_log_path=clog_path))
+              config=PilotConfig(mpe_log_path=clog_path))
     log = read_log(clog_path).log
     records = len(log.records)
     partials = _partials_from(log)

@@ -28,7 +28,7 @@ import pytest
 
 from benchmarks.conftest import median_and_variance
 from repro.apps import ThumbnailConfig, thumbnail_main
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 
 NFILES = 1058
 REPS = 3  # paper used 10; the simulator's variance comes only from seeds
@@ -48,13 +48,12 @@ def run_case(mode: str, workers: int, seed: int, tmp_path,
         argv.append("-pisvc=j")
     elif mode == "native":
         argv.append("-pisvc=c")
-    options = PilotOptions(
+    config = PilotConfig(
         native_log_path=str(tmp_path / f"n{seed}.log"),
-        mpe_log_path=str(tmp_path / f"m{seed}.clog2"))
+        mpe_log_path=str(tmp_path / f"m{seed}.clog2"), seed=seed)
     cfg = ThumbnailConfig(nfiles=NFILES, seed=seed)
     res = run_pilot(lambda argv_: thumbnail_main(argv_, cfg),
-                    nprocs=workers + 1, argv=argv, options=options,
-                    seed=seed)
+                    nprocs=workers + 1, argv=argv, config=config)
     assert res.ok
     assert res.vmpi.results[0]["thumbs"] == NFILES
     return res

@@ -23,7 +23,7 @@ from repro import jumpshot, slog2
 from repro.apps import DYNAMIC, STATIC, Lab3Config, lab3_main
 import repro.apps.labs as labs_module
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 
 OUT_DIR = os.environ.get("REPRO_OUT_DIR") or os.path.join(os.path.dirname(__file__), "out")
 CFG = Lab3Config(workers=4, ntasks=64)
@@ -33,7 +33,7 @@ def run_scheme(scheme: str):
     clog = os.path.join(tempfile.gettempdir(), f"lab3_{scheme}.clog2")
     res = run_pilot(lambda argv: lab3_main(argv, scheme, CFG), 5,
                     argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=clog))
+                    config=PilotConfig(mpe_log_path=clog))
     assert res.ok
     doc, report = slog2.convert(read_log(clog).log)
     assert report.clean, report.summary()

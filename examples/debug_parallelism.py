@@ -21,7 +21,7 @@ import numpy as np
 from repro import jumpshot, slog2
 from repro.apps import GOOD, INSTANCE_A, INSTANCE_B, CollisionConfig, collisions_main
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 
 OUT_DIR = os.environ.get("REPRO_OUT_DIR") or os.path.join(os.path.dirname(__file__), "out")
 CFG = CollisionConfig(nrecords=20_000)
@@ -29,9 +29,9 @@ CFG = CollisionConfig(nrecords=20_000)
 
 def run_variant(variant: str):
     clog_path = os.path.join(tempfile.gettempdir(), f"coll_{variant}.clog2")
-    options = PilotOptions(mpe_log_path=clog_path)
+    config = PilotConfig(mpe_log_path=clog_path)
     result = run_pilot(lambda argv: collisions_main(argv, variant, CFG),
-                       nprocs=6, argv=("-pisvc=j",), options=options)
+                       nprocs=6, argv=("-pisvc=j",), config=config)
     out = result.vmpi.results[0]
     ok = all(np.array_equal(out["results"][k], out["expected"][k])
              for k in out["expected"])

@@ -17,16 +17,16 @@ import tempfile
 from repro import jumpshot, slog2
 from repro.apps import Lab2Config, lab2_main
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 
 OUT_DIR = os.environ.get("REPRO_OUT_DIR") or os.path.join(os.path.dirname(__file__), "out")
 
 
 def run_and_render(cfg: Lab2Config, tag: str):
     clog_path = os.path.join(tempfile.gettempdir(), f"lab2_{tag}.clog2")
-    options = PilotOptions(mpe_log_path=clog_path)
+    config = PilotConfig(mpe_log_path=clog_path)
     result = run_pilot(lambda argv: lab2_main(argv, cfg), nprocs=6,
-                       argv=("-pisvc=j",), options=options)
+                       argv=("-pisvc=j",), config=config)
     out = result.vmpi.results[0]
     assert out["total"] == out["expected"], "lab2 answer is wrong!"
     print(f"[{tag}] grand total = {out['total']}  "

@@ -15,7 +15,7 @@ from repro import jumpshot, slog2
 from repro.mpe import read_log
 from repro.pilot import (
     PI_MAIN,
-    PilotOptions,
+    PilotConfig,
     PI_Compute,
     PI_Configure,
     PI_CreateChannel,
@@ -61,9 +61,9 @@ def main(argv):
 if __name__ == "__main__":
     os.makedirs(OUT_DIR, exist_ok=True)
     clog_path = os.path.join(tempfile.gettempdir(), "quickstart.clog2")
-    options = PilotOptions(mpe_log_path=clog_path)
+    config = PilotConfig(mpe_log_path=clog_path)
 
-    result = run_pilot(main, nprocs=5, argv=("-pisvc=j",), options=options)
+    result = run_pilot(main, nprocs=5, argv=("-pisvc=j",), config=config)
     print(f"\nvirtual run time: {result.total_time * 1e3:.3f} ms "
           f"(wrap-up {result.wrapup_time * 1e3:.3f} ms)")
 

@@ -17,7 +17,7 @@ import tempfile
 from repro import jumpshot, slog2
 from repro.apps import ThumbnailConfig, thumbnail_main
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 
 OUT_DIR = os.environ.get("REPRO_OUT_DIR") or os.path.join(os.path.dirname(__file__), "out")
 
@@ -30,11 +30,11 @@ if __name__ == "__main__":
                           t_decompress=0.117, t_compress=0.008,
                           stage_states=True)  # subdivide D's gray bar
     clog_path = os.path.join(tempfile.gettempdir(), "thumbnail.clog2")
-    options = PilotOptions(mpe_log_path=clog_path)
+    config = PilotConfig(mpe_log_path=clog_path)
 
     # 11 ranks: PI_MAIN + compressor + 9 decompressors, as in Fig. 1.
     result = run_pilot(lambda argv: thumbnail_main(argv, cfg), nprocs=11,
-                       argv=("-pisvc=j",), options=options)
+                       argv=("-pisvc=j",), config=config)
     out = result.vmpi.results[0]
     print(f"{out['thumbs']} thumbnails produced "
           f"({out['out_bytes']} bytes of real JPLT output) by "

@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     if scheduler is None and args.app == "fleet" and nprocs > 64:
         scheduler = "coroutine"  # thread-per-rank cannot host a fleet
     config = PilotConfig(
-        services=args.pisvc or None,
+        services=args.pisvc,
         check_level=args.check_level,
         seed=args.seed,
         scheduler=scheduler,

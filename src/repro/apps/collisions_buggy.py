@@ -57,7 +57,7 @@ def write_diff_fixture(out_dir: str, variant: str, *, nprocs: int = 4,
     """
     import os
 
-    from repro.pilot import PilotOptions, run_pilot
+    from repro.pilot import PilotConfig, run_pilot
     from repro.pilotlog.integration import JumpshotOptions
 
     cfg = config or fixture_config()
@@ -65,11 +65,10 @@ def write_diff_fixture(out_dir: str, variant: str, *, nprocs: int = 4,
     for tag, inst in (("good", GOOD), (f"buggy_{variant}",
                                        _INSTANCE[variant])):
         log = os.path.join(out_dir, f"collisions_{tag}.clog2")
-        opts = PilotOptions(services=frozenset("j"), mpe_log_path=log)
         result = run_pilot(
             lambda argv, _inst=inst: collisions_main(argv, _inst, cfg),
-            nprocs, options=opts, mpe_options=JumpshotOptions(),
-            seed=seed)
+            nprocs, config=PilotConfig(services="j", mpe_log_path=log,
+                                       mpe=JumpshotOptions(), seed=seed))
         if result.aborted is not None:
             raise RuntimeError(f"fixture run {tag} aborted: "
                                f"{result.aborted}")

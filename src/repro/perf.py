@@ -22,9 +22,9 @@ Every pipeline entry point (:func:`repro.mpe.clog2.write_clog2`,
 :class:`repro.slog2.frames.FrameTree`,
 :func:`repro.jumpshot.svg.render_svg`) accepts an optional
 ``perf=PerfRecorder`` and accounts its own stage; ``None`` costs one
-``if`` per call.  At the Pilot level, ``-pisvc=p`` (see
-:class:`repro.pilot.services.ServiceOptions`) arms a run-wide recorder
-and writes its snapshot next to the MPE log.
+``if`` per call.  At the Pilot level, service ``p`` (``-pisvc=p``, see
+:mod:`repro.pilot.config`) arms a run-wide recorder and writes its
+snapshot next to the MPE log.
 
 Timers are *real* wall time (``time.perf_counter``), never virtual
 simulation time: these counters measure the tool, not the program being

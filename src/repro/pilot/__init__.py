@@ -68,9 +68,9 @@ from repro.pilot.errors import (
 )
 from repro.pilot.config import PilotConfig
 from repro.pilot.objects import PI_BUNDLE, PI_CHANNEL, PI_PROCESS
-from repro.pilot.program import PilotCosts, PilotOptions, PilotRun, current_run
+from repro.pilot.program import PilotCosts, PilotRun, current_run
 from repro.pilot.runner import PilotResult, resume_pilot, run_pilot
-from repro.pilot.services import ServiceOptions, load_fault_plan
+from repro.vmpi.faults import load_fault_plan
 
 __all__ = [
     "PI_MAIN",
@@ -86,10 +86,8 @@ __all__ = [
     "PilotConfig",
     "PilotCosts",
     "PilotError",
-    "PilotOptions",
     "PilotResult",
     "PilotRun",
-    "ServiceOptions",
     "PI_Abort",
     "PI_Broadcast",
     "PI_ChannelHasData",

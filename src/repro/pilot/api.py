@@ -406,8 +406,8 @@ def PI_EndTime() -> float:
 
 def PI_IsLogging() -> bool:
     """True if any logging service (native or MPE) is enabled."""
-    opts = current_run().options
-    return bool(opts.services & {"c", "j"})
+    services = current_run().options.services
+    return "c" in services or "j" in services
 
 
 def PI_Abort(errorcode: int = 1, text: str = "") -> None:

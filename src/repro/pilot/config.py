@@ -1,12 +1,7 @@
-"""Typed, unified run configuration: :class:`PilotConfig`.
+"""The one run description: :class:`PilotConfig`.
 
-Historically a Pilot launch was configured three different ways at
-once: ``-pi*`` command-line flags mixed into ``argv`` (the C library's
-interface, stripped by PI_Configure), a loose ``options=PilotOptions``
-kwarg, and assorted extra keywords on :func:`repro.pilot.run_pilot`
-(``costs=``, ``seed=``, ``faults=``...).  ``PilotConfig`` replaces all
-three with one frozen dataclass that is the single public way to
-describe a run::
+A Pilot run is described by one frozen dataclass, passed to
+:func:`repro.pilot.run_pilot` as ``config=``::
 
     from repro.pilot import PilotConfig, run_pilot
 
@@ -14,68 +9,128 @@ describe a run::
                       watchdog_timeout=5.0)
     run_pilot(main, nprocs=8, config=cfg)
 
-Every field defaults to ``None`` meaning "not chosen here", so layered
-sources (defaults < environment < flags < code) can be merged without
-ambiguity; :meth:`from_argv`, :meth:`from_env` and :meth:`to_argv`
-round-trip the flag-expressible subset.  The legacy spellings still
-work but raise :class:`DeprecationWarning` (see docs/API.md for the
-migration table).
+The C library's command-line enablement works the same way it does in
+Pilot: ``-pi*`` flags in ``argv`` (``-pisvc=j`` switches on Jumpshot
+logging without touching the code) are stripped by
+:meth:`PilotConfig.from_argv` and layered over the config, flags
+winning; ``main`` sees only the rest, as after PI_Configure(&argc,
+&argv) in C.
+
+=========================  =====================  ======================
+flag                       field                  meaning
+=========================  =====================  ======================
+``-pisvc=<letters>``       ``services``           services (table below)
+``-picheck=0..3``          ``check_level``        error-check level
+``-pifault-plan=PATH``     ``fault_plan_path``    JSON fault plan
+``-pijournal=DIR``         ``journal_dir``        journal + checkpoints
+``-piwatchdog=T[:act]``    ``watchdog_timeout``   progress watchdog
+                           (``watchdog_action``)  ``abort``/``checkpoint``
+``-pirecover=msglog|off``  ``recover``            in-run crash recovery
+``-pischeduler=NAME``      ``scheduler``          ``threads``/``coroutine``
+``-pistream-port=N``       ``stream_port``        ``v`` service port
+=========================  =====================  ======================
+
+Service letters (paper Section III.C; ``s``, ``p``, ``r`` and ``v``
+are this repo's additions):
+
+=======  ============================================================
+letter   service
+=======  ============================================================
+``c``    native call log on a dedicated service rank
+``d``    deadlock detection on the same rank
+``j``    MPE logging for Jumpshot
+``s``    pilotcheck static analysis before launch
+``p``    pipeline perf counters (JSON next to the MPE log)
+``r``    resume from ``journal_dir``: a verified replay that regenerates
+         the log a crash destroyed
+``v``    live trace streaming (HTTP + SSE tiles; :mod:`repro.stream`)
+=======  ============================================================
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.pilot import errors as perr
 from repro.pilot.errors import Diagnostic, PilotError
-from repro.pilot.program import PilotCosts, PilotOptions, parse_argv
-from repro.pilot.services import ServiceOptions, parse_service_letters
+from repro.pilot.program import PilotCosts
 from repro.vmpi.engine import SCHEDULERS
+
+#: The ``-pisvc`` letters, in display order (see the module docstring).
+SERVICE_LETTERS = "cdjsprv"
 
 # Manifest-recorded fields that resume_pilot refuses to silently
 # replace; list them in ``allow_overrides`` to replace deliberately.
 RESUME_GUARDED_FIELDS = ("watchdog_timeout", "watchdog_action", "recover")
+
+# -pi<flag>=value -> the field it sets.
+_FLAG_FIELDS = {
+    "-pisvc": "services",
+    "-picheck": "check_level",
+    "-pifault-plan": "fault_plan_path",
+    "-pijournal": "journal_dir",
+    "-piwatchdog": "watchdog_timeout",
+    "-pirecover": "recover",
+    "-pischeduler": "scheduler",
+    "-pistream-port": "stream_port",
+}
+
+
+def parse_service_letters(letters: Iterable[str]) -> frozenset[str]:
+    """Validate ``-pisvc`` letters; THE unknown-letter error lives here."""
+    letter_set = set(letters)
+    bad = letter_set - set(SERVICE_LETTERS)
+    if bad:
+        raise PilotError(Diagnostic(
+            "BAD_OPTION", f"unknown -pisvc letters {sorted(bad)}", None, -1))
+    return frozenset(letter_set)
+
+
+def _number(kind: type, arg: str, text: str) -> Any:
+    try:
+        return kind(text)
+    except ValueError:
+        raise PilotError(Diagnostic(
+            "BAD_OPTION", f"bad value in {arg!r}", None, -1)) from None
 
 
 @dataclass(frozen=True)
 class PilotConfig:
     """One immutable description of a Pilot run.
 
-    ``None`` always means "unset — use the runtime default"; an
-    explicit value is remembered as explicit, which is what lets
-    :func:`repro.pilot.resume_pilot` distinguish "the caller wants a
-    different watchdog than the journal recorded" (an error unless
-    listed in :attr:`allow_overrides`) from "the caller didn't say".
+    Only the :data:`RESUME_GUARDED_FIELDS` use ``None`` for "not chosen
+    here": that is what lets :func:`repro.pilot.resume_pilot` tell "the
+    caller wants a different watchdog than the journal recorded" (an
+    error unless listed in :attr:`allow_overrides`) from "the caller
+    didn't say".  ``watchdog_action=None`` means ``"abort"``.
     """
 
-    # -- rank scheduling ------------------------------------------------
-    scheduler: str | None = None  # "threads" | "coroutine"
-    # -- services and checking (the old -pisvc= / -picheck=) ------------
-    services: str | None = None  # service letters, e.g. "cdj"
-    check_level: int | None = None
+    # -- rank scheduling (None: the engine default, "threads") ----------
+    scheduler: str | None = None
+    # -- services and checking -----------------------------------------
+    services: str = ""  # service letters, e.g. "cdj"
+    check_level: int = perr.CHECK_API
     # -- log destinations ----------------------------------------------
-    native_log_path: str | None = None
-    mpe_log_path: str | None = None
-    mpe_available: bool | None = None
+    native_log_path: str = "pilot_native.log"
+    mpe_log_path: str = "pilot_mpe.clog2"
+    mpe_available: bool = True  # "built with MPE" (conditional compilation)
     # -- robustness machinery ------------------------------------------
     fault_plan_path: str | None = None
     journal_dir: str | None = None
-    journal_checkpoint_interval: float | None = None
+    journal_checkpoint_interval: float = 1e-3  # virtual seconds
     watchdog_timeout: float | None = None
     watchdog_action: str | None = None  # "abort" | "checkpoint"
     recover: str | None = None  # "msglog"
-    # Live trace streaming (repro.stream): ``True`` arms the ``v``
-    # service on any free port, an ``int`` arms it on that port.
-    stream: bool | int | None = None
-    # -- simulation parameters (former run_pilot kwargs) ----------------
+    stream_port: int = 0  # where the ``v`` service listens (0: any)
+    # -- simulation parameters ------------------------------------------
     costs: PilotCosts | None = None
     network: Any | None = None  # NetworkModel
-    seed: int | None = None
-    clock_resolution: float | None = None
+    seed: int = 0
+    clock_resolution: float = 1e-8
     skews: Mapping[int, Any] | None = None  # rank -> ClockSkew
-    faults: Any | None = None  # FaultPlan
+    faults: Any | None = None  # FaultPlan; wins over fault_plan_path
     mpe: Any | None = None  # JumpshotOptions
     # -- resume escape hatch -------------------------------------------
     # Guarded manifest fields this config may deliberately replace on
@@ -83,140 +138,57 @@ class PilotConfig:
     # ("watchdog_timeout",)).
     allow_overrides: tuple[str, ...] = ()
 
-    # -- construction ---------------------------------------------------
-
     @classmethod
     def from_argv(cls, argv: list[str] | tuple[str, ...],
                   base: "PilotConfig | None" = None,
                   ) -> tuple["PilotConfig", list[str]]:
-        """Strip ``-pi*`` flags from ``argv`` into a config.
+        """Strip ``-pi*`` flags from ``argv`` and layer them over ``base``.
 
-        Returns ``(config, leftover_argv)`` like PI_Configure rewriting
-        ``argc/argv`` in C.  Flags layer on top of ``base`` (flags
-        win); fields no flag exists for are carried over unchanged.
+        Returns ``(config, leftover_argv)``.  Every flag wins over
+        ``base``; fields no flag spells carry over unchanged, and
+        repeated ``-pisvc`` flags combine their letters.
         """
-        opts, leftover = parse_argv(argv, None)
-        default = PilotOptions()
-        updates: dict[str, Any] = {}
-        if opts.services != default.services:
-            updates["services"] = "".join(sorted(opts.services))
-        if opts.check_level != default.check_level:
-            updates["check_level"] = opts.check_level
-        if opts.fault_plan_path != default.fault_plan_path:
-            updates["fault_plan_path"] = opts.fault_plan_path
-        if opts.journal_dir != default.journal_dir:
-            updates["journal_dir"] = opts.journal_dir
-        if opts.watchdog_timeout != default.watchdog_timeout:
-            updates["watchdog_timeout"] = opts.watchdog_timeout
-            # The action is explicit only when some flag spelled it
-            # out (``-piwatchdog=T:action``); a bare timeout must not
-            # pin the action, or a resume would see a phantom
-            # "abort"-vs-recorded conflict.
-            if any(a.startswith("-piwatchdog=") and ":" in a for a in argv):
-                updates["watchdog_action"] = opts.watchdog_action
-        if opts.recover != default.recover:
-            updates["recover"] = opts.recover
-        if opts.scheduler is not None:
-            updates["scheduler"] = opts.scheduler
-        if "v" in opts.services:
-            updates["stream"] = (opts.stream_port
-                                 if opts.stream_port else True)
-        cfg = dataclasses.replace(base or cls(), **updates)
-        return cfg.validate(), leftover
+        flags: dict[str, Any] = {}
+        leftover: list[str] = []
+        for arg in argv:
+            flag, eq, value = arg.partition("=")
+            name = _FLAG_FIELDS.get(flag) if eq else None
+            if name is None:
+                leftover.append(arg)
+            elif name == "services":
+                letters = parse_service_letters(value) | set(
+                    flags.get(name, ""))
+                flags[name] = "".join(sorted(letters))
+            elif name == "watchdog_timeout":
+                timeout, _, action = value.partition(":")
+                flags[name] = _number(float, arg, timeout)
+                if action:
+                    flags["watchdog_action"] = action
+            elif name == "recover":
+                flags[name] = None if value == "off" else value
+            elif name in ("check_level", "stream_port"):
+                flags[name] = _number(int, arg, value)
+            else:
+                flags[name] = value
+        return dataclasses.replace(base or cls(), **flags).validate(), leftover
 
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None,
-                 base: "PilotConfig | None" = None) -> "PilotConfig":
-        """Read ``REPRO_PI_*`` environment variables into a config.
+    # -- derived views --------------------------------------------------
 
-        Recognised: ``REPRO_PI_SCHEDULER``, ``REPRO_PI_SVC``,
-        ``REPRO_PI_CHECK``, ``REPRO_PI_FAULT_PLAN``,
-        ``REPRO_PI_JOURNAL``, ``REPRO_PI_WATCHDOG`` (``T[:action]``)
-        and ``REPRO_PI_RECOVER`` — the same grammar as the flags, so
-        values are validated identically.
-        """
-        if environ is None:
-            import os
+    @property
+    def needs_service_rank(self) -> bool:
+        """The native log and deadlock detector share one dedicated rank
+        (paper Section I: the central logging process is "the same one
+        running the deadlock detector")."""
+        return "c" in self.services or "d" in self.services
 
-            environ = os.environ
-        argv = []
-        for var, flag in (("REPRO_PI_SVC", "-pisvc"),
-                          ("REPRO_PI_CHECK", "-picheck"),
-                          ("REPRO_PI_FAULT_PLAN", "-pifault-plan"),
-                          ("REPRO_PI_JOURNAL", "-pijournal"),
-                          ("REPRO_PI_WATCHDOG", "-piwatchdog"),
-                          ("REPRO_PI_RECOVER", "-pirecover"),
-                          ("REPRO_PI_SCHEDULER", "-pischeduler"),
-                          ("REPRO_PI_STREAM_PORT", "-pistream-port")):
-            value = environ.get(var)
-            if value:
-                argv.append(f"{flag}={value}")
-        cfg, _ = cls.from_argv(argv, base)
-        return cfg
+    @property
+    def mpe_enabled(self) -> bool:
+        return "j" in self.services and self.mpe_available
 
-    # -- projection -----------------------------------------------------
-
-    def to_argv(self) -> list[str]:
-        """The flag-expressible subset of this config, as ``-pi*`` args.
-
-        ``PilotConfig.from_argv(cfg.to_argv())`` reproduces every field
-        a flag exists for; purely programmatic fields (``costs``,
-        ``network``, ``seed``, ``skews``, ``faults``, ``mpe``, the log
-        paths) have no flag form and are omitted.
-        """
-        argv: list[str] = []
-        if self.services:
-            argv.append(f"-pisvc={''.join(sorted(self.services))}")
-        if self.check_level is not None:
-            argv.append(f"-picheck={self.check_level}")
-        if self.fault_plan_path is not None:
-            argv.append(f"-pifault-plan={self.fault_plan_path}")
-        if self.journal_dir is not None:
-            argv.append(f"-pijournal={self.journal_dir}")
-        if self.watchdog_timeout is not None:
-            spec = f"{self.watchdog_timeout}"
-            if self.watchdog_action is not None:
-                spec += f":{self.watchdog_action}"
-            argv.append(f"-piwatchdog={spec}")
-        if self.recover is not None:
-            argv.append(f"-pirecover={self.recover}")
-        if self.scheduler is not None:
-            argv.append(f"-pischeduler={self.scheduler}")
-        if self.stream:
-            if "v" not in (self.services or ""):
-                argv.append("-pisvc=v")
-            if self.stream is not True:
-                argv.append(f"-pistream-port={int(self.stream)}")
-        return argv
-
-    def to_service_options(self) -> ServiceOptions:
-        """The per-service flag view of :attr:`services`.
-
-        Equivalent to ``cfg.to_options().service_options`` — the same
-        projection the launcher applies internally — exposed so tools
-        can ask "is jumpshot on?" without building a full options set.
-        """
-        return self.to_options().service_options
-
-    def to_options(self, base: PilotOptions | None = None) -> PilotOptions:
-        """Project the option-shaped fields onto a :class:`PilotOptions`."""
-        opts = base or PilotOptions()
-        updates: dict[str, Any] = {}
-        if self.services is not None:
-            updates["services"] = frozenset(self.services)
-        for name in ("check_level", "native_log_path", "mpe_log_path",
-                     "mpe_available", "fault_plan_path", "journal_dir",
-                     "journal_checkpoint_interval", "watchdog_timeout",
-                     "watchdog_action", "recover", "scheduler"):
-            value = getattr(self, name)
-            if value is not None:
-                updates[name] = value
-        if self.stream:
-            updates["services"] = (updates.get("services", opts.services)
-                                   | frozenset("v"))
-            if self.stream is not True:
-                updates["stream_port"] = int(self.stream)
-        return dataclasses.replace(opts, **updates)
+    @property
+    def perf_snapshot_path(self) -> str:
+        """Where the ``p`` service dumps its counters (next to the MPE log)."""
+        return self.mpe_log_path + ".perf.json"
 
     # -- validation -----------------------------------------------------
 
@@ -226,15 +198,16 @@ class PilotConfig:
             return PilotError(Diagnostic("BAD_CONFIG", message, None, -1))
 
         if self.scheduler is not None and self.scheduler not in SCHEDULERS:
-            raise bad(f"scheduler must be one of {'/'.join(SCHEDULERS)}, "
-                      f"got {self.scheduler!r}")
-        if self.services is not None:
-            parse_service_letters(self.services)  # raises on unknown letters
-        if self.check_level is not None and not (
-                perr.CHECK_NONE <= self.check_level <= perr.CHECK_POINTERS):
-            raise bad(f"check_level must be 0..3, got {self.check_level}")
+            raise bad(f"scheduler (-pischeduler) must be one of "
+                      f"{'/'.join(SCHEDULERS)}, got {self.scheduler!r}")
+        parse_service_letters(self.services)  # raises on unknown letters
+        if not perr.CHECK_NONE <= self.check_level <= perr.CHECK_POINTERS:
+            raise bad(f"check_level (-picheck) must be 0..3, "
+                      f"got {self.check_level}")
+        if self.journal_dir == "":
+            raise bad("journal_dir (-pijournal) needs a directory")
         if self.watchdog_timeout is not None and self.watchdog_timeout <= 0:
-            raise bad(f"watchdog_timeout must be > 0, "
+            raise bad(f"watchdog_timeout (-piwatchdog) must be > 0, "
                       f"got {self.watchdog_timeout}")
         if self.watchdog_action is not None:
             if self.watchdog_action not in ("abort", "checkpoint"):
@@ -244,18 +217,15 @@ class PilotConfig:
                 raise bad("watchdog_action without watchdog_timeout "
                           "arms nothing; set both")
         if self.recover is not None and self.recover != "msglog":
-            raise bad(f"recover must be 'msglog', got {self.recover!r}")
-        if self.stream is not None and not isinstance(self.stream, bool):
-            if not isinstance(self.stream, int):
-                raise bad(f"stream must be a bool or a port number, "
-                          f"got {self.stream!r}")
-            if not 0 <= self.stream <= 65535:
-                raise bad(f"stream port must be 0..65535, got {self.stream}")
-        if (self.journal_checkpoint_interval is not None
-                and self.journal_checkpoint_interval <= 0):
+            raise bad(f"recover must be 'msglog' (-pirecover=msglog|off), "
+                      f"got {self.recover!r}")
+        if not 0 <= self.stream_port <= 65535:
+            raise bad(f"stream_port (-pistream-port) must be 0..65535, "
+                      f"got {self.stream_port}")
+        if self.journal_checkpoint_interval <= 0:
             raise bad("journal_checkpoint_interval must be > 0, "
                       f"got {self.journal_checkpoint_interval}")
-        if self.clock_resolution is not None and self.clock_resolution <= 0:
+        if self.clock_resolution <= 0:
             raise bad(f"clock_resolution must be > 0, "
                       f"got {self.clock_resolution}")
         unknown = set(self.allow_overrides) - set(RESUME_GUARDED_FIELDS)

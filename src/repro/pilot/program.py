@@ -1,4 +1,4 @@
-"""Pilot run state: options, lifecycle phases, configuration tables.
+"""Pilot run state: lifecycle phases, configuration tables.
 
 One :class:`PilotRun` exists per job.  All ranks execute the same user
 ``main`` (SPMD under the hood, exactly like Pilot-over-MPI); the
@@ -15,7 +15,7 @@ import enum
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro._util.callsite import CallSite, capture_callsite
 from repro.pilot import errors as perr
@@ -28,9 +28,10 @@ from repro.pilot.objects import (
     PI_PROCESS,
     _MainHandle,
 )
-from repro.pilot.services import ServiceOptions, parse_service_letters
 from repro.vmpi.comm import INTERNAL_TAG_BASE, Communicator
-from repro.vmpi.engine import SCHEDULERS
+
+if TYPE_CHECKING:
+    from repro.pilot.config import PilotConfig
 
 # Tag used by the service-rank feed (native log, deadlock events, DONE).
 SERVICE_TAG = INTERNAL_TAG_BASE + (1 << 20)
@@ -57,177 +58,6 @@ class PilotCosts:
 
 
 @dataclass
-class PilotOptions:
-    """Run options, Pilot command-line style.
-
-    ``-pisvc=<letters>`` selects services: ``c`` native call log, ``d``
-    deadlock detection, ``j`` Jumpshot (MPE) logging — combinable, e.g.
-    ``-pisvc=cj`` (paper Section III.C).  ``s`` runs the pilotcheck
-    static analyzer before launch and ``p`` records pipeline perf
-    counters (this repo's additions; ``c`` was already taken by the
-    native call log).  ``-picheck=<0..3>`` selects the error-check
-    level; ``-pifault-plan=PATH`` loads a JSON fault plan.
-
-    The letter set is kept as the ``services`` frozenset for
-    compatibility; :attr:`service_options` exposes the same selection
-    as named :class:`~repro.pilot.services.ServiceOptions` flags, which
-    is what the runner and the logging hooks consume.
-    """
-
-    services: frozenset[str] = frozenset()
-    check_level: int = perr.CHECK_API
-    native_log_path: str = "pilot_native.log"
-    mpe_log_path: str = "pilot_mpe.clog2"
-    mpe_available: bool = True  # "built with MPE" (conditional compilation)
-    fault_plan_path: str | None = None
-    # ``-pijournal=DIR``: durable event journal + periodic checkpoints;
-    # with ``-pisvc=r`` the same directory drives a verified replay.
-    journal_dir: str | None = None
-    journal_checkpoint_interval: float = 1e-3  # virtual seconds
-    # ``-piwatchdog=T[:action]``: virtual-time progress watchdog.
-    watchdog_timeout: float | None = None
-    watchdog_action: str = "abort"  # or "checkpoint"
-    # ``-pirecover=msglog``: survive injected rank crashes by sender-
-    # based message logging + localized replay (repro.vmpi.msglog).
-    recover: str | None = None
-    # ``-pischeduler=threads|coroutine``: rank execution backend.  None
-    # means "not chosen here" so layered option sources can tell an
-    # explicit choice from the default ("threads").
-    scheduler: str | None = None
-    # ``-pistream-port=N`` with ``-pisvc=v``: where the live streaming
-    # service listens (0 = any free port).
-    stream_port: int = 0
-
-    @property
-    def service_options(self) -> ServiceOptions:
-        return ServiceOptions.from_letters(
-            self.services, fault_plan_path=self.fault_plan_path)
-
-    @property
-    def needs_service_rank(self) -> bool:
-        """The native log and deadlock detector share one dedicated rank
-        (paper Section I: the central logging process is "the same one
-        running the deadlock detector")."""
-        return self.service_options.needs_service_rank
-
-    @property
-    def mpe_requested(self) -> bool:
-        return "j" in self.services
-
-    @property
-    def mpe_enabled(self) -> bool:
-        return self.mpe_requested and self.mpe_available
-
-    @property
-    def perf_requested(self) -> bool:
-        return "p" in self.services
-
-    @property
-    def perf_snapshot_path(self) -> str:
-        """Where the ``p`` service dumps its counters (next to the MPE log)."""
-        return self.mpe_log_path + ".perf.json"
-
-
-def parse_argv(argv: list[str] | tuple[str, ...],
-               base: PilotOptions | None = None) -> tuple[PilotOptions, list[str]]:
-    """Strip and apply Pilot's ``-pisvc=`` / ``-picheck=`` arguments.
-
-    Returns the effective options and the remaining (application)
-    arguments, like PI_Configure(&argc, &argv) rewriting argv in C.
-    """
-    opts = base or PilotOptions()
-    services = set(opts.services)
-    check = opts.check_level
-    fault_plan = opts.fault_plan_path
-    journal_dir = opts.journal_dir
-    watchdog_timeout = opts.watchdog_timeout
-    watchdog_action = opts.watchdog_action
-    recover = opts.recover
-    scheduler = opts.scheduler
-    stream_port = opts.stream_port
-    leftover: list[str] = []
-    for arg in argv:
-        if arg.startswith("-pisvc="):
-            services |= parse_service_letters(arg.split("=", 1)[1])
-        elif arg.startswith("-pifault-plan="):
-            fault_plan = arg.split("=", 1)[1]
-        elif arg.startswith("-pijournal="):
-            journal_dir = arg.split("=", 1)[1]
-            if not journal_dir:
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION", "-pijournal needs a directory", None, -1))
-        elif arg.startswith("-piwatchdog="):
-            spec = arg.split("=", 1)[1]
-            timeout_text, _, action = spec.partition(":")
-            try:
-                watchdog_timeout = float(timeout_text)
-            except ValueError:
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION", f"bad -piwatchdog timeout in {arg!r}",
-                    None, -1)) from None
-            if watchdog_timeout <= 0:
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION",
-                    f"-piwatchdog timeout must be > 0, got {watchdog_timeout}",
-                    None, -1))
-            if action:
-                if action not in ("abort", "checkpoint"):
-                    raise PilotError(Diagnostic(
-                        "BAD_OPTION",
-                        f"-piwatchdog action must be 'abort' or "
-                        f"'checkpoint', got {action!r}", None, -1))
-                watchdog_action = action
-        elif arg.startswith("-pirecover="):
-            recover = arg.split("=", 1)[1]
-            if recover not in ("msglog", "off"):
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION",
-                    f"-pirecover must be 'msglog' or 'off', got {recover!r}",
-                    None, -1))
-            if recover == "off":
-                recover = None
-        elif arg.startswith("-pischeduler="):
-            scheduler = arg.split("=", 1)[1]
-            if scheduler not in SCHEDULERS:
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION",
-                    f"-pischeduler must be one of {'/'.join(SCHEDULERS)}, "
-                    f"got {scheduler!r}", None, -1))
-        elif arg.startswith("-pistream-port="):
-            try:
-                stream_port = int(arg.split("=", 1)[1])
-            except ValueError:
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION", f"bad -pistream-port value in {arg!r}",
-                    None, -1)) from None
-            if not 0 <= stream_port <= 65535:
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION",
-                    f"-pistream-port must be 0..65535, got {stream_port}",
-                    None, -1))
-        elif arg.startswith("-picheck="):
-            try:
-                check = int(arg.split("=", 1)[1])
-            except ValueError:
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION", f"bad -picheck value in {arg!r}", None, -1)) from None
-            if not perr.CHECK_NONE <= check <= perr.CHECK_POINTERS:
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION", f"-picheck must be 0..3, got {check}", None, -1))
-        else:
-            leftover.append(arg)
-    new_opts = PilotOptions(
-        services=frozenset(services), check_level=check,
-        native_log_path=opts.native_log_path, mpe_log_path=opts.mpe_log_path,
-        mpe_available=opts.mpe_available, fault_plan_path=fault_plan,
-        journal_dir=journal_dir,
-        journal_checkpoint_interval=opts.journal_checkpoint_interval,
-        watchdog_timeout=watchdog_timeout, watchdog_action=watchdog_action,
-        recover=recover, scheduler=scheduler, stream_port=stream_port)
-    return new_opts, leftover
-
-
-@dataclass
 class RankState:
     """Per-rank mutable state (each rank thread owns exactly one)."""
 
@@ -250,12 +80,11 @@ class _RankDone(Exception):
 class PilotRun:
     """Everything one Pilot job knows about itself."""
 
-    def __init__(self, comm: Communicator, options: PilotOptions,
-                 costs: PilotCosts | None = None) -> None:
+    def __init__(self, comm: Communicator, options: PilotConfig) -> None:
         self.comm = comm
         self.engine = comm.engine
         self.options = options
-        self.costs = costs or PilotCosts()
+        self.costs = options.costs or PilotCosts()
         self.hooks = HookSet()
         self.diagnostics = DiagnosticLog()
         self.processes: list[PI_PROCESS] = [PI_PROCESS(0, None)]

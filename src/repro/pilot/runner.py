@@ -3,7 +3,9 @@
 ``run_pilot(main, nprocs, argv)`` is this repo's ``mpiexec -n nprocs
 ./a.out argv...``: every rank executes ``main(argv)``, which uses the
 PI_* API exactly as the paper's C listings do (Fig. 3's lab2 translates
-line for line).
+line for line).  ``-pi*`` flags in ``argv`` and ``config=`` resolve
+into one :class:`~repro.pilot.config.PilotConfig`, and every launch
+(fresh or resumed) goes through :func:`_launch` with it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -19,10 +20,8 @@ from repro.pilot.config import RESUME_GUARDED_FIELDS, PilotConfig
 from repro.pilot.errors import Diagnostic, PilotError
 from repro.pilot.program import (
     PilotCosts,
-    PilotOptions,
     PilotRun,
     _RankDone,
-    parse_argv,
     set_current_run,
 )
 from repro.pilot.service import ServiceFeedHook
@@ -30,6 +29,7 @@ from repro.vmpi.clock import ClockSkew
 from repro.vmpi.comm import NetworkModel
 from repro.vmpi.engine import RunResult
 from repro.vmpi.errors import SimulationDeadlock
+from repro.vmpi.faults import load_fault_plan, plan_from_dict
 from repro.vmpi.journal import Journal, JournalError, manifest_for_engine
 from repro.vmpi.world import World
 
@@ -100,78 +100,39 @@ class PilotResult:
 
 
 def _launch(main: Callable[[list[str]], Any], nprocs: int,
-            argv: list[str] | tuple[str, ...] = (), *,
-            options: PilotOptions | None = None,
-            costs: PilotCosts | None = None,
-            network: NetworkModel | None = None,
-            seed: int = 0,
-            clock_resolution: float = 1e-8,
-            skews: dict[int, ClockSkew] | None = None,
-            mpe_options: "Any | None" = None,
-            extra_hooks: list | None = None,
-            faults: "Any | None" = None,
-            journal: "Journal | None" = None,
-            suppress_crashes: bool = False,
-            scheduler: str | None = None) -> PilotResult:
-    """The actual launch machinery behind :func:`run_pilot`.
+            app_argv: list[str], cfg: PilotConfig, *,
+            extra_hooks: list | None, journal: "Journal | None",
+            suppress_crashes: bool) -> PilotResult:
+    """The launch machinery behind :func:`run_pilot` and
+    :func:`resume_pilot`, over one resolved config.
 
-    Takes the fully-resolved pieces (no deprecation policy here — both
-    the config path and the legacy path funnel into this).
-
-    ``faults`` takes a :class:`repro.vmpi.faults.FaultPlan`: the run is
-    then subjected to its seeded message faults, injected crashes and
-    clock skews — the chaos harness under ``tests/chaos`` drives every
-    example app this way.  ``-pifault-plan=PATH`` loads the same thing
-    from JSON when no plan is passed in code.
-
-    ``-pijournal=DIR`` arms a durable write-ahead journal with periodic
-    checkpoints (see :mod:`repro.vmpi.journal`); adding ``-pisvc=r``
-    instead *resumes* from that directory — a verified replay that
-    regenerates the log the crash destroyed (delegates to
-    :func:`resume_pilot`).  ``-piwatchdog=T[:action]`` arms the
-    virtual-time progress watchdog.  ``journal``/``suppress_crashes``
-    are the programmatic face of the same machinery: an explicit
-    journal (record *or* replay) is attached as-is, and
-    ``suppress_crashes`` keeps a plan's message/clock rules while
-    skipping its crash rules — what an uninterrupted reference run or a
-    replay needs to match a crashed run event for event.
+    ``journal`` is the replay journal of a resume (None: record one
+    when ``cfg.journal_dir`` is set).  ``suppress_crashes`` keeps the
+    fault plan's message/clock rules while skipping its crash rules —
+    what an uninterrupted reference run or a replay needs to match a
+    crashed run event for event.
     """
-    opts, app_argv = parse_argv(argv, options)
-    if scheduler is None:
-        scheduler = opts.scheduler or "threads"
-    svc = opts.service_options
-
-    if svc.resume:
-        if opts.journal_dir is None:
-            raise PilotError(Diagnostic(
-                "BAD_OPTION", "-pisvc=r needs -pijournal=DIR to resume from",
-                None, -1))
-        return resume_pilot(main, opts.journal_dir, options=options,
-                            costs=costs, network=network,
-                            mpe_options=mpe_options, extra_hooks=extra_hooks)
-
-    if faults is None and svc.fault_plan_path is not None:
-        from repro.pilot.services import load_fault_plan
-
-        faults = load_fault_plan(svc.fault_plan_path)
+    faults = cfg.faults
+    if faults is None and cfg.fault_plan_path is not None:
+        faults = load_fault_plan(cfg.fault_plan_path)
+    letters = "".join(sorted(set(cfg.services)))
 
     perf = None
-    if svc.perf:
+    if "p" in cfg.services:
         from repro.perf import PerfRecorder
 
-        perf = PerfRecorder(meta={"nprocs": nprocs,
-                                  "services": "".join(sorted(svc.letters))})
+        perf = PerfRecorder(meta={"nprocs": nprocs, "services": letters})
 
     # -pisvc=s: run the static analyzer over main before launching.
     # Advisory only — findings are printed (and kept on the result's
     # run object), never fatal: the analyzer must not break a run it
     # cannot understand.
     static_findings: list = []
-    if svc.static_check:
+    if "s" in cfg.services:
         try:
             from repro.pilotcheck import analyze_program
 
-            analysis = analyze_program(main, nprocs, argv, options=options)
+            analysis = analyze_program(main, nprocs, app_argv, config=cfg)
             static_findings = analysis.findings
             for finding in static_findings:
                 print(f"PILOT CHECK: {finding.render()}", file=sys.stderr)
@@ -179,61 +140,71 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
             print(f"PILOT CHECK: static analysis unavailable ({exc})",
                   file=sys.stderr)
 
-    world = World(nprocs, network=network, seed=seed,
-                  clock_resolution=clock_resolution, skews=skews,
+    world = World(nprocs, network=cfg.network, seed=cfg.seed,
+                  clock_resolution=cfg.clock_resolution,
+                  skews=dict(cfg.skews) if cfg.skews is not None else None,
                   faults=faults, suppress_crashes=suppress_crashes,
-                  scheduler=scheduler)
+                  scheduler=cfg.scheduler or "threads")
 
-    if journal is None and opts.journal_dir is not None:
+    if journal is None and cfg.journal_dir is not None:
         manifest = manifest_for_engine(world.engine, nprocs=nprocs, extra={
-            "argv": list(argv),
-            "pilot": _pilot_manifest(opts, svc),
-            **({"network": dataclasses.asdict(network)}
-               if network is not None else {}),
-            **({"costs": dataclasses.asdict(costs)}
-               if costs is not None else {}),
+            "argv": list(app_argv),
+            "pilot": {
+                "services": letters,
+                "check_level": cfg.check_level,
+                "native_log_path": cfg.native_log_path,
+                "mpe_log_path": cfg.mpe_log_path,
+                "mpe_available": cfg.mpe_available,
+                "watchdog_timeout": cfg.watchdog_timeout,
+                "watchdog_action": cfg.watchdog_action or "abort",
+                "recover": cfg.recover,
+            },
+            **({"network": dataclasses.asdict(cfg.network)}
+               if cfg.network is not None else {}),
+            **({"costs": dataclasses.asdict(cfg.costs)}
+               if cfg.costs is not None else {}),
         })
         journal = Journal.record(
-            opts.journal_dir, manifest,
-            checkpoint_interval=opts.journal_checkpoint_interval, perf=perf)
+            cfg.journal_dir, manifest,
+            checkpoint_interval=cfg.journal_checkpoint_interval, perf=perf)
     if journal is not None:
         if journal.perf is None:
             journal.perf = perf
         journal.attach(world.engine)
 
     msglog = None
-    if opts.recover == "msglog":
+    if cfg.recover == "msglog":
         from repro.vmpi.msglog import MessageLogger
 
-        msglog = MessageLogger(world.engine, journal_dir=opts.journal_dir,
+        msglog = MessageLogger(world.engine, journal_dir=cfg.journal_dir,
                                perf=perf)
-        if svc.jumpshot and opts.mpe_available:
+        if cfg.mpe_enabled:
             from repro.mpe.recovery_marks import install_recovery_marks
 
             install_recovery_marks(msglog)
 
     watchdog = None
-    if opts.watchdog_timeout is not None:
+    if cfg.watchdog_timeout is not None:
         from repro.vmpi.watchdog import ProgressWatchdog
 
         watchdog = ProgressWatchdog(
-            world.engine, timeout=opts.watchdog_timeout,
-            action=opts.watchdog_action, journal=journal).arm()
+            world.engine, timeout=cfg.watchdog_timeout,
+            action=cfg.watchdog_action or "abort", journal=journal).arm()
 
-    run = PilotRun(world.comm, opts, costs)
+    run = PilotRun(world.comm, cfg)
     run.app_argv = app_argv
     run.static_findings = static_findings  # type: ignore[attr-defined]
 
-    if svc.needs_service_rank:
+    if cfg.needs_service_rank:
         run.hooks.add(ServiceFeedHook(run))
 
     # -pisvc=v: live trace streaming.  It tails the salvage partials,
     # so it forces salvage checkpoints on (there is nothing to stream
-    # otherwise) and must adjust mpe_options before the logging hook
-    # captures them.
+    # otherwise) before the logging hook captures the MPE options.
+    mpe_options = cfg.mpe
     stream_service = None
-    if svc.stream:
-        if not (svc.jumpshot and opts.mpe_available):
+    if "v" in cfg.services:
+        if not cfg.mpe_enabled:
             print("PILOT WARNING: live streaming (-pisvc=v) needs MPE "
                   "logging (-pisvc=j); streaming stays off",
                   file=sys.stderr)
@@ -250,18 +221,18 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
             # A fresh run invalidates any previous run's sidecars at
             # the same base path (a *service* restart keeps them; this
             # is a new writer, not a new reader).
-            for stale in (exit_path(opts.mpe_log_path),
-                          cursors_path(opts.mpe_log_path)):
+            for stale in (exit_path(cfg.mpe_log_path),
+                          cursors_path(cfg.mpe_log_path)):
                 try:
                     os.remove(stale)
                 except OSError:
                     pass
             stream_service = StreamService(
-                opts.mpe_log_path, port=opts.stream_port,
-                journal_dir=opts.journal_dir, expected_ranks=nprocs,
+                cfg.mpe_log_path, port=cfg.stream_port,
+                journal_dir=cfg.journal_dir, expected_ranks=nprocs,
                 perf=perf).start()
-    if svc.jumpshot:
-        if opts.mpe_available:
+    if "j" in cfg.services:
+        if cfg.mpe_available:
             # Imported lazily: pilotlog builds on pilot, not vice versa.
             from repro.pilotlog.integration import JumpshotLoggerHook
 
@@ -310,12 +281,12 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
             # signal; write it even when the launch raised, so a live
             # client converges instead of waiting out the stall
             # deadline.
-            _write_exit_sidecar(opts.mpe_log_path, vres, faults)
+            _write_exit_sidecar(cfg.mpe_log_path, vres, faults)
     assert vres is not None  # an exception above would have propagated
     if journal is not None and journal.mode == "replay":
         journal.check()  # raises ReplayDivergence if the rerun disagreed
     if perf is not None:
-        perf.dump(opts.perf_snapshot_path)
+        perf.dump(cfg.perf_snapshot_path)
     return PilotResult(run, vres, perf, journal=journal, watchdog=watchdog,
                        msglog=msglog, stream=stream_service)
 
@@ -352,121 +323,41 @@ def _write_exit_sidecar(base_path: str, vres: RunResult | None,
 def run_pilot(main: Callable[[list[str]], Any], nprocs: int,
               argv: list[str] | tuple[str, ...] = (), *,
               config: PilotConfig | None = None,
-              options: PilotOptions | None = None,
-              costs: PilotCosts | None = None,
-              network: NetworkModel | None = None,
-              seed: int | None = None,
-              clock_resolution: float | None = None,
-              skews: dict[int, ClockSkew] | None = None,
-              mpe_options: "Any | None" = None,
               extra_hooks: list | None = None,
-              faults: "Any | None" = None,
-              journal: "Journal | None" = None,
               suppress_crashes: bool = False) -> PilotResult:
     """Run ``main`` on ``nprocs`` virtual ranks under Pilot.
 
-    The one public way to configure a run is ``config=`` with a
-    :class:`repro.pilot.PilotConfig` — services, check level, log
-    paths, watchdog, recovery, journal, fault plan, network/cost
-    models, seed, clock model and the rank scheduler all live there::
+    ``config`` describes the run (:class:`repro.pilot.PilotConfig`:
+    services, check level, log paths, watchdog, recovery, journal,
+    fault plan, network/cost models, seed, clock model, scheduler and
+    the Jumpshot logging options).  ``-pi*`` flags in ``argv`` layer
+    over it, flags winning, and are stripped before ``main`` sees the
+    rest, as PI_Configure does in C — so both of these switch on
+    Jumpshot logging::
 
-        run_pilot(main, 8, config=PilotConfig(services="cdj",
-                                              scheduler="coroutine"))
+        run_pilot(main, 8, argv=("-pisvc=j",))
+        run_pilot(main, 8, config=PilotConfig(services="j"))
 
-    The legacy spellings still work but are deprecated: ``-pi*`` flags
-    mixed into ``argv`` (stripped before ``main`` sees the rest, as
-    PI_Configure does in C) and the loose ``options=``/``costs=``/
-    ``seed=``/... keywords each raise :class:`DeprecationWarning`.
-    Mixing ``config=`` with either is an error — fold everything into
-    the config (``PilotConfig.from_argv`` converts flag-style argv).
-
-    ``mpe_options``, ``extra_hooks``, ``journal`` and
-    ``suppress_crashes`` are launch wiring rather than run
-    description, and remain keywords on both paths.
+    With service ``r`` the run resumes from ``journal_dir`` instead
+    (see :func:`resume_pilot`).  ``extra_hooks`` are added to the run's
+    hook set; ``suppress_crashes`` keeps the fault plan's message and
+    clock rules but skips its crash rules (an uninterrupted reference
+    run for a crashed one).
     """
-    if config is not None:
-        config.validate()
-        legacy = [name for name, value in (
-            ("options", options), ("costs", costs), ("network", network),
-            ("seed", seed), ("clock_resolution", clock_resolution),
-            ("skews", skews), ("faults", faults)) if value is not None]
-        if legacy:
+    cfg, app_argv = PilotConfig.from_argv(argv, config)
+    if "r" in cfg.services:
+        if cfg.journal_dir is None:
             raise PilotError(Diagnostic(
-                "BAD_CONFIG",
-                "run_pilot: config= given together with legacy keyword(s) "
-                f"{', '.join(legacy)}; fold them into the PilotConfig",
-                None, -1))
-        flags = [a for a in argv if a.startswith("-pi")]
-        if flags:
-            raise PilotError(Diagnostic(
-                "BAD_CONFIG",
-                f"run_pilot: config= given together with {flags[0]!r} in "
-                "argv; parse flags with PilotConfig.from_argv(argv) and "
-                "pass the merged config", None, -1))
-        if config.services is not None and "r" in config.services:
-            if config.journal_dir is None:
-                raise PilotError(Diagnostic(
-                    "BAD_OPTION",
-                    "services 'r' needs journal_dir to resume from",
-                    None, -1))
-            resumed = dataclasses.replace(
-                config, services=config.services.replace("r", ""))
-            return resume_pilot(main, config.journal_dir, config=resumed,
-                                mpe_options=mpe_options,
-                                extra_hooks=extra_hooks)
-        return _launch(main, nprocs, argv,
-                       options=config.to_options(),
-                       costs=config.costs, network=config.network,
-                       seed=config.seed if config.seed is not None else 0,
-                       clock_resolution=(config.clock_resolution
-                                         if config.clock_resolution is not None
-                                         else 1e-8),
-                       skews=(dict(config.skews)
-                              if config.skews is not None else None),
-                       mpe_options=(mpe_options if mpe_options is not None
-                                    else config.mpe),
-                       extra_hooks=extra_hooks, faults=config.faults,
-                       journal=journal, suppress_crashes=suppress_crashes,
-                       scheduler=config.scheduler)
-    if options is not None or costs is not None:
-        warnings.warn(
-            "run_pilot(options=..., costs=...) is deprecated; pass "
-            "config=PilotConfig(...) instead (migration table in "
-            "docs/API.md)", DeprecationWarning, stacklevel=2)
-    if any(a.startswith("-pi") for a in argv):
-        warnings.warn(
-            "-pi* flags in argv are deprecated; parse them with "
-            "PilotConfig.from_argv(argv) and pass config= (migration "
-            "table in docs/API.md)", DeprecationWarning, stacklevel=2)
-    return _launch(main, nprocs, argv, options=options, costs=costs,
-                   network=network, seed=0 if seed is None else seed,
-                   clock_resolution=(1e-8 if clock_resolution is None
-                                     else clock_resolution),
-                   skews=skews, mpe_options=mpe_options,
-                   extra_hooks=extra_hooks, faults=faults, journal=journal,
-                   suppress_crashes=suppress_crashes)
-
-
-def _pilot_manifest(opts: PilotOptions, svc: "Any") -> dict:
-    """The PilotOptions a resume must reproduce, as manifest data."""
-    return {
-        "services": "".join(sorted(svc.letters - {"r"})),
-        "check_level": opts.check_level,
-        "native_log_path": opts.native_log_path,
-        "mpe_log_path": opts.mpe_log_path,
-        "mpe_available": opts.mpe_available,
-        "watchdog_timeout": opts.watchdog_timeout,
-        "watchdog_action": opts.watchdog_action,
-        "recover": opts.recover,
-    }
+                "BAD_OPTION", "service 'r' (-pisvc=r) needs journal_dir "
+                "(-pijournal=DIR) to resume from", None, -1))
+        return resume_pilot(main, cfg.journal_dir, config=cfg,
+                            extra_hooks=extra_hooks)
+    return _launch(main, nprocs, app_argv, cfg, extra_hooks=extra_hooks,
+                   journal=None, suppress_crashes=suppress_crashes)
 
 
 def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
                  config: PilotConfig | None = None,
-                 options: PilotOptions | None = None,
-                 costs: PilotCosts | None = None,
-                 network: NetworkModel | None = None,
-                 mpe_options: "Any | None" = None,
                  extra_hooks: list | None = None) -> PilotResult:
     """Restart a journaled run and recover its complete visualization.
 
@@ -482,13 +373,14 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
     plausible-but-wrong timeline.
 
     ``main`` must be the same program the journal recorded (the
-    manifest cannot re-create code); likewise pass the same
-    ``mpe_options`` if the recorded run used non-default ones.
+    manifest cannot re-create code).  From ``config`` the resume takes
+    the scheduler, the Jumpshot options (pass the recorded run's if it
+    used non-default ones), the network and cost models (else the
+    manifest's) and the guarded robustness settings below.
 
-    Watchdog and recovery settings are replay-critical, so an explicit
-    ``config`` value that *differs* from the manifest-recorded one is
-    refused with a :class:`PilotError` naming both values — resuming
-    under silently-different robustness settings used to be a trap.
+    Watchdog and recovery settings are replay-critical, so a ``config``
+    value that *differs* from the manifest-recorded one is refused with
+    a ``RESUME_CONFLICT`` :class:`PilotError` naming both values.
     Replacing one deliberately (the way to resume past a
     checkpoint-and-stop, whose manifest records the very timeout that
     stopped it) is spelled out in the config::
@@ -496,21 +388,8 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
         resume_pilot(main, jdir, config=PilotConfig(
             watchdog_timeout=1e3,
             allow_overrides=("watchdog_timeout",)))
-
-    The legacy ``options=`` kwarg is deprecated and has no override
-    escape hatch: any watchdog/recovery conflict with the manifest is
-    an error pointing at ``PilotConfig.allow_overrides``.
     """
-    if config is not None and options is not None:
-        raise PilotError(Diagnostic(
-            "BAD_CONFIG",
-            "resume_pilot: pass config= or the deprecated options=, "
-            "not both", None, -1))
-    if options is not None or costs is not None:
-        warnings.warn(
-            "resume_pilot(options=..., costs=...) is deprecated; pass "
-            "config=PilotConfig(...) instead (migration table in "
-            "docs/API.md)", DeprecationWarning, stacklevel=2)
+    config = (config or PilotConfig()).validate()
     journal = Journal.replay(journal_dir)
     manifest = journal.manifest
     nprocs = int(manifest.get("nprocs", 0))
@@ -519,46 +398,17 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
             f"{journal_dir}: manifest does not record nprocs; this journal "
             "was not written by run_pilot")
     pilot_meta = manifest.get("pilot", {})
-    scheduler: str | None = None
-    allow: tuple[str, ...] = ()
-    if config is not None:
-        config.validate()
-        allow = config.allow_overrides
-        scheduler = config.scheduler
-        if costs is None:
-            costs = config.costs
-        if network is None:
-            network = config.network
-        if mpe_options is None:
-            mpe_options = config.mpe
-        explicit: dict[str, Any] = {
-            "watchdog_timeout": config.watchdog_timeout,
-            "watchdog_action": config.watchdog_action,
-            "recover": config.recover,
-        }
-    else:
-        base = options or PilotOptions()
-        scheduler = base.scheduler
-        explicit = {
-            "watchdog_timeout": base.watchdog_timeout,
-            # PilotOptions cannot distinguish a deliberate "abort" from
-            # its default; count the action as explicit only alongside
-            # an explicit timeout.
-            "watchdog_action": (base.watchdog_action
-                                if base.watchdog_timeout is not None
-                                else None),
-            "recover": base.recover,
-        }
-    resolved: dict[str, Any] = {}
+    guarded: dict[str, Any] = {}
     for name in RESUME_GUARDED_FIELDS:
         recorded = pilot_meta.get(name)
         if name == "watchdog_timeout" and recorded is not None:
             recorded = float(recorded)
-        wanted = explicit[name]
+        wanted = getattr(config, name)
         if wanted is None:
-            resolved[name] = recorded
-        elif recorded is None or recorded == wanted or name in allow:
-            resolved[name] = wanted
+            guarded[name] = recorded
+        elif (recorded is None or recorded == wanted
+              or name in config.allow_overrides):
+            guarded[name] = wanted
         else:
             raise PilotError(Diagnostic(
                 "RESUME_CONFLICT",
@@ -570,38 +420,32 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
                 "deliberately (e.g. to resume past a checkpoint-and-"
                 f"stop), pass config=PilotConfig(..., allow_overrides="
                 f"({name!r},))", None, -1))
-    defaults = PilotOptions()
-    opts = PilotOptions(
-        services=frozenset(pilot_meta.get("services", "")),
-        check_level=int(pilot_meta.get("check_level",
-                                       defaults.check_level)),
+    defaults = PilotConfig()
+    network = config.network
+    if network is None and "network" in manifest:
+        network = NetworkModel(**manifest["network"])
+    costs = config.costs
+    if costs is None and "costs" in manifest:
+        costs = PilotCosts(**manifest["costs"])
+    plan = None
+    if "fault_plan" in manifest:
+        plan = plan_from_dict(manifest["fault_plan"])
+    cfg = dataclasses.replace(
+        config,
+        services=pilot_meta.get("services", ""),
+        check_level=int(pilot_meta.get("check_level", defaults.check_level)),
         native_log_path=pilot_meta.get("native_log_path",
                                        defaults.native_log_path),
         mpe_log_path=pilot_meta.get("mpe_log_path", defaults.mpe_log_path),
         mpe_available=bool(pilot_meta.get("mpe_available",
                                           defaults.mpe_available)),
-        journal_dir=None,  # the replay journal is passed explicitly below
-        watchdog_timeout=resolved["watchdog_timeout"],
-        watchdog_action=(resolved["watchdog_action"]
-                         if resolved["watchdog_action"] is not None
-                         else defaults.watchdog_action),
-        recover=resolved["recover"])
-    skews = {int(rank): ClockSkew(offset=float(s.get("offset", 0.0)),
-                                  drift=float(s.get("drift", 0.0)))
-             for rank, s in manifest.get("skews", {}).items()}
-    plan = None
-    if "fault_plan" in manifest:
-        from repro.vmpi.faults import plan_from_dict
-
-        plan = plan_from_dict(manifest["fault_plan"])
-    if network is None and "network" in manifest:
-        network = NetworkModel(**manifest["network"])
-    if costs is None and "costs" in manifest:
-        costs = PilotCosts(**manifest["costs"])
-    return _launch(main, nprocs, argv=(), options=opts, costs=costs,
-                   network=network, seed=int(manifest.get("seed", 0)),
-                   clock_resolution=float(
-                       manifest.get("clock_resolution", 1e-8)),
-                   skews=skews, mpe_options=mpe_options,
-                   extra_hooks=extra_hooks, faults=plan, journal=journal,
-                   suppress_crashes=True, scheduler=scheduler)
+        fault_plan_path=None,
+        journal_dir=None,  # the replay journal is passed explicitly
+        seed=int(manifest.get("seed", 0)),
+        clock_resolution=float(manifest.get("clock_resolution", 1e-8)),
+        skews={int(rank): ClockSkew(offset=float(s.get("offset", 0.0)),
+                                    drift=float(s.get("drift", 0.0)))
+               for rank, s in manifest.get("skews", {}).items()},
+        faults=plan, network=network, costs=costs, **guarded)
+    return _launch(main, nprocs, [], cfg, extra_hooks=extra_hooks,
+                   journal=journal, suppress_crashes=True)

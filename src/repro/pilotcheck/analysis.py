@@ -17,7 +17,7 @@ import networkx as nx
 
 from repro.pilot.formats import signature
 from repro.pilot.objects import BundleUsage, PI_CHANNEL
-from repro.pilot.program import PilotOptions
+from repro.pilot.config import PilotConfig
 
 from repro.pilotcheck.astwalk import (
     CommOp,
@@ -58,9 +58,9 @@ class ProgramAnalysis:
 
 def analyze_program(main: Callable[[list[str]], Any], nprocs: int,
                     argv: list[str] | tuple[str, ...] = (), *,
-                    options: PilotOptions | None = None) -> ProgramAnalysis:
+                    config: PilotConfig | None = None) -> ProgramAnalysis:
     """Capture ``main``'s topology and run every static check."""
-    captured = capture_program(main, nprocs, argv, options=options)
+    captured = capture_program(main, nprocs, argv, config=config)
     notes: list[str] = []
     if not captured.started:
         notes.append("main returned without calling PI_StartAll; "

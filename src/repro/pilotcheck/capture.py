@@ -23,14 +23,13 @@ from typing import Any, Callable
 from repro._util.callsite import CallSite
 from repro.pilot.errors import Diagnostic, DiagnosticLog, PilotError
 from repro.pilot.hooks import HookSet, PilotHooks
+from repro.pilot.config import PilotConfig
 from repro.pilot.objects import PI_BUNDLE, PI_CHANNEL, PI_PROCESS
 from repro.pilot.program import (
     PilotCosts,
-    PilotOptions,
     PilotRun,
     RankState,
     current_run,
-    parse_argv,
     set_current_run,
 )
 
@@ -105,7 +104,7 @@ class CaptureRun:
     require_phase = PilotRun.require_phase
     check = PilotRun.check
 
-    def __init__(self, nprocs: int, options: PilotOptions) -> None:
+    def __init__(self, nprocs: int, options: PilotConfig) -> None:
         self.engine = _StubEngine()
         self.options = options
         self.costs = PilotCosts()
@@ -186,7 +185,7 @@ class CaptureRun:
 class CapturedProgram:
     """The declared topology of a Pilot program, pre-StartAll."""
 
-    options: PilotOptions
+    options: PilotConfig
     app_argv: list[str]
     nprocs: int
     processes: list[PI_PROCESS]
@@ -215,14 +214,16 @@ class CapturedProgram:
 
 def capture_program(main: Callable[[list[str]], Any], nprocs: int,
                     argv: list[str] | tuple[str, ...] = (), *,
-                    options: PilotOptions | None = None) -> CapturedProgram:
+                    config: PilotConfig | None = None) -> CapturedProgram:
     """Execute ``main``'s configuration phase and capture the topology.
 
-    Raises :class:`CaptureError` if the configuration itself is invalid
+    ``-pi*`` flags in ``argv`` layer over ``config`` as in
+    :func:`repro.pilot.run_pilot`.  Raises :class:`CaptureError` if the
+    configuration itself is invalid
     (the same errors the real run would abort with) and propagates any
     exception the application code raises before ``PI_StartAll``.
     """
-    opts, app_argv = parse_argv(argv, options)
+    opts, app_argv = PilotConfig.from_argv(argv, config)
     run = CaptureRun(nprocs, opts)
     run.app_argv = app_argv
     try:

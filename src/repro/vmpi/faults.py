@@ -47,7 +47,8 @@ Typical use::
         MessageFault("delay", delay=2e-4, jitter=1e-4, probability=0.3),
         CrashFault(rank=2, at=0.05, reason="injected rank failure"),
     ])
-    result = run_pilot(main, 4, argv=("-pisvc=j",), faults=plan)
+    result = run_pilot(main, 4, argv=("-pisvc=j",),
+                       config=PilotConfig(faults=plan))
     for inj in result.vmpi.engine.fault_injector.injections:
         print(inj)
 """
@@ -483,3 +484,34 @@ def plan_from_dict(data: dict) -> FaultPlan:
             # probability in rule 7 of a 40-rule file is findable.
             raise FaultPlanError(f"rule #{i}: {exc}") from None
     return FaultPlan(seed=int(data.get("seed", 0)), rules=rules)
+
+
+def load_fault_plan(path: str) -> FaultPlan:
+    """Load a :class:`FaultPlan` from a JSON file (``-pifault-plan=PATH``).
+
+    Schema::
+
+        {"seed": 7,
+         "rules": [
+           {"kind": "message", "action": "drop", "src": 0, ...},
+           {"kind": "crash", "rank": 1, "at": 0.5, ...},
+           {"kind": "clock", "rank": 2, "offset": 1e-3, ...}]}
+
+    Rule fields beyond ``kind`` map 1:1 onto the dataclass fields of
+    :class:`MessageFault`, :class:`CrashFault` and :class:`ClockFault`;
+    their own validation applies.  Raises :class:`FaultPlanError` on a
+    malformed plan.
+    """
+    import json
+
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FaultPlanError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise FaultPlanError(f"{path}: fault plan must be a JSON object")
+    try:
+        return plan_from_dict(data)
+    except FaultPlanError as exc:
+        raise FaultPlanError(f"{path}: {exc}") from None

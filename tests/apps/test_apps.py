@@ -14,7 +14,7 @@ from repro.apps import (
     lab2_main,
     thumbnail_main,
 )
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 
 SMALL_COLLISIONS = CollisionConfig(nrecords=2000)
 
@@ -108,7 +108,7 @@ class TestThumbnail:
         path = str(tmp_path / "st.clog2")
         res = run_pilot(lambda argv: thumbnail_main(argv, cfg), 5,
                         argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=path))
+                        config=PilotConfig(mpe_log_path=path))
         assert res.ok
         doc, report = convert(read_log(path).log)
         assert report.clean, report.summary()

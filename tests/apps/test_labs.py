@@ -74,7 +74,7 @@ class TestLab3:
         """The whole point: the visual log exposes the imbalance."""
         from repro.jumpshot import View, imbalance_ratio, per_rank_load
         from repro.mpe import read_log
-        from repro.pilot import PilotOptions
+        from repro.pilot import PilotConfig
         from repro.slog2 import convert
 
         ratios = {}
@@ -83,7 +83,7 @@ class TestLab3:
             cfg = Lab3Config()
             res = run_pilot(lambda argv: lab3_main(argv, scheme, cfg),
                             cfg.workers + 1, argv=("-pisvc=j",),
-                            options=PilotOptions(mpe_log_path=path))
+                            config=PilotConfig(mpe_log_path=path))
             assert res.ok
             doc, _ = convert(read_log(path).log)
             view = View(doc)

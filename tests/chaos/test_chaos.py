@@ -18,7 +18,7 @@ from repro.jumpshot.ascii import render_ascii
 from repro.jumpshot.svg import render_svg
 from repro.jumpshot.viewer import View
 from repro.mpe.salvage import find_partials, merge_partial_logs, partial_path
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Compute,
@@ -69,10 +69,10 @@ def pipeline_app(workers=2, rounds=12):
 def launch(tmp_path, plan, *, salvage=True, interval=8, name="chaos",
            workers=2, rounds=12):
     base = str(tmp_path / f"{name}.clog2")
-    opts = PilotOptions(services=frozenset("j"), mpe_log_path=base)
-    mopts = JumpshotOptions(salvage=salvage, salvage_interval=interval)
-    res = run_pilot(pipeline_app(workers, rounds), workers + 1,
-                    options=opts, mpe_options=mopts, faults=plan)
+    cfg = PilotConfig(services="j", mpe_log_path=base, faults=plan,
+                      mpe=JumpshotOptions(salvage=salvage,
+                                          salvage_interval=interval))
+    res = run_pilot(pipeline_app(workers, rounds), workers + 1, config=cfg)
     return base, res
 
 

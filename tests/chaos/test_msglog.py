@@ -29,7 +29,7 @@ from repro.jumpshot.svg import render_svg
 from repro.jumpshot.viewer import View
 from repro.mpe.clog2 import read_log
 from repro.mpe.recovery_marks import canonical_stripped_bytes, strip_recovery
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilotcheck import lint_clog2_records, lint_msglog
 from repro.pilotlog.integration import JumpshotOptions
 from repro.slog2.convert import convert
@@ -63,11 +63,10 @@ def recovery_run(tmp_path, seed, rank, at, *, name="recover"):
     """Crash + recover in one run; returns (clog path, wal path, result)."""
     log = str(tmp_path / f"{name}.clog2")
     jdir = str(tmp_path / f"{name}.journal")
-    opts = PilotOptions(services=frozenset("j"), mpe_log_path=log,
-                        journal_dir=jdir, recover="msglog")
-    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, options=opts,
-                    mpe_options=JumpshotOptions(), seed=RUN_SEED,
-                    faults=msglog_plan(seed, rank, at))
+    opts = PilotConfig(services="j", mpe_log_path=log, journal_dir=jdir,
+                       recover="msglog", mpe=JumpshotOptions(), seed=RUN_SEED,
+                       faults=msglog_plan(seed, rank, at))
+    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, config=opts)
     return log, os.path.join(jdir, "msglog.wal"), res
 
 
@@ -79,11 +78,10 @@ def reference_run(tmp_path, seed, rank, at, *, name="reference"):
     """
     log = str(tmp_path / f"{name}.clog2")
     jdir = str(tmp_path / f"{name}.journal")
-    opts = PilotOptions(services=frozenset("j"), mpe_log_path=log,
-                        journal_dir=jdir)
-    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, options=opts,
-                    mpe_options=JumpshotOptions(), seed=RUN_SEED,
-                    faults=msglog_plan(seed, rank, at),
+    opts = PilotConfig(services="j", mpe_log_path=log, journal_dir=jdir,
+                       mpe=JumpshotOptions(), seed=RUN_SEED,
+                       faults=msglog_plan(seed, rank, at))
+    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, config=opts,
                     suppress_crashes=True)
     return log, res
 

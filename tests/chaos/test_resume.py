@@ -22,7 +22,7 @@ from repro.jumpshot.ascii import render_ascii
 from repro.jumpshot.svg import render_svg
 from repro.jumpshot.viewer import View
 from repro.mpe.clog2 import read_log
-from repro.pilot import PilotOptions, resume_pilot, run_pilot
+from repro.pilot import PilotConfig, resume_pilot, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Compute,
@@ -49,6 +49,8 @@ RUN_SEED = 9
 
 #: Plan seeds for the resume matrix — CI runs the same three.
 PLAN_SEEDS = (5, 17, 23)
+#: A resume passes the recorded run's Jumpshot options.
+RESUME_CONFIG = PilotConfig(mpe=JumpshotOptions(salvage=True))
 
 
 def crash_plan(seed):
@@ -63,11 +65,10 @@ def record_crashed_run(tmp_path, seed, *, name="crashed"):
     """Run the pipeline app under a journal until the crash kills it."""
     log = str(tmp_path / f"{name}.clog2")
     jdir = str(tmp_path / f"{name}.journal")
-    opts = PilotOptions(services=frozenset("j"), mpe_log_path=log,
-                        journal_dir=jdir)
-    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, options=opts,
-                    mpe_options=JumpshotOptions(salvage=True),
-                    faults=crash_plan(seed), seed=RUN_SEED)
+    opts = PilotConfig(services="j", mpe_log_path=log, journal_dir=jdir,
+                       mpe=JumpshotOptions(salvage=True),
+                       faults=crash_plan(seed), seed=RUN_SEED)
+    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, config=opts)
     return log, jdir, res
 
 
@@ -80,11 +81,10 @@ def reference_run(tmp_path, seed, *, name="reference"):
     """
     log = str(tmp_path / f"{name}.clog2")
     jdir = str(tmp_path / f"{name}.journal")
-    opts = PilotOptions(services=frozenset("j"), mpe_log_path=log,
-                        journal_dir=jdir)
-    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, options=opts,
-                    mpe_options=JumpshotOptions(salvage=True),
-                    faults=crash_plan(seed), seed=RUN_SEED,
+    opts = PilotConfig(services="j", mpe_log_path=log, journal_dir=jdir,
+                       mpe=JumpshotOptions(salvage=True),
+                       faults=crash_plan(seed), seed=RUN_SEED)
+    res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, config=opts,
                     suppress_crashes=True)
     return log, res
 
@@ -115,7 +115,7 @@ class TestCrashResumeRoundTrip:
         assert os.path.exists(os.path.join(jdir, "manifest.json"))
 
         resumed = resume_pilot(pipeline_app(WORKERS, ROUNDS), jdir,
-                               mpe_options=JumpshotOptions(salvage=True))
+                               config=RESUME_CONFIG)
         assert resumed.aborted is None
         assert resumed.journal is not None
         assert resumed.journal.mode == "replay"
@@ -136,7 +136,7 @@ class TestCrashResumeRoundTrip:
         _, jdir, res = record_crashed_run(tmp_path, PLAN_SEEDS[0])
         assert res.journal is not None and res.journal.mode == "record"
         resumed = resume_pilot(pipeline_app(WORKERS, ROUNDS), jdir,
-                               mpe_options=JumpshotOptions(salvage=True))
+                               config=RESUME_CONFIG)
         journal = resumed.journal
         # The replay actually checked something: the journaled prefix
         # holds deliveries for every rank and the boundary is inside
@@ -177,16 +177,15 @@ class TestCrashResumeRoundTrip:
 
         with pytest.raises(ReplayDivergence):
             resume_pilot(different_app, jdir,
-                         mpe_options=JumpshotOptions(salvage=True))
+                         config=RESUME_CONFIG)
 
     def test_perf_counters_cover_the_journal(self, tmp_path):
         log = str(tmp_path / "perf.clog2")
         jdir = str(tmp_path / "perf.journal")
-        opts = PilotOptions(services=frozenset("jp"), mpe_log_path=log,
-                            journal_dir=jdir)
-        res = run_pilot(pipeline_app(WORKERS, 8), NPROCS, options=opts,
-                        mpe_options=JumpshotOptions(salvage=True),
-                        faults=crash_plan(PLAN_SEEDS[0]), seed=RUN_SEED)
+        opts = PilotConfig(services="jp", mpe_log_path=log, journal_dir=jdir,
+                           mpe=JumpshotOptions(salvage=True),
+                           faults=crash_plan(PLAN_SEEDS[0]), seed=RUN_SEED)
+        res = run_pilot(pipeline_app(WORKERS, 8), NPROCS, config=opts)
         assert res.aborted is not None
         snap = res.perf.snapshot()
         assert "journal-append" in snap["stages"]
@@ -198,7 +197,7 @@ class TestCrashResumeRoundTrip:
         assert "journal-append" in dumped["stages"]
 
         resumed = resume_pilot(pipeline_app(WORKERS, 8), jdir,
-                               mpe_options=JumpshotOptions(salvage=True))
+                               config=RESUME_CONFIG)
         rsnap = resumed.perf.snapshot()
         assert rsnap["stages"]["replay-verify"]["records"] > 0
 
@@ -207,7 +206,7 @@ class TestJournalMarkersInRenderers:
     def _recovered_view(self, tmp_path):
         log, jdir, _ = record_crashed_run(tmp_path, PLAN_SEEDS[0])
         resumed = resume_pilot(pipeline_app(WORKERS, ROUNDS), jdir,
-                               mpe_options=JumpshotOptions(salvage=True))
+                               config=RESUME_CONFIG)
         doc, _ = convert(read_log(log).log)
         return View(doc), resumed.journal
 

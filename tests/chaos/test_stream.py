@@ -56,7 +56,7 @@ def assert_tiles_match_batch(service: StreamService, tree) -> None:
 def launch_streamed(tmp_path, *, faults=None, rounds=12, workers=2,
                     name="stream"):
     base = str(tmp_path / f"{name}.clog2")
-    cfg = PilotConfig(services="j", stream=True, mpe_log_path=base,
+    cfg = PilotConfig(services="jv", mpe_log_path=base,
                       mpe=JumpshotOptions(salvage=True, salvage_interval=8),
                       faults=faults)
     res = run_pilot(pipeline_app(workers, rounds), workers + 1, config=cfg)

@@ -20,7 +20,7 @@ from repro.apps.collisions_buggy import (
     fixture_config,
     write_diff_fixture,
 )
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Configure,
@@ -86,9 +86,9 @@ def echo_varlen_app(workers=WORKERS, rounds=ROUNDS):
 
 def echo_run(tmp_path, seed, *, faults=None, name="run"):
     log = str(tmp_path / f"{name}.clog2")
-    opts = PilotOptions(services=frozenset("j"), mpe_log_path=log)
-    res = run_pilot(echo_varlen_app(), NPROCS, options=opts,
-                    mpe_options=JumpshotOptions(), seed=seed, faults=faults)
+    opts = PilotConfig(services="j", mpe_log_path=log, mpe=JumpshotOptions(),
+                       seed=seed, faults=faults)
+    res = run_pilot(echo_varlen_app(), NPROCS, config=opts)
     assert res.aborted is None
     return log
 

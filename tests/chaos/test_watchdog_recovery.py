@@ -21,7 +21,7 @@ Run with ``make chaos-recover`` or ``pytest tests/chaos``.
 import pytest
 
 from repro.mpe.recovery_marks import canonical_stripped_bytes
-from repro.pilot import PilotConfig, PilotOptions, resume_pilot, run_pilot
+from repro.pilot import PilotConfig, resume_pilot, run_pilot
 from repro.pilot.errors import PilotError
 from repro.pilot.api import (
     PI_MAIN,
@@ -83,11 +83,10 @@ class TestCheckpointAndStopThenResume:
     def test_stop_resume_round_trip_byte_identical(self, tmp_path):
         log = str(tmp_path / "stopped.clog2")
         jdir = str(tmp_path / "stopped.journal")
-        opts = PilotOptions(services=frozenset("j"), mpe_log_path=log,
-                            journal_dir=jdir, watchdog_timeout=0.02,
-                            watchdog_action="checkpoint")
-        res = run_pilot(slow_feeder_app(), 2, options=opts,
-                        mpe_options=JumpshotOptions(), seed=RUN_SEED)
+        opts = PilotConfig(services="j", mpe_log_path=log, journal_dir=jdir,
+                           watchdog_timeout=0.02, watchdog_action="checkpoint",
+                           mpe=JumpshotOptions(), seed=RUN_SEED)
+        res = run_pilot(slow_feeder_app(), 2, config=opts)
         assert res.aborted is not None
         assert res.aborted.errorcode == WATCHDOG_CHECKPOINT
         assert "checkpoint-and-stop" in res.aborted.reason
@@ -114,10 +113,9 @@ class TestCheckpointAndStopThenResume:
         ref_log = str(tmp_path / "reference.clog2")
         ref = run_pilot(
             slow_feeder_app(), 2,
-            options=PilotOptions(services=frozenset("j"),
-                                 mpe_log_path=ref_log,
-                                 journal_dir=str(tmp_path / "ref.journal")),
-            mpe_options=JumpshotOptions(), seed=RUN_SEED)
+            config=PilotConfig(services="j", mpe_log_path=ref_log,
+                               journal_dir=str(tmp_path / "ref.journal"),
+                               mpe=JumpshotOptions(), seed=RUN_SEED))
         assert ref.ok
         assert read_bytes(log) == read_bytes(ref_log)
 
@@ -125,12 +123,12 @@ class TestCheckpointAndStopThenResume:
         """The forced checkpoint exists on disk but is excluded from the
         barrier stream a resumed run verifies against."""
         jdir = str(tmp_path / "j")
-        opts = PilotOptions(services=frozenset("j"),
-                            mpe_log_path=str(tmp_path / "a.clog2"),
-                            journal_dir=jdir, watchdog_timeout=0.02,
-                            watchdog_action="checkpoint")
-        res = run_pilot(slow_feeder_app(), 2, options=opts,
-                        mpe_options=JumpshotOptions(), seed=RUN_SEED)
+        opts = PilotConfig(services="j",
+                           mpe_log_path=str(tmp_path / "a.clog2"),
+                           journal_dir=jdir, watchdog_timeout=0.02,
+                           watchdog_action="checkpoint", mpe=JumpshotOptions(),
+                           seed=RUN_SEED)
+        res = run_pilot(slow_feeder_app(), 2, config=opts)
         assert res.aborted.errorcode == WATCHDOG_CHECKPOINT
         # Inspect the journal as a resume would see it.
         from repro.vmpi.journal import Journal
@@ -146,12 +144,12 @@ class TestCheckpointAndStopThenResume:
         """Without the override the recorded watchdog re-fires — the
         documented reason the override exists."""
         jdir = str(tmp_path / "j")
-        opts = PilotOptions(services=frozenset("j"),
-                            mpe_log_path=str(tmp_path / "a.clog2"),
-                            journal_dir=jdir, watchdog_timeout=0.02,
-                            watchdog_action="checkpoint")
-        res = run_pilot(slow_feeder_app(), 2, options=opts,
-                        mpe_options=JumpshotOptions(), seed=RUN_SEED)
+        opts = PilotConfig(services="j",
+                           mpe_log_path=str(tmp_path / "a.clog2"),
+                           journal_dir=jdir, watchdog_timeout=0.02,
+                           watchdog_action="checkpoint", mpe=JumpshotOptions(),
+                           seed=RUN_SEED)
+        res = run_pilot(slow_feeder_app(), 2, config=opts)
         assert res.aborted.errorcode == WATCHDOG_CHECKPOINT
         resumed = resume_pilot(slow_feeder_app(), jdir)
         assert resumed.aborted is not None
@@ -170,13 +168,11 @@ class TestWatchdogAcrossMsglogRecovery:
         rank, at = CRASH_SITES[1]
         log = str(tmp_path / "rec.clog2")
         jdir = str(tmp_path / "rec.journal")
-        opts = PilotOptions(services=frozenset("j"), mpe_log_path=log,
-                            journal_dir=jdir, recover="msglog",
-                            watchdog_timeout=self.TIMEOUT,
-                            watchdog_action="checkpoint")
-        res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, options=opts,
-                        mpe_options=JumpshotOptions(), seed=RUN_SEED,
-                        faults=msglog_plan(seed, rank, at))
+        opts = PilotConfig(services="j", mpe_log_path=log, journal_dir=jdir,
+                           recover="msglog", watchdog_timeout=self.TIMEOUT,
+                           watchdog_action="checkpoint", mpe=JumpshotOptions(),
+                           seed=RUN_SEED, faults=msglog_plan(seed, rank, at))
+        res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, config=opts)
         assert res.aborted is None and res.ok
         assert not res.watchdog.fired
         assert [int(ep["rank"]) for ep in
@@ -232,12 +228,11 @@ class TestWatchdogAcrossMsglogRecovery:
         # A plan whose crash recovers, on the slow-feeder app whose
         # worker then starves past the timeout.
         log = str(tmp_path / "starved.clog2")
-        opts = PilotOptions(services=frozenset("j"), mpe_log_path=log,
-                            journal_dir=str(tmp_path / "j"),
-                            recover="msglog", watchdog_timeout=0.02,
-                            watchdog_action="checkpoint")
-        res = run_pilot(slow_feeder_app(), 2, options=opts,
-                        mpe_options=JumpshotOptions(), seed=RUN_SEED)
+        opts = PilotConfig(services="j", mpe_log_path=log,
+                           journal_dir=str(tmp_path / "j"), recover="msglog",
+                           watchdog_timeout=0.02, watchdog_action="checkpoint",
+                           mpe=JumpshotOptions(), seed=RUN_SEED)
+        res = run_pilot(slow_feeder_app(), 2, config=opts)
         assert res.aborted is not None
         assert res.aborted.errorcode == WATCHDOG_CHECKPOINT
         assert res.watchdog.fired

@@ -51,7 +51,7 @@ class TestComparison:
     def test_real_before_after(self, tmp_path):
         from repro.apps import DYNAMIC, STATIC, Lab3Config, lab3_main
         from repro.mpe import read_log
-        from repro.pilot import PilotOptions, run_pilot
+        from repro.pilot import PilotConfig, run_pilot
         from repro.slog2 import convert
 
         docs = {}
@@ -60,7 +60,7 @@ class TestComparison:
             run_pilot(lambda argv: lab3_main(argv, scheme,
                                              Lab3Config(ntasks=16)), 5,
                       argv=("-pisvc=j",),
-                      options=PilotOptions(mpe_log_path=clog))
+                      config=PilotConfig(mpe_log_path=clog))
             docs[scheme], _ = convert(read_log(clog).log)
         svg = render_comparison_svg(docs[STATIC], docs[DYNAMIC],
                                     label_a="static", label_b="dynamic")

@@ -56,12 +56,12 @@ class TestOverlay:
     def test_real_run_overlay(self, tmp_path):
         from repro.apps import lab2_main
         from repro.mpe import read_log
-        from repro.pilot import PilotOptions, run_pilot
+        from repro.pilot import PilotConfig, run_pilot
         from repro.slog2 import convert
 
         clog = str(tmp_path / "l.clog2")
         run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-                  options=PilotOptions(mpe_log_path=clog))
+                  config=PilotConfig(mpe_log_path=clog))
         doc, _ = convert(read_log(clog).log)
         cpath = critical_path(doc)
         svg = render_svg(View(doc), highlight_path=cpath)

@@ -94,12 +94,12 @@ class TestRenderHtml:
     def test_end_to_end_from_real_run(self, tmp_path):
         from repro.apps import lab2_main
         from repro.mpe import read_log
-        from repro.pilot import PilotOptions, run_pilot
+        from repro.pilot import PilotConfig, run_pilot
         from repro.slog2 import convert
 
         clog = str(tmp_path / "l.clog2")
         run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-                  options=PilotOptions(mpe_log_path=clog))
+                  config=PilotConfig(mpe_log_path=clog))
         doc, _ = convert(read_log(clog).log)
         html = render_html(View(doc), str(tmp_path / "l.html"))
         payload = embedded_doc(html)

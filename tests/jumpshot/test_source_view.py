@@ -10,7 +10,7 @@ from repro.jumpshot.source_view import (
     render_source_html,
 )
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import convert
 from repro.slog2.model import Event, SlogCategory, Slog2Doc, State
 
@@ -89,7 +89,7 @@ class TestEndToEnd:
 
         clog = str(tmp_path / "l.clog2")
         res = run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=clog))
+                        config=PilotConfig(mpe_log_path=clog))
         assert res.ok
         doc, _ = convert(read_log(clog).log)
         source = inspect.getsource(lab2_module)

@@ -16,7 +16,7 @@ from repro.mpe.salvage import (
     read_partial_log,
     write_partial,
 )
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Abort,
@@ -133,8 +133,7 @@ class TestEndToEndSalvage:
         base = str(tmp_path / "run.clog2")
         jopts = JumpshotOptions(salvage=salvage, salvage_interval=64)
         res = run_pilot(aborting_program(rounds), 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=base),
-                        mpe_options=jopts)
+                        config=PilotConfig(mpe_log_path=base, mpe=jopts))
         assert res.aborted is not None
         return base
 
@@ -175,8 +174,7 @@ class TestEndToEndSalvage:
 
         jopts = JumpshotOptions(salvage=True, salvage_interval=1)
         res = run_pilot(main, 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=base),
-                        mpe_options=jopts)
+                        config=PilotConfig(mpe_log_path=base, mpe=jopts))
         assert res.ok
         assert os.path.exists(base)  # the real merged log
         assert find_partials(base) == []  # partials cleaned up

@@ -47,7 +47,7 @@ from repro.pilot import (
     PI_StartAll,
     PI_StopMain,
     PI_Write,
-    PilotOptions,
+    PilotConfig,
     run_pilot,
 )
 from repro.slog2.convert import StreamConverter, convert, convert_with_tree
@@ -76,7 +76,7 @@ def real_clog2(tmp_path_factory) -> str:
         PI_StopMain(0)
 
     run_pilot(main, 4, argv=("-pisvc=j",),
-              options=PilotOptions(mpe_log_path=path))
+              config=PilotConfig(mpe_log_path=path))
     return path
 
 

@@ -43,7 +43,7 @@ from repro.pilot import (
     PI_StartAll,
     PI_StopMain,
     PI_Write,
-    PilotOptions,
+    PilotConfig,
     run_pilot,
 )
 from repro.pilotcheck import analyze_program
@@ -71,7 +71,7 @@ APPS = [
 def observed_net(main, nprocs, tmp_path, name="run"):
     path = str(tmp_path / f"{name}.clog2")
     res = run_pilot(main, nprocs, argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=path))
+                    config=PilotConfig(mpe_log_path=path))
     assert res.ok
     return extract_trace_net(path)
 
@@ -174,10 +174,9 @@ class TestSeededCrashBlamesVictimEdge:
             CrashFault(rank=2, at=8e-3, reason="injected rank failure"),))
         res = run_pilot(
             crash_probe_app(16), 3,
-            options=PilotOptions(services=frozenset("j"),
-                                 mpe_log_path=base),
-            mpe_options=JumpshotOptions(salvage=True, salvage_interval=8),
-            faults=plan)
+            config=PilotConfig(services="j", mpe_log_path=base, faults=plan,
+                               mpe=JumpshotOptions(salvage=True,
+                                                   salvage_interval=8)))
         assert res.aborted is not None  # the crash really aborted the run
 
         trace = extract_trace_net(base, errors="salvage")
@@ -195,9 +194,8 @@ class TestSeededCrashBlamesVictimEdge:
         base = str(tmp_path / "clean.clog2")
         res = run_pilot(
             crash_probe_app(16), 3,
-            options=PilotOptions(services=frozenset("j"),
-                                 mpe_log_path=base),
-            mpe_options=JumpshotOptions())
+            config=PilotConfig(services="j", mpe_log_path=base,
+                               mpe=JumpshotOptions()))
         assert res.aborted is None
         assert check_conformance(static, extract_trace_net(base)) == []
 

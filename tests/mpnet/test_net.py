@@ -26,7 +26,7 @@ from repro.pilot import (
     PI_StartAll,
     PI_StopMain,
     PI_Write,
-    PilotOptions,
+    PilotConfig,
     run_pilot,
 )
 from repro.pilot.formats import parse_format
@@ -109,7 +109,7 @@ class TestTraceExtraction:
     def test_observed_net_matches_run(self, tmp_path):
         path = str(tmp_path / "ring.clog2")
         res = run_pilot(ring_app(4), 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=path))
+                        config=PilotConfig(mpe_log_path=path))
         assert res.ok
         net = extract_trace_net(path)
         assert net.kind == "trace"
@@ -124,7 +124,7 @@ class TestTraceExtraction:
     def test_process_names_come_from_definitions(self, tmp_path):
         path = str(tmp_path / "named.clog2")
         run_pilot(ring_app(2), 2, argv=("-pisvc=j",),
-                  options=PilotOptions(mpe_log_path=path))
+                  config=PilotConfig(mpe_log_path=path))
         net = extract_trace_net(path)
         assert net.rank_name(0) == "PI_MAIN"
 
@@ -175,7 +175,7 @@ class TestNetCli:
             "main = ring_app(4)\n")
         log = str(tmp_path / "run.clog2")
         res = run_pilot(ring_app(4), 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=log))
+                        config=PilotConfig(mpe_log_path=log))
         assert res.ok
         dot = str(tmp_path / "net.dot")
         svg = str(tmp_path / "net.svg")
@@ -198,7 +198,7 @@ class TestNetCli:
         log = str(tmp_path / "short.clog2")
         # Run fewer rounds than the analyzed program predicts.
         res = run_pilot(ring_app(3), 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=log))
+                        config=PilotConfig(mpe_log_path=log))
         assert res.ok
         code = cli_main(["net", f"{app}:main", "--nprocs", "2",
                          "--trace", log, "--format", "sarif"])

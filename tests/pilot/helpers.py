@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Configure,
@@ -18,7 +18,7 @@ from repro.pilot.api import (
 def run_main_worker(main_body: Callable[[Any], Any],
                     worker_body: Callable[[Any], Any], *,
                     nprocs: int = 3, nworkers: int = 1, argv=(),
-                    options: PilotOptions | None = None, **kw):
+                    config: PilotConfig | None = None, **kw):
     """Run a program with PI_MAIN plus ``nworkers`` workers.
 
     Each worker gets channels ``(to_worker, from_worker)``; bodies are
@@ -50,7 +50,7 @@ def run_main_worker(main_body: Callable[[Any], Any],
         PI_StopMain(0)
         return out
 
-    return run_pilot(main, nprocs, argv=argv, options=options, **kw)
+    return run_pilot(main, nprocs, argv=argv, config=config, **kw)
 
 
 def expect_abort_with(result, code: str) -> None:

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Abort,
@@ -69,11 +69,11 @@ class TestCrashes:
 
     @pytest.mark.parametrize("rank,when", CASES)
     def test_crash_with_all_services(self, rank, when, tmp_path):
-        opts = PilotOptions(native_log_path=str(tmp_path / "n.log"),
-                            mpe_log_path=str(tmp_path / "m.clog2"))
+        opts = PilotConfig(native_log_path=str(tmp_path / "n.log"),
+                           mpe_log_path=str(tmp_path / "m.clog2"))
         with pytest.raises(TaskFailed):
             run_pilot(crash_program(rank, when), 3, argv=("-pisvc=cdj",),
-                      options=opts)
+                      config=opts)
         # The crash prevented a normal finalize: no merged MPE file.
         assert not os.path.exists(str(tmp_path / "m.clog2"))
 
@@ -113,8 +113,8 @@ class TestAbortTiming:
             if moment == "after_stop":
                 PI_Abort(1, "abort after StopMain")
 
-        opts = PilotOptions(native_log_path=native, mpe_log_path=mpe)
-        res = run_pilot(main, 3, argv=("-pisvc=cj",), options=opts)
+        opts = PilotConfig(native_log_path=native, mpe_log_path=mpe)
+        res = run_pilot(main, 3, argv=("-pisvc=cj",), config=opts)
         return res, native, mpe
 
     def test_abort_during_config(self, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Compute,
@@ -143,8 +143,8 @@ class TestHookSet:
 
 class TestResultTimings:
     def test_exec_end_before_total_with_mpe(self, tmp_path):
-        opts = PilotOptions(mpe_log_path=str(tmp_path / "t.clog2"))
-        res = run_pilot(pingpong, 2, argv=("-pisvc=j",), options=opts)
+        opts = PilotConfig(mpe_log_path=str(tmp_path / "t.clog2"))
+        res = run_pilot(pingpong, 2, argv=("-pisvc=j",), config=opts)
         assert res.exec_end_time <= res.total_time
         assert res.wrapup_time > 0
         assert res.mpe_log_path is not None

@@ -3,7 +3,7 @@ availability, rank displacement by the service rank."""
 
 import pytest
 
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Configure,
@@ -17,51 +17,49 @@ from repro.pilot.api import (
     PI_Write,
 )
 from repro.pilot.errors import PilotError
-from repro.pilot.program import PilotOptions as Opts
-from repro.pilot.program import parse_argv
 
 from tests.pilot.helpers import expect_abort_with
 
 
 class TestParseArgv:
     def test_no_pilot_args(self):
-        opts, rest = parse_argv(["prog", "input.csv"])
+        opts, rest = PilotConfig.from_argv(["prog", "input.csv"])
         assert rest == ["prog", "input.csv"]
-        assert opts.services == frozenset()
+        assert opts.services == ""
 
     def test_pisvc_letters(self):
-        opts, rest = parse_argv(["-pisvc=cj"])
-        assert opts.services == {"c", "j"}
+        opts, rest = PilotConfig.from_argv(["-pisvc=cj"])
+        assert opts.services == "cj"
         assert rest == []
 
     def test_pisvc_combinable(self):
-        opts, _ = parse_argv(["-pisvc=c", "-pisvc=dj"])
-        assert opts.services == {"c", "d", "j"}
+        opts, _ = PilotConfig.from_argv(["-pisvc=c", "-pisvc=dj"])
+        assert opts.services == "cdj"
 
     def test_picheck_levels(self):
         for lvl in range(4):
-            opts, _ = parse_argv([f"-picheck={lvl}"])
+            opts, _ = PilotConfig.from_argv([f"-picheck={lvl}"])
             assert opts.check_level == lvl
 
     def test_bad_pisvc_letter(self):
         with pytest.raises(PilotError):
-            parse_argv(["-pisvc=zx"])
+            PilotConfig.from_argv(["-pisvc=zx"])
 
     def test_bad_picheck(self):
         with pytest.raises(PilotError):
-            parse_argv(["-picheck=9"])
+            PilotConfig.from_argv(["-picheck=9"])
         with pytest.raises(PilotError):
-            parse_argv(["-picheck=abc"])
+            PilotConfig.from_argv(["-picheck=abc"])
 
     def test_service_rank_rules(self):
-        assert not Opts(services=frozenset("j")).needs_service_rank
-        assert Opts(services=frozenset("c")).needs_service_rank
-        assert Opts(services=frozenset("d")).needs_service_rank
-        assert Opts(services=frozenset("cdj")).needs_service_rank
+        assert not PilotConfig(services="j").needs_service_rank
+        assert PilotConfig(services="c").needs_service_rank
+        assert PilotConfig(services="d").needs_service_rank
+        assert PilotConfig(services="cdj").needs_service_rank
 
     def test_mpe_enabled_requires_built_in(self):
-        assert Opts(services=frozenset("j")).mpe_enabled
-        assert not Opts(services=frozenset("j"), mpe_available=False).mpe_enabled
+        assert PilotConfig(services="j").mpe_enabled
+        assert not PilotConfig(services="j", mpe_available=False).mpe_enabled
 
 
 class TestConfigure:

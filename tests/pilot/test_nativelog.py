@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Abort,
@@ -56,8 +56,8 @@ def read_log(path):
 
 class TestNativeLog:
     def test_log_written_and_parseable(self, log_path):
-        opts = PilotOptions(native_log_path=log_path)
-        res = run_pilot(pingpong_program(), 3, argv=("-pisvc=c",), options=opts)
+        opts = PilotConfig(native_log_path=log_path)
+        res = run_pilot(pingpong_program(), 3, argv=("-pisvc=c",), config=opts)
         assert res.ok
         assert res.native_log_path == log_path
         lines = read_log(log_path)
@@ -66,9 +66,9 @@ class TestNativeLog:
 
     def test_one_event_per_call(self, log_path):
         # Paper III.C: "only one event per API call was reported".
-        opts = PilotOptions(native_log_path=log_path)
+        opts = PilotConfig(native_log_path=log_path)
         run_pilot(pingpong_program(rounds=2), 3, argv=("-pisvc=c",),
-                  options=opts)
+                  config=opts)
         body = [l for l in read_log(log_path) if not l.startswith("#")]
         reads = [l for l in body if "PI_Read" in l]
         writes = [l for l in body if "PI_Write" in l]
@@ -77,8 +77,8 @@ class TestNativeLog:
 
     def test_events_conglomerated_across_ranks(self, log_path):
         # Complaint (2): one file, all processes interleaved.
-        opts = PilotOptions(native_log_path=log_path)
-        run_pilot(pingpong_program(), 3, argv=("-pisvc=c",), options=opts)
+        opts = PilotConfig(native_log_path=log_path)
+        run_pilot(pingpong_program(), 3, argv=("-pisvc=c",), config=opts)
         body = [l for l in read_log(log_path) if not l.startswith("#")]
         ranks = {l.split()[1] for l in body}
         assert ranks == {"r0", "r1"}
@@ -86,15 +86,15 @@ class TestNativeLog:
     def test_timestamps_are_arrival_times(self, log_path):
         # Complaint (1): stamps taken at the service rank, monotone in
         # arrival order regardless of when calls actually began.
-        opts = PilotOptions(native_log_path=log_path)
-        run_pilot(pingpong_program(), 3, argv=("-pisvc=c",), options=opts)
+        opts = PilotConfig(native_log_path=log_path)
+        run_pilot(pingpong_program(), 3, argv=("-pisvc=c",), config=opts)
         body = [l for l in read_log(log_path) if not l.startswith("#")]
         stamps = [float(l.split()[0][1:]) for l in body]
         assert stamps == sorted(stamps)
 
     def test_callsites_recorded(self, log_path):
-        opts = PilotOptions(native_log_path=log_path)
-        run_pilot(pingpong_program(), 3, argv=("-pisvc=c",), options=opts)
+        opts = PilotConfig(native_log_path=log_path)
+        run_pilot(pingpong_program(), 3, argv=("-pisvc=c",), config=opts)
         body = [l for l in read_log(log_path) if not l.startswith("#")]
         assert all("l=" in l and "test_nativelog.py" in l for l in body)
 
@@ -103,17 +103,17 @@ class TestNativeLog:
         # vulnerability because it writes each log entry onto a disk
         # file when it is received" — unlike the MPE log.
         mpe_path = str(tmp_path / "lost.clog2")
-        opts = PilotOptions(native_log_path=log_path, mpe_log_path=mpe_path)
+        opts = PilotConfig(native_log_path=log_path, mpe_log_path=mpe_path)
         res = run_pilot(pingpong_program(rounds=3, abort_at=1), 4,
-                        argv=("-pisvc=cj",), options=opts)
+                        argv=("-pisvc=cj",), config=opts)
         assert res.aborted is not None
         body = [l for l in read_log(log_path) if not l.startswith("#")]
         assert len(body) > 0  # events up to the abort are on disk
         assert not os.path.exists(mpe_path)  # the MPE log is lost
 
     def test_no_log_without_service(self, log_path):
-        opts = PilotOptions(native_log_path=log_path)
-        res = run_pilot(pingpong_program(), 3, options=opts)
+        opts = PilotConfig(native_log_path=log_path)
+        res = run_pilot(pingpong_program(), 3, config=opts)
         assert res.ok
         assert not os.path.exists(log_path)
         assert res.native_log_path is None
@@ -132,6 +132,6 @@ class TestNativeLog:
         run_pilot(main, 6)
         base = avail[0]
         avail.clear()
-        opts = PilotOptions(native_log_path=log_path)
-        run_pilot(main, 6, argv=("-pisvc=c",), options=opts)
+        opts = PilotConfig(native_log_path=log_path)
+        run_pilot(main, 6, argv=("-pisvc=c",), config=opts)
         assert avail[0] == base - 1

@@ -1,20 +1,13 @@
-"""PilotConfig: the unified run API and its migration machinery.
+"""PilotConfig: the one run description and the ``-pi*`` flags over it.
 
-Round-trips between the three historical spellings (``-pi*`` argv,
-``PilotOptions``, loose kwargs) and the one current one; validation;
-and the deprecation/conflict rules on :func:`run_pilot` and
-:func:`resume_pilot`.
+The flag grammar (:meth:`PilotConfig.from_argv`, flags win over the
+base config), validation, and the one launch path behind
+:func:`run_pilot` and :func:`resume_pilot`.
 """
 
 import pytest
 
-from repro.pilot import (
-    PilotConfig,
-    PilotCosts,
-    PilotOptions,
-    resume_pilot,
-    run_pilot,
-)
+from repro.pilot import PilotConfig, resume_pilot, run_pilot
 from repro.pilot.api import PI_Configure, PI_StartAll, PI_StopMain
 from repro.pilot.config import RESUME_GUARDED_FIELDS
 from repro.pilot.errors import PilotError
@@ -47,15 +40,6 @@ class TestRoundTrips:
         assert cfg.watchdog_timeout == 5.0
         assert cfg.watchdog_action is None
 
-    def test_to_argv_from_argv_round_trip(self):
-        cfg = PilotConfig(services="cj", check_level=3, scheduler="threads",
-                          watchdog_timeout=2.5, watchdog_action="checkpoint",
-                          recover="msglog", journal_dir="/tmp/j",
-                          fault_plan_path="/tmp/plan.json")
-        back, leftover = PilotConfig.from_argv(cfg.to_argv())
-        assert leftover == []
-        assert back == cfg
-
     def test_from_argv_layers_on_base(self):
         base = PilotConfig(scheduler="coroutine", seed=11)
         cfg, _ = PilotConfig.from_argv(["-picheck=0"], base)
@@ -63,33 +47,25 @@ class TestRoundTrips:
         assert cfg.seed == 11  # flags exist for neither -> untouched
         assert cfg.check_level == 0
 
-    def test_from_env(self):
-        cfg = PilotConfig.from_env({"REPRO_PI_SVC": "d",
-                                    "REPRO_PI_SCHEDULER": "coroutine",
-                                    "REPRO_PI_WATCHDOG": "3:abort",
-                                    "UNRELATED": "x"})
-        assert cfg.services == "d"
-        assert cfg.scheduler == "coroutine"
-        assert cfg.watchdog_timeout == 3.0
-        assert cfg.watchdog_action == "abort"
+    @pytest.mark.parametrize("argv,base,field,expected", [
+        (["-picheck=1"], dict(check_level=0), "check_level", 1),
+        (["-pirecover=off"], dict(recover="msglog"), "recover", None),
+        (["-pistream-port=5000"], dict(services="jv"), "stream_port", 5000),
+        (["-pisvc=d"], dict(services="cj"), "services", "d"),
+        (["-piwatchdog=2"], dict(watchdog_timeout=9.0), "watchdog_timeout",
+         2.0),
+    ])
+    def test_flags_win_over_base(self, argv, base, field, expected):
+        cfg, _ = PilotConfig.from_argv(argv, PilotConfig(**base))
+        assert getattr(cfg, field) == expected
 
-    def test_to_options_projection(self):
-        opts = PilotConfig(services="dj", check_level=0,
-                           scheduler="coroutine",
-                           journal_checkpoint_interval=0.5).to_options()
-        assert opts.services == frozenset("dj")
-        assert opts.check_level == 0
-        assert opts.scheduler == "coroutine"
-        assert opts.journal_checkpoint_interval == 0.5
-        # Unset fields keep the PilotOptions defaults.
-        assert opts.watchdog_action == PilotOptions().watchdog_action
-
-    def test_to_service_options_projection(self):
-        svc = PilotConfig(services="dj").to_service_options()
-        assert svc.deadlock and svc.jumpshot
-        assert not (svc.native_log or svc.static_check or svc.perf)
-        assert PilotConfig().to_service_options() == \
-            PilotOptions().service_options
+    def test_defaults_are_concrete(self):
+        cfg = PilotConfig()
+        assert cfg.services == "" and cfg.check_level == 1
+        assert cfg.seed == 0 and cfg.clock_resolution == 1e-8
+        assert cfg.mpe_log_path == "pilot_mpe.clog2"
+        assert all(getattr(cfg, name) is None
+                   for name in RESUME_GUARDED_FIELDS)
 
 
 class TestValidation:
@@ -123,34 +99,52 @@ class TestRunPilotPaths:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_legacy_options_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="config=PilotConfig"):
-            res = run_pilot(tiny_main, 2, options=PilotOptions())
+    def test_pi_flags_in_argv_run_without_warning(self, recwarn):
+        res = run_pilot(tiny_main, 2, argv=("-picheck=1",))
         assert res.ok
-
-    def test_legacy_costs_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="config=PilotConfig"):
-            res = run_pilot(tiny_main, 2, costs=PilotCosts())
-        assert res.ok
-
-    def test_pi_flags_in_argv_warn(self):
-        with pytest.warns(DeprecationWarning, match="from_argv"):
-            res = run_pilot(tiny_main, 2, argv=("-picheck=1",))
-        assert res.ok
+        assert not recwarn.list
 
     def test_config_plus_legacy_kwarg_is_an_error(self):
-        with pytest.raises(PilotError, match="legacy keyword"):
+        with pytest.raises(TypeError, match="seed"):
             run_pilot(tiny_main, 2, config=PilotConfig(), seed=3)
 
-    def test_config_plus_pi_argv_is_an_error(self):
-        with pytest.raises(PilotError, match="from_argv"):
-            run_pilot(tiny_main, 2, argv=("-pisvc=d",),
-                      config=PilotConfig())
+    def test_pi_argv_flags_layer_over_config(self):
+        res = run_pilot(tiny_main, 3, argv=("-pisvc=d", "-picheck=0"),
+                        config=PilotConfig(check_level=3, seed=5))
+        assert res.ok
+        opts = res.run.options
+        assert (opts.services, opts.check_level, opts.seed) == ("d", 0, 5)
 
     def test_resume_rejects_config_and_options_together(self, tmp_path):
-        with pytest.raises(PilotError, match="not both"):
+        with pytest.raises(TypeError, match="options"):
             resume_pilot(tiny_main, str(tmp_path / "nonexistent"),
-                         config=PilotConfig(), options=PilotOptions())
+                         config=PilotConfig(), options=None)
+
+    def test_paper_flag_and_config_write_identical_clog2(self, tmp_path):
+        from repro.apps.lab2 import lab2_main
+
+        flag, cfg = str(tmp_path / "flag.clog2"), str(tmp_path / "cfg.clog2")
+        run_pilot(lab2_main, 6, argv=("-pisvc=j",),
+                  config=PilotConfig(mpe_log_path=flag))
+        run_pilot(lab2_main, 6,
+                  config=PilotConfig(services="j", mpe_log_path=cfg))
+        with open(flag, "rb") as a, open(cfg, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_argv_resume_honours_guarded_flags(self, tmp_path):
+        jdir = str(tmp_path / "journal")
+        rec = run_pilot(tiny_main, 2,
+                        argv=(f"-pijournal={jdir}", "-piwatchdog=100"))
+        assert rec.ok
+        resume = ("-pisvc=r", f"-pijournal={jdir}")
+        with pytest.raises(PilotError, match="RESUME_CONFLICT"):
+            run_pilot(tiny_main, 2, argv=resume + ("-piwatchdog=200",))
+        with pytest.raises(PilotError, match="RESUME_CONFLICT"):
+            resume_pilot(tiny_main, jdir,
+                         config=PilotConfig(watchdog_timeout=200))
+        res = run_pilot(tiny_main, 2, argv=resume)
+        assert res.ok and res.journal.mode == "replay"
+        assert res.watchdog.timeout == 100.0
 
     def test_invalid_config_rejected_before_launch(self):
         with pytest.raises(PilotError, match="scheduler"):

@@ -3,7 +3,7 @@ utilities (PI_StartTime/PI_EndTime), PI_Log and PI_IsLogging."""
 
 import pytest
 
-from repro.pilot import PilotCosts, PilotOptions, run_pilot
+from repro.pilot import PilotCosts, PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_Abort,
     PI_Compute,
@@ -41,18 +41,20 @@ class TestRunner:
             PI_Configure(())
 
     def test_deterministic_across_runs(self):
-        r1 = run_pilot(trivial, 4, seed=3)
-        r2 = run_pilot(trivial, 4, seed=3)
+        r1 = run_pilot(trivial, 4, config=PilotConfig(seed=3))
+        r2 = run_pilot(trivial, 4, config=PilotConfig(seed=3))
         assert r1.total_time == r2.total_time
 
     def test_costs_scale_run_time(self):
-        cheap = run_pilot(trivial, 3, costs=PilotCosts(config_call=1e-7))
-        pricey = run_pilot(trivial, 3, costs=PilotCosts(config_call=1e-3))
+        cheap = run_pilot(trivial, 3, config=PilotConfig(
+            costs=PilotCosts(config_call=1e-7)))
+        pricey = run_pilot(trivial, 3, config=PilotConfig(
+            costs=PilotCosts(config_call=1e-3)))
         assert pricey.total_time > cheap.total_time
 
     def test_mpe_unavailable_warns_not_fails(self, capsys):
-        opts = PilotOptions(mpe_available=False)
-        res = run_pilot(trivial, 3, argv=("-pisvc=j",), options=opts)
+        opts = PilotConfig(mpe_available=False)
+        res = run_pilot(trivial, 3, argv=("-pisvc=j",), config=opts)
         assert res.ok
         err = capsys.readouterr().err
         assert "not available" in err

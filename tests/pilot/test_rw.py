@@ -4,14 +4,13 @@ checks, and the level-2 / level-3 checking paths."""
 import numpy as np
 import pytest
 
-from repro.pilot import PilotOptions
 from repro.pilot.api import PI_Read, PI_Write
 
 from tests.pilot.helpers import expect_abort_with, run_main_worker
 
 
 def echo_roundtrip(write_fmt, write_args, read_fmt, read_args=(), *,
-                   argv=(), options=None, nprocs=3):
+                   argv=(), config=None, nprocs=3):
     """Main writes, worker reads and sends back a marker; returns what
     the worker read."""
     got = {}
@@ -25,7 +24,7 @@ def echo_roundtrip(write_fmt, write_args, read_fmt, read_args=(), *,
         PI_Write(ctx.frm[ctx.index], "%d", 1)
 
     res = run_main_worker(main, worker, nprocs=nprocs, argv=argv,
-                          options=options)
+                          config=config)
     return res, got.get("value")
 
 

@@ -53,8 +53,9 @@ def logged_run(tmp_path, scheduler, name, main, nprocs, **cfg_fields):
     """Run ``main`` with CLOG2 logging on the given backend."""
     log = str(tmp_path / f"{name}-{scheduler}.clog2")
     cfg = PilotConfig(services="j", mpe_log_path=log, seed=RUN_SEED,
-                      scheduler=scheduler, **cfg_fields)
-    res = run_pilot(main, nprocs, config=cfg, mpe_options=JumpshotOptions())
+                      scheduler=scheduler, mpe=JumpshotOptions(),
+                      **cfg_fields)
+    res = run_pilot(main, nprocs, config=cfg)
     return log, res
 
 

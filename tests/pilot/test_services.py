@@ -1,4 +1,4 @@
-"""ServiceOptions: the single -pisvc parser, the p service, fault plans."""
+"""Service options: the single -pisvc parser, the p service, fault plans."""
 
 from __future__ import annotations
 
@@ -16,14 +16,12 @@ from repro.pilot import (
     PI_StartAll,
     PI_StopMain,
     PI_Write,
+    PilotConfig,
     PilotError,
-    PilotOptions,
-    ServiceOptions,
     load_fault_plan,
     run_pilot,
 )
-from repro.pilot.program import parse_argv
-from repro.pilot.services import parse_service_letters
+from repro.pilot.config import parse_service_letters
 from repro.vmpi.faults import (
     ClockFault,
     CrashFault,
@@ -46,20 +44,10 @@ def ping_main(argv):
 
 
 class TestServiceOptions:
-    def test_letters_round_trip(self):
-        svc = ServiceOptions.from_letters("cjp")
-        assert svc.native_log and svc.jumpshot and svc.perf
-        assert not svc.deadlock and not svc.static_check
-        assert svc.letters == frozenset("cjp")
-
     def test_needs_service_rank(self):
-        assert ServiceOptions.from_letters("c").needs_service_rank
-        assert ServiceOptions.from_letters("d").needs_service_rank
-        assert not ServiceOptions.from_letters("jp").needs_service_rank
-
-    def test_with_letters_is_additive(self):
-        svc = ServiceOptions.from_letters("j").with_letters("p")
-        assert svc.letters == frozenset("jp")
+        assert PilotConfig(services="c").needs_service_rank
+        assert PilotConfig(services="d").needs_service_rank
+        assert not PilotConfig(services="jp").needs_service_rank
 
     def test_unknown_letter_is_the_one_error(self):
         with pytest.raises(PilotError) as exc:
@@ -68,22 +56,15 @@ class TestServiceOptions:
 
     def test_parse_argv_uses_shared_parser(self):
         with pytest.raises(PilotError) as exc:
-            parse_argv(["-pisvc=q"], None)
+            PilotConfig.from_argv(["-pisvc=q"])
         assert "unknown -pisvc letters ['q']" in str(exc.value)
-
-    def test_pilotoptions_bridge(self):
-        opts, _ = parse_argv(["-pisvc=cdp"], None)
-        assert opts.services == frozenset("cdp")
-        svc = opts.service_options
-        assert svc.native_log and svc.deadlock and svc.perf
-        assert opts.perf_requested
 
 
 class TestPerfService:
     def test_pisvc_p_dumps_snapshot(self, tmp_path):
         clog = str(tmp_path / "run.clog2")
         res = run_pilot(ping_main, 2, argv=("-pisvc=jp",),
-                        options=PilotOptions(mpe_log_path=clog))
+                        config=PilotConfig(mpe_log_path=clog))
         assert res.perf is not None
         snap_path = clog + ".perf.json"
         assert os.path.exists(snap_path)
@@ -95,7 +76,7 @@ class TestPerfService:
     def test_without_p_no_recorder(self, tmp_path):
         clog = str(tmp_path / "run.clog2")
         res = run_pilot(ping_main, 2, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=clog))
+                        config=PilotConfig(mpe_log_path=clog))
         assert res.perf is None
         assert not os.path.exists(clog + ".perf.json")
 
@@ -142,12 +123,12 @@ class TestFaultPlanLoading:
         clog = str(tmp_path / "run.clog2")
         res = run_pilot(ping_main, 2,
                         argv=(f"-pifault-plan={plan_path}", "-pisvc=j"),
-                        options=PilotOptions(mpe_log_path=clog))
+                        config=PilotConfig(mpe_log_path=clog))
         assert res.ok
         assert res.run.options.fault_plan_path == plan_path
 
     def test_explicit_faults_win_over_argv(self, tmp_path):
-        """A FaultPlan passed in code is not overridden by the argv path."""
+        """A FaultPlan in the config wins over a -pifault-plan path."""
         from repro.vmpi.faults import FaultPlan
 
         plan_path = self._write(tmp_path, {"rules": [
@@ -155,6 +136,6 @@ class TestFaultPlanLoading:
         clog = str(tmp_path / "run.clog2")
         res = run_pilot(ping_main, 2,
                         argv=(f"-pifault-plan={plan_path}",),
-                        options=PilotOptions(mpe_log_path=clog),
-                        faults=FaultPlan(seed=0, rules=[]))
+                        config=PilotConfig(mpe_log_path=clog,
+                                           faults=FaultPlan(seed=0, rules=[])))
         assert res.ok  # the argv plan would have crashed rank 0

@@ -16,9 +16,9 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 class TestServiceFlag:
     def test_s_is_a_valid_service_letter(self):
-        from repro.pilot.program import parse_argv
+        from repro.pilot import PilotConfig
 
-        opts, leftover = parse_argv(("-pisvc=s", "app-arg"))
+        opts, leftover = PilotConfig.from_argv(("-pisvc=s", "app-arg"))
         assert "s" in opts.services
         assert leftover == ["app-arg"]
         # The analyzer is advisory: it must not consume a service rank.

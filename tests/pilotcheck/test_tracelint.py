@@ -222,12 +222,12 @@ class TestRealPipeline:
     @pytest.fixture(scope="class")
     def lab2_clog(self, tmp_path_factory):
         from repro.apps import Lab2Config, lab2_main
-        from repro.pilot import PilotOptions, run_pilot
+        from repro.pilot import PilotConfig, run_pilot
 
         path = str(tmp_path_factory.mktemp("lint") / "lab2.clog2")
         result = run_pilot(lambda argv: lab2_main(argv, Lab2Config()), 6,
                            argv=("-pisvc=j",),
-                           options=PilotOptions(mpe_log_path=path))
+                           config=PilotConfig(mpe_log_path=path))
         assert result.ok
         return path, result
 

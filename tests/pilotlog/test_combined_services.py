@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Configure,
@@ -42,9 +42,9 @@ def pingpong(argv):
 
 @pytest.fixture
 def combined_run(tmp_path):
-    opts = PilotOptions(native_log_path=str(tmp_path / "n.log"),
-                        mpe_log_path=str(tmp_path / "m.clog2"))
-    res = run_pilot(pingpong, 3, argv=("-pisvc=cdj",), options=opts)
+    opts = PilotConfig(native_log_path=str(tmp_path / "n.log"),
+                       mpe_log_path=str(tmp_path / "m.clog2"))
+    res = run_pilot(pingpong, 3, argv=("-pisvc=cdj",), config=opts)
     assert res.ok
     return res, tmp_path
 
@@ -93,9 +93,9 @@ class TestCombinedServices:
             PI_Read(chans["back"], "%d")  # nobody will write
             PI_StopMain(0)
 
-        opts = PilotOptions(native_log_path=str(tmp_path / "n.log"),
-                            mpe_log_path=str(tmp_path / "m.clog2"))
-        res = run_pilot(buggy, 3, argv=("-pisvc=cdj",), options=opts)
+        opts = PilotConfig(native_log_path=str(tmp_path / "n.log"),
+                           mpe_log_path=str(tmp_path / "m.clog2"))
+        res = run_pilot(buggy, 3, argv=("-pisvc=cdj",), config=opts)
         assert res.aborted is not None
         assert any(c.startswith("DEADLOCK") for c in res.diagnostics.codes)
         # Native log survived the abort; MPE log did not (no salvage).

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     PI_Compute,
@@ -51,7 +51,7 @@ def staged_worker_program(argv):
 def run_logged(tmp_path, main=staged_worker_program, nprocs=2):
     path = str(tmp_path / "c.clog2")
     res = run_pilot(main, nprocs, argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=path))
+                    config=PilotConfig(mpe_log_path=path))
     assert res.ok
     doc, report = convert(read_log(path).log)
     return res, doc, report

@@ -8,7 +8,7 @@ import pytest
 from repro import jumpshot
 from repro.apps import lab2_main
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import convert
 
 
@@ -16,7 +16,7 @@ from repro.slog2 import convert
 def lab2_view(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("fig") / "lab2.clog2")
     res = run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=path))
+                    config=PilotConfig(mpe_log_path=path))
     assert res.ok
     doc, report = convert(read_log(path).log,
                           {p.rank: p.name for p in res.run.processes})

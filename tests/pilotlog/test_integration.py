@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.pilot.api import (
     PI_MAIN,
     BundleUsage,
@@ -35,9 +35,8 @@ from repro.slog2 import convert
 def run_and_convert(main, nprocs, tmp_path, *, argv=("-pisvc=j",),
                     jopts=None, **kw):
     path = str(tmp_path / "run.clog2")
-    opts = PilotOptions(mpe_log_path=path)
-    res = run_pilot(main, nprocs, argv=argv, options=opts,
-                    mpe_options=jopts, **kw)
+    res = run_pilot(main, nprocs, argv=argv, config=PilotConfig(
+        mpe_log_path=path, mpe=jopts, **kw))
     doc, report = convert(read_log(path).log,
                           {p.rank: p.name for p in res.run.processes})
     return res, doc, report
@@ -308,8 +307,8 @@ class TestAbortLosesLog:
             PI_StartAll()
             PI_Abort(1, "giving up")
 
-        opts = PilotOptions(mpe_log_path=path)
-        res = run_pilot(main, 2, argv=("-pisvc=j",), options=opts)
+        opts = PilotConfig(mpe_log_path=path)
+        res = run_pilot(main, 2, argv=("-pisvc=j",), config=opts)
         assert res.aborted is not None
         assert not os.path.exists(path)
 
@@ -334,8 +333,8 @@ class TestOverheadKnobs:
     def test_logging_adds_modest_time(self, tmp_path):
         def timed(argv_extra):
             path = str(tmp_path / "t.clog2")
-            opts = PilotOptions(mpe_log_path=path)
-            res = run_pilot(simple_exchange, 2, argv=argv_extra, options=opts)
+            opts = PilotConfig(mpe_log_path=path)
+            res = run_pilot(simple_exchange, 2, argv=argv_extra, config=opts)
             return res.exec_end_time
 
         plain = timed(())

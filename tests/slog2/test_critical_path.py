@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import convert
 from repro.slog2.critical_path import CriticalPath, PathSegment, critical_path
 from repro.slog2.model import Arrow, SlogCategory, Slog2Doc, State
@@ -84,7 +84,7 @@ class TestRealPrograms:
     def _path_for(self, main, nprocs, tmp_path, name):
         clog = str(tmp_path / f"{name}.clog2")
         res = run_pilot(main, nprocs, argv=("-pisvc=j",),
-                        options=PilotOptions(mpe_log_path=clog))
+                        config=PilotConfig(mpe_log_path=clog))
         assert res.ok
         doc, _ = convert(read_log(clog).log)
         return res, doc, critical_path(doc)

@@ -74,7 +74,7 @@ class TestRealComparison:
         serialization shrinks makespan and blocked-read time."""
         from repro.apps import GOOD, INSTANCE_A, CollisionConfig, collisions_main
         from repro.mpe import read_log
-        from repro.pilot import PilotOptions, run_pilot
+        from repro.pilot import PilotConfig, run_pilot
         from repro.slog2 import convert
 
         cfg = CollisionConfig(nrecords=2000)
@@ -83,7 +83,7 @@ class TestRealComparison:
             path = str(tmp_path / f"{variant}.clog2")
             run_pilot(lambda argv: collisions_main(argv, variant, cfg), 5,
                       argv=("-pisvc=j",),
-                      options=PilotOptions(mpe_log_path=path))
+                      config=PilotConfig(mpe_log_path=path))
             docs[variant], _ = convert(read_log(path).log)
         d = diff_logs(docs[INSTANCE_A], docs[GOOD],
                       label_a="instance A", label_b="intended")

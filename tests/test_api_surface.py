@@ -38,7 +38,7 @@ def test_readme_imports():
     from repro.mpe import read_log  # noqa: F401
     from repro.pilot import (  # noqa: F401
         PI_MAIN,
-        PilotOptions,
+        PilotConfig,
         PI_Configure,
         PI_CreateChannel,
         PI_CreateProcess,
@@ -61,11 +61,11 @@ class TestClog2Print:
     @pytest.fixture(scope="class")
     def clog(self, tmp_path_factory):
         from repro.apps import lab2_main
-        from repro.pilot import PilotOptions, run_pilot
+        from repro.pilot import PilotConfig, run_pilot
 
         path = str(tmp_path_factory.mktemp("print") / "l.clog2")
         run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-                  options=PilotOptions(mpe_log_path=path))
+                  config=PilotConfig(mpe_log_path=path))
         return path
 
     def test_full_dump(self, clog, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.jumpshot.__main__ import main as jumpshot_main
 from repro.jumpshot.__main__ import open_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import read_slog2
 from repro.slog2.__main__ import main as convert_main
 from repro.apps import Lab2Config, lab2_main
@@ -16,7 +16,7 @@ from repro.apps import Lab2Config, lab2_main
 def lab2_clog(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("cli") / "lab2.clog2")
     res = run_pilot(lab2_main, 6, argv=("-pisvc=j",),
-                    options=PilotOptions(mpe_log_path=path))
+                    config=PilotConfig(mpe_log_path=path))
     assert res.ok
     return path
 

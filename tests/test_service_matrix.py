@@ -23,7 +23,7 @@ from repro.apps import (
     thumbnail_main,
 )
 from repro.mpe import read_log
-from repro.pilot import PilotOptions, run_pilot
+from repro.pilot import PilotConfig, run_pilot
 from repro.slog2 import convert
 
 SERVICE_COMBOS = ["", "c", "d", "j", "cd", "cj", "cdj"]
@@ -49,9 +49,9 @@ def test_app_under_services(app, services, tmp_path):
     # A service rank displaces a worker: add one so the app still fits.
     nprocs = base_procs + (1 if set(services) & {"c", "d"} else 0)
     argv = (f"-pisvc={services}",) if services else ()
-    opts = PilotOptions(native_log_path=str(tmp_path / "n.log"),
-                        mpe_log_path=str(tmp_path / "m.clog2"))
-    res = run_pilot(main, nprocs, argv=argv, options=opts)
+    opts = PilotConfig(native_log_path=str(tmp_path / "n.log"),
+                       mpe_log_path=str(tmp_path / "m.clog2"))
+    res = run_pilot(main, nprocs, argv=argv, config=opts)
     assert res.ok, f"{app} under -pisvc={services!r} aborted"
     assert check(res.vmpi.results[0]), f"{app} wrong under {services!r}"
 

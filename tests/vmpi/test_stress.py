@@ -96,7 +96,7 @@ class TestPilotStress:
     def test_master_worker_rounds(self, workers, rounds, seed):
         """Random-sized lab2-style programs always complete and their
         arithmetic always checks out."""
-        from repro.pilot import run_pilot
+        from repro.pilot import PilotConfig, run_pilot
         from repro.pilot.api import (
             PI_MAIN,
             PI_Configure,
@@ -132,7 +132,7 @@ class TestPilotStress:
             PI_StopMain(0)
             return total
 
-        res = run_pilot(main, workers + 1, seed=seed)
+        res = run_pilot(main, workers + 1, config=PilotConfig(seed=seed))
         expected = sum(2 * (r + i) for r in range(rounds)
                        for i in range(workers))
         assert res.vmpi.results[0] == expected

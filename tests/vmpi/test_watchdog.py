@@ -11,8 +11,8 @@ import os
 
 import pytest
 
+from repro.pilot import PilotConfig
 from repro.pilot.errors import PilotError
-from repro.pilot.program import PilotOptions, parse_argv
 from repro.vmpi.errors import SimulationDeadlock
 from repro.vmpi.journal import Journal, manifest_for_engine
 from repro.vmpi.watchdog import (
@@ -110,30 +110,31 @@ class TestConfiguration:
 
 class TestArgvParsing:
     def test_piwatchdog_timeout_and_action(self):
-        opts, rest = parse_argv(["-piwatchdog=0.5:checkpoint", "app-arg"])
+        opts, rest = PilotConfig.from_argv(
+            ["-piwatchdog=0.5:checkpoint", "app-arg"])
         assert opts.watchdog_timeout == 0.5
         assert opts.watchdog_action == "checkpoint"
         assert rest == ["app-arg"]
 
     def test_piwatchdog_default_action(self):
-        opts, _ = parse_argv(["-piwatchdog=2"])
+        opts, _ = PilotConfig.from_argv(["-piwatchdog=2"])
         assert opts.watchdog_timeout == 2.0
-        assert opts.watchdog_action == "abort"
+        assert opts.watchdog_action is None  # unset means "abort"
 
     def test_piwatchdog_rejects_garbage(self):
         with pytest.raises(PilotError):
-            parse_argv(["-piwatchdog=soon"])
+            PilotConfig.from_argv(["-piwatchdog=soon"])
         with pytest.raises(PilotError):
-            parse_argv(["-piwatchdog=0"])
+            PilotConfig.from_argv(["-piwatchdog=0"])
         with pytest.raises(PilotError):
-            parse_argv(["-piwatchdog=1:detonate"])
+            PilotConfig.from_argv(["-piwatchdog=1:detonate"])
 
     def test_pijournal_threads_through(self):
-        opts, _ = parse_argv(["-pijournal=/tmp/j"])
+        opts, _ = PilotConfig.from_argv(["-pijournal=/tmp/j"])
         assert opts.journal_dir == "/tmp/j"
         with pytest.raises(PilotError):
-            parse_argv(["-pijournal="])
+            PilotConfig.from_argv(["-pijournal="])
 
     def test_resume_service_letter(self):
-        opts, _ = parse_argv(["-pisvc=jr"], PilotOptions())
-        assert opts.service_options.resume
+        opts, _ = PilotConfig.from_argv(["-pisvc=jr"], PilotConfig())
+        assert "r" in opts.services
