@@ -108,8 +108,10 @@ def PI_CreateProcess(work: Callable[[int, Any], int], index: int = 0,
     run = current_run()
     cs = pilot_callsite()
     run.require_phase(Phase.CONFIG, "PI_CreateProcess", cs)
-    run.check(perr.CHECK_API, callable(work), "BAD_ARGUMENTS",
-              f"work function must be callable, got {type(work).__name__}", cs)
+    if not callable(work):
+        run.check(perr.CHECK_API, False, "BAD_ARGUMENTS",
+                  f"work function must be callable, got {type(work).__name__}",
+                  cs)
     run.charge(run.costs.config_call)
 
     def build() -> PI_PROCESS:
@@ -137,8 +139,10 @@ def PI_CreateChannel(from_end: Any, to_end: Any) -> PI_CHANNEL:
     run.charge(run.costs.config_call)
     writer = run.resolve_endpoint(from_end, cs)
     reader = run.resolve_endpoint(to_end, cs)
-    run.check(perr.CHECK_API, writer.rank != reader.rank, "SELF_CHANNEL",
-              f"channel endpoints must differ ({writer.name} on both ends)", cs)
+    if writer.rank == reader.rank:
+        run.check(perr.CHECK_API, False, "SELF_CHANNEL",
+                  f"channel endpoints must differ ({writer.name} on both ends)",
+                  cs)
 
     def build() -> PI_CHANNEL:
         return PI_CHANNEL(len(run.channels), writer, reader)
@@ -205,9 +209,10 @@ def PI_CreateBundle(usage: BundleUsage | str,
     else:
         commons = {c.reader.rank for c in channels}
         side = "reading"
-    run.check(perr.CHECK_API, len(commons) == 1, "NO_COMMON_ENDPOINT",
-              f"a {usage.value} bundle needs one common {side} process; "
-              f"found ranks {sorted(commons)}", cs)
+    if len(commons) != 1:
+        run.check(perr.CHECK_API, False, "NO_COMMON_ENDPOINT",
+                  f"a {usage.value} bundle needs one common {side} process; "
+                  f"found ranks {sorted(commons)}", cs)
     common = (channels[0].writer if usage.common_end_writes
               else channels[0].reader)
     def build() -> PI_BUNDLE:
@@ -215,8 +220,9 @@ def PI_CreateBundle(usage: BundleUsage | str,
         # re-executes the same configuration code, the slot matcher
         # below validates it against the existing bundle instead.
         already = [c.name for c in channels if c.cid in run._bundled_channels]
-        run.check(perr.CHECK_API, not already, "CHANNEL_REBUNDLED",
-                  f"channel(s) {already} already belong to a bundle", cs)
+        if already:
+            run.check(perr.CHECK_API, False, "CHANNEL_REBUNDLED",
+                      f"channel(s) {already} already belong to a bundle", cs)
         bundle = PI_BUNDLE(len(run.bundles), usage, channels, common)
         run._bundled_channels.update(c.cid for c in channels)
         return bundle
@@ -348,11 +354,10 @@ def PI_SetName(obj: PI_PROCESS | PI_CHANNEL | PI_BUNDLE, name: str) -> None:
     (Section III.B)."""
     run = current_run()
     cs = pilot_callsite()
-    run.check(perr.CHECK_API,
-              isinstance(obj, (PI_PROCESS, PI_CHANNEL, PI_BUNDLE)),
-              "BAD_ARGUMENTS",
-              "PI_SetName needs a process/channel/bundle, got "
-              f"{type(obj).__name__}", cs)
+    if not isinstance(obj, (PI_PROCESS, PI_CHANNEL, PI_BUNDLE)):
+        run.check(perr.CHECK_API, False, "BAD_ARGUMENTS",
+                  "PI_SetName needs a process/channel/bundle, got "
+                  f"{type(obj).__name__}", cs)
     run.check(perr.CHECK_API, isinstance(name, str) and name != "",
               "BAD_ARGUMENTS", "PI_SetName needs a non-empty string", cs)
     obj.name = name
@@ -361,11 +366,10 @@ def PI_SetName(obj: PI_PROCESS | PI_CHANNEL | PI_BUNDLE, name: str) -> None:
 def PI_GetName(obj: PI_PROCESS | PI_CHANNEL | PI_BUNDLE) -> str:
     run = current_run()
     cs = pilot_callsite()
-    run.check(perr.CHECK_API,
-              isinstance(obj, (PI_PROCESS, PI_CHANNEL, PI_BUNDLE)),
-              "BAD_ARGUMENTS",
-              "PI_GetName needs a process/channel/bundle, got "
-              f"{type(obj).__name__}", cs)
+    if not isinstance(obj, (PI_PROCESS, PI_CHANNEL, PI_BUNDLE)):
+        run.check(perr.CHECK_API, False, "BAD_ARGUMENTS",
+                  "PI_GetName needs a process/channel/bundle, got "
+                  f"{type(obj).__name__}", cs)
     return obj.name
 
 
@@ -496,9 +500,10 @@ def PI_State(handle: PI_STATE) -> _StateBlock:
     run = current_run()
     cs = pilot_callsite()
     run.require_phase(Phase.EXEC, "PI_State", cs)
-    run.check(perr.CHECK_API, isinstance(handle, PI_STATE), "BAD_ARGUMENTS",
-              "PI_State needs a PI_DefineState handle, got "
-              f"{type(handle).__name__}", cs)
+    if not isinstance(handle, PI_STATE):
+        run.check(perr.CHECK_API, False, "BAD_ARGUMENTS",
+                  "PI_State needs a PI_DefineState handle, got "
+                  f"{type(handle).__name__}", cs)
     return _StateBlock(run, handle, cs)
 
 

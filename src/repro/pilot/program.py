@@ -207,10 +207,11 @@ class PilotRun:
     def require_phase(self, expected: Phase, what: str,
                       callsite: CallSite | None = None) -> None:
         state = self.rank_state()
-        self.check(perr.CHECK_API, state.phase is expected, "WRONG_PHASE",
-                   f"{what} is only valid in the {expected.value} phase "
-                   f"(rank {state.rank} is in the {state.phase.value} phase)",
-                   callsite)
+        if state.phase is not expected:
+            self.check(perr.CHECK_API, False, "WRONG_PHASE",
+                       f"{what} is only valid in the {expected.value} phase "
+                       f"(rank {state.rank} is in the {state.phase.value} "
+                       "phase)", callsite)
 
 
 # ---------------------------------------------------------------------------

@@ -361,14 +361,15 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
                  extra_hooks: list | None = None) -> PilotResult:
     """Restart a journaled run and recover its complete visualization.
 
-    Rebuilds the launch from ``journal_dir``'s manifest — nprocs, seed,
-    clock resolution, merged skews, the fault plan (crash rules
-    suppressed so the rerun survives the recorded crash), service
-    letters and log paths — then re-executes ``main`` under a replay
-    journal that verifies every delivery and checkpoint barrier against
-    the recorded history.  On success the normal finalize path re-emits
-    the merged CLOG2 at the recorded ``mpe_log_path``, byte-identical
-    to an uninterrupted run; on disagreement it raises
+    Rebuilds the launch from ``journal_dir``'s manifest — nprocs, the
+    app argv ``main`` saw, seed, clock resolution, merged skews, the
+    fault plan (crash rules suppressed so the rerun survives the
+    recorded crash), service letters and log paths — then re-executes
+    ``main`` under a replay journal that verifies every delivery and
+    checkpoint barrier against the recorded history.  On success the
+    normal finalize path re-emits the merged CLOG2 at the recorded
+    ``mpe_log_path``, byte-identical to an uninterrupted run; on
+    disagreement it raises
     :class:`~repro.vmpi.journal.ReplayDivergence` rather than deliver a
     plausible-but-wrong timeline.
 
@@ -447,5 +448,6 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
                                     drift=float(s.get("drift", 0.0)))
                for rank, s in manifest.get("skews", {}).items()},
         faults=plan, network=network, costs=costs, **guarded)
-    return _launch(main, nprocs, [], cfg, extra_hooks=extra_hooks,
+    app_argv = [str(arg) for arg in manifest.get("argv", [])]
+    return _launch(main, nprocs, app_argv, cfg, extra_hooks=extra_hooks,
                    journal=journal, suppress_crashes=True)

@@ -75,34 +75,35 @@ def _require_exec(run: PilotRun, what: str, callsite: CallSite) -> None:
 def _require_writer(run: PilotRun, channel: PI_CHANNEL, what: str,
                     callsite: CallSite) -> None:
     state = run.rank_state()
-    run.check(perr.CHECK_API, state.rank == channel.writer.rank,
-              "WRONG_ENDPOINT",
-              f"{what} on {channel.name} from rank {state.rank}, but its "
-              f"writing end is {channel.writer.name} (rank {channel.writer.rank})",
-              callsite)
+    if state.rank != channel.writer.rank:
+        run.check(perr.CHECK_API, False, "WRONG_ENDPOINT",
+                  f"{what} on {channel.name} from rank {state.rank}, but its "
+                  f"writing end is {channel.writer.name} "
+                  f"(rank {channel.writer.rank})", callsite)
 
 
 def _require_reader(run: PilotRun, channel: PI_CHANNEL, what: str,
                     callsite: CallSite) -> None:
     state = run.rank_state()
-    run.check(perr.CHECK_API, state.rank == channel.reader.rank,
-              "WRONG_ENDPOINT",
-              f"{what} on {channel.name} from rank {state.rank}, but its "
-              f"reading end is {channel.reader.name} (rank {channel.reader.rank})",
-              callsite)
+    if state.rank != channel.reader.rank:
+        run.check(perr.CHECK_API, False, "WRONG_ENDPOINT",
+                  f"{what} on {channel.name} from rank {state.rank}, but its "
+                  f"reading end is {channel.reader.name} "
+                  f"(rank {channel.reader.rank})", callsite)
 
 
 def _require_common(run: PilotRun, bundle: PI_BUNDLE, usage: BundleUsage,
                     what: str, callsite: CallSite) -> None:
     state = run.rank_state()
-    run.check(perr.CHECK_API, bundle.usage is usage, "WRONG_BUNDLE_USAGE",
-              f"{what} needs a {usage.value} bundle, but {bundle.name} was "
-              f"created for {bundle.usage.value}", callsite)
-    run.check(perr.CHECK_API, state.rank == bundle.common.rank,
-              "WRONG_ENDPOINT",
-              f"{what} on {bundle.name} must be called by its common process "
-              f"{bundle.common.name} (rank {bundle.common.rank}), not rank "
-              f"{state.rank}", callsite)
+    if bundle.usage is not usage:
+        run.check(perr.CHECK_API, False, "WRONG_BUNDLE_USAGE",
+                  f"{what} needs a {usage.value} bundle, but {bundle.name} "
+                  f"was created for {bundle.usage.value}", callsite)
+    if state.rank != bundle.common.rank:
+        run.check(perr.CHECK_API, False, "WRONG_ENDPOINT",
+                  f"{what} on {bundle.name} must be called by its common "
+                  f"process {bundle.common.name} (rank {bundle.common.rank}), "
+                  f"not rank {state.rank}", callsite)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +129,10 @@ def _send_parts(run: PilotRun, call: CallRecord, channel: PI_CHANNEL,
 def do_write(run: PilotRun, channel: PI_CHANNEL, fmt: str, args: tuple,
              callsite: CallSite) -> None:
     _require_exec(run, "PI_Write", callsite)
-    run.check(perr.CHECK_API, isinstance(channel, PI_CHANNEL), "BAD_ARGUMENTS",
-              f"PI_Write needs a channel, got {type(channel).__name__}", callsite)
+    if not isinstance(channel, PI_CHANNEL):
+        run.check(perr.CHECK_API, False, "BAD_ARGUMENTS",
+                  f"PI_Write needs a channel, got {type(channel).__name__}",
+                  callsite)
     _require_writer(run, channel, "PI_Write", callsite)
     items = _parse_or_fail(run, fmt, callsite)
     parts = _encode_or_fail(run, items, args, callsite)
@@ -174,8 +177,10 @@ def _payload_bytes(payload: Any) -> int:
 def do_read(run: PilotRun, channel: PI_CHANNEL, fmt: str, args: tuple,
             callsite: CallSite) -> Any:
     _require_exec(run, "PI_Read", callsite)
-    run.check(perr.CHECK_API, isinstance(channel, PI_CHANNEL), "BAD_ARGUMENTS",
-              f"PI_Read needs a channel, got {type(channel).__name__}", callsite)
+    if not isinstance(channel, PI_CHANNEL):
+        run.check(perr.CHECK_API, False, "BAD_ARGUMENTS",
+                  f"PI_Read needs a channel, got {type(channel).__name__}",
+                  callsite)
     _require_reader(run, channel, "PI_Read", callsite)
     items = _parse_or_fail(run, fmt, callsite)
     call = make_call(run, "PI_Read", callsite, channel=channel)
@@ -317,9 +322,10 @@ def do_reduce(run: PilotRun, bundle: PI_BUNDLE, fmt: str, args: tuple,
     _require_common(run, bundle, BundleUsage.REDUCE, "PI_Reduce", callsite)
     items = _parse_or_fail(run, fmt, callsite, allow_ops=True)
     for item in items:
-        run.check(perr.CHECK_API, item.op is not None, "BAD_FORMAT",
-                  f"PI_Reduce format item {item.signature()!r} needs an "
-                  "operator (one of + * < > & | ^)", callsite)
+        if item.op is None:
+            run.check(perr.CHECK_API, False, "BAD_FORMAT",
+                      f"PI_Reduce format item {item.signature()!r} needs an "
+                      "operator (one of + * < > & | ^)", callsite)
     call = make_call(run, "PI_Reduce", callsite, bundle=bundle)
     run.hooks.on_call_begin(call)
     run.charge_call()

@@ -20,17 +20,20 @@ from repro.pilot.rw import make_call
 def _require_select_bundle(run: PilotRun, bundle: PI_BUNDLE, what: str,
                            callsite: CallSite) -> None:
     run.require_phase(Phase.EXEC, what, callsite)
-    run.check(perr.CHECK_API, isinstance(bundle, PI_BUNDLE), "BAD_ARGUMENTS",
-              f"{what} needs a bundle, got {type(bundle).__name__}", callsite)
-    run.check(perr.CHECK_API, bundle.usage is BundleUsage.SELECT,
-              "WRONG_BUNDLE_USAGE",
-              f"{what} needs a selector bundle, but {bundle.name} was created "
-              f"for {bundle.usage.value}", callsite)
+    if not isinstance(bundle, PI_BUNDLE):
+        run.check(perr.CHECK_API, False, "BAD_ARGUMENTS",
+                  f"{what} needs a bundle, got {type(bundle).__name__}",
+                  callsite)
+    if bundle.usage is not BundleUsage.SELECT:
+        run.check(perr.CHECK_API, False, "WRONG_BUNDLE_USAGE",
+                  f"{what} needs a selector bundle, but {bundle.name} was "
+                  f"created for {bundle.usage.value}", callsite)
     state = run.rank_state()
-    run.check(perr.CHECK_API, state.rank == bundle.common.rank,
-              "WRONG_ENDPOINT",
-              f"{what} on {bundle.name} must be called by its common process "
-              f"{bundle.common.name} (rank {bundle.common.rank})", callsite)
+    if state.rank != bundle.common.rank:
+        run.check(perr.CHECK_API, False, "WRONG_ENDPOINT",
+                  f"{what} on {bundle.name} must be called by its common "
+                  f"process {bundle.common.name} (rank {bundle.common.rank})",
+                  callsite)
 
 
 def _pairs(bundle: PI_BUNDLE) -> list[tuple[int, int]]:
@@ -63,14 +66,15 @@ def do_try_select(run: PilotRun, bundle: PI_BUNDLE, callsite: CallSite) -> int:
 def do_channel_has_data(run: PilotRun, channel: PI_CHANNEL,
                         callsite: CallSite) -> bool:
     run.require_phase(Phase.EXEC, "PI_ChannelHasData", callsite)
-    run.check(perr.CHECK_API, isinstance(channel, PI_CHANNEL), "BAD_ARGUMENTS",
-              f"PI_ChannelHasData needs a channel, got {type(channel).__name__}",
-              callsite)
+    if not isinstance(channel, PI_CHANNEL):
+        run.check(perr.CHECK_API, False, "BAD_ARGUMENTS",
+                  "PI_ChannelHasData needs a channel, got "
+                  f"{type(channel).__name__}", callsite)
     state = run.rank_state()
-    run.check(perr.CHECK_API, state.rank == channel.reader.rank,
-              "WRONG_ENDPOINT",
-              f"PI_ChannelHasData on {channel.name} must be called by its "
-              f"reader {channel.reader.name}", callsite)
+    if state.rank != channel.reader.rank:
+        run.check(perr.CHECK_API, False, "WRONG_ENDPOINT",
+                  f"PI_ChannelHasData on {channel.name} must be called by "
+                  f"its reader {channel.reader.name}", callsite)
     run.charge_call()
     ready = run.comm.poll_any([(channel.writer.rank, channel.tag)]) == 0
     run.hooks.on_solo("PI_ChannelHasData", state.rank,

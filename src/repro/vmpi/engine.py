@@ -559,9 +559,11 @@ class Engine:
                 "engine synchronously on the coroutine scheduler; this "
                 "happens when un-woven code (a lambda body, a "
                 "comprehension that is not the whole value of an "
-                "assignment or return, or a module repro.vmpi.weave "
-                "declines to rewrite) tries to block — move the "
-                "blocking call into a named function or loop")
+                "assignment or return, or code repro.vmpi.weave "
+                "declines to rewrite: a module outside its allow-list, "
+                "or a function it proved never blocks whose callee was "
+                "rebound) tries to block — move the blocking call into "
+                "a named function or loop")
         mon = self._mon
         with mon:
             mon.notify_all()

@@ -29,10 +29,40 @@ Which code gets woven
 ---------------------
 
 Only functions that may sit on a blocking path need weaving.  For
-``repro.*`` an explicit allow-list (:data:`_WEAVE_MODULES`) names them;
-hot numeric helpers are denied to keep their loops at full speed.  Code
-outside the interpreter installation (user programs, tests) is woven by
-default.  Stdlib and site-packages are never woven.
+``repro.*`` an explicit allow-list (:data:`_WEAVE_MODULES`) names the
+modules; hot numeric helpers are denied to keep their loops at full
+speed.  Code outside the interpreter installation (user programs,
+tests) is woven by default.  Stdlib and site-packages are never woven.
+
+Within the allow-list, a conservative static proof — run lazily, once
+per process, over the allow-list's source files — finds the functions
+with no path to a registered twin.  :func:`weavable` says no to them:
+their bodies run as plain Python, and :func:`w_call` calls them
+directly (a nested ``def`` proven sync also stays plain inside a woven
+function).  A function *may block* if any of these hold:
+
+* it contains a ``with`` (``Resource.__enter__`` is a twin);
+* it calls an attribute named like a twin (``advance``, ``block``,
+  ``acquire``);
+* it calls something the proof cannot resolve statically: a parameter,
+  a local or closure variable, a subscript, a call result (so
+  ``getattr(...)(...)``), a lambda, a name bound nowhere; or a name that
+  the allow-list binds by assignment (module globals, class attributes,
+  ``x.name = ...``), behind a decorator other than
+  ``staticmethod``/``classmethod``/``property``, or as a method with an
+  empty body (an override point: the override may live outside the
+  allow-list);
+* it calls a name or attribute whose definitions in the allow-list
+  (matched by name, across all its modules) include a function that may
+  block.
+
+May-block is the least fixpoint of those rules; every other definition
+is sync.  Builtins, classes and functions outside the allow-list count
+as sync, because :func:`w_call` already runs them synchronously.
+Generator and async functions are never woven, so calling one is sync.
+Rebinding at run time a global that a sync function calls, to something
+that blocks, fails as loudly as a blocking lambda (the engine's
+"reached the engine synchronously" ``EngineError``).
 
 Known, checked limitations: ``nonlocal`` rebinding a free variable of
 the woven function is refused (closure cells are copied by value);
@@ -47,8 +77,10 @@ error if they block).
 from __future__ import annotations
 
 import ast
+import builtins
 import functools
 import inspect
+import os
 import sys
 import sysconfig
 import textwrap
@@ -84,6 +116,8 @@ def register_twin(original: Callable[..., Any],
 
     ``original`` is the plain function object (for methods, the function
     behind the bound method — ``Engine.advance``, not ``engine.advance``).
+    Register before the first weave decision: the "never blocks" proof
+    reads the twins' names once per process.
     """
     _TWINS[original] = twin
 
@@ -161,15 +195,319 @@ def _weavable_uncached(fn: types.FunctionType, code: types.CodeType) -> bool:
     if code.co_name == "<lambda>":
         return False
     mod = fn.__module__ or ""
-    if mod == "repro" or mod.startswith("repro."):
-        if _matches(mod, _DENY_MODULES):
+    if _matches(mod, ("repro",)):
+        if _matches(mod, _DENY_MODULES) or not _matches(mod, _WEAVE_MODULES):
             return False
-        return _matches(mod, _WEAVE_MODULES)
+        return not _proven_sync(code)
     filename = code.co_filename
     if not filename or filename.startswith("<"):
         return False
     # User programs and tests live outside the interpreter installation.
     return not filename.startswith(_INSTALL_PREFIXES)
+
+
+# ---------------------------------------------------------------------------
+# The "never blocks" proof over the allow-list.
+# ---------------------------------------------------------------------------
+
+#: A function definition: (absolute source path, first line counting its
+#: decorators — which is ``co_firstlineno`` — and name).
+_Key = tuple[str, int, str]
+
+#: Definitions in the allow-list proven never to reach a twin; None
+#: until the first weave decision about a repro function needs it.
+_SYNC_DEFS: frozenset[_Key] | None = None
+
+#: Decorators that leave a call of the decorated name running the def's
+#: own body (any other decorator makes the name opaque).
+_TRANSPARENT_DECORATORS = frozenset({
+    "staticmethod", "classmethod", "property", "setter", "getter",
+    "deleter", "abstractmethod", "overload"})
+
+_BUILTIN_NAMES = frozenset(dir(builtins))
+
+
+def _sync_defs() -> frozenset[_Key]:
+    global _SYNC_DEFS
+    if _SYNC_DEFS is None:
+        _SYNC_DEFS = _prove_sync(_allow_list_files())
+    return _SYNC_DEFS
+
+
+def _proven_sync(code: types.CodeType) -> bool:
+    key = (os.path.abspath(code.co_filename), code.co_firstlineno,
+           code.co_name)
+    return key in _sync_defs()
+
+
+def _first_line(node: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    """The line ``co_firstlineno`` reports: the first decorator's."""
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+
+def _allow_list_files() -> list[str]:
+    """Source files of the repro modules :func:`weavable` may weave."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    top = os.path.dirname(root)
+    files = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        pkg = os.path.relpath(dirpath, top).replace(os.sep, ".")
+        for fname in sorted(filenames):
+            if not fname.endswith(".py"):
+                continue
+            mod = pkg if fname == "__init__.py" else f"{pkg}.{fname[:-3]}"
+            if (_matches(mod, _WEAVE_MODULES)
+                    and not _matches(mod, _DENY_MODULES)):
+                files.append(os.path.join(dirpath, fname))
+    return files
+
+
+def _trailing_name(node: ast.expr) -> str:
+    while isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _is_override_point(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """A method whose body does nothing (docstring, ``pass``, ``...`` or
+    ``raise NotImplementedError``) exists to be overridden — possibly by
+    code outside the allow-list, which the proof cannot see."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.Pass):
+            continue
+        if (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                and (isinstance(stmt.value.value, str)
+                     or stmt.value.value is Ellipsis)):
+            continue
+        if (isinstance(stmt, ast.Raise) and stmt.exc is not None
+                and _trailing_name(stmt.exc) == "NotImplementedError"):
+            continue
+        return False
+    return True
+
+
+class _Def:
+    """One function definition in the allow-list, as the proof sees it."""
+
+    __slots__ = ("key", "module", "parent", "bound", "imports", "calls",
+                 "blocks", "generator")
+
+    def __init__(self, key: _Key, module: "_Module",
+                 parent: "_Def | None") -> None:
+        self.key = key
+        self.module = module
+        self.parent = parent  # innermost enclosing def (closure scope)
+        self.bound: set[str] = set()  # parameters and locals
+        self.imports: dict[str, str] = {}  # ``from m import f`` in the body
+        # Each call's callee: ("name", id), ("attr", attr), or None for
+        # any other expression.
+        self.calls: list[tuple[str, str] | None] = []
+        self.blocks = False
+        self.generator = False
+
+
+class _Module:
+    """Module-level bindings of one allow-list source file."""
+
+    def __init__(self) -> None:
+        self.defs: dict[str, list[_Def]] = {}
+        self.classes: set[str] = set()
+        self.imports: dict[str, str | None] = {}  # alias -> name (None: module)
+        self.other: set[str] = set()  # bound any other way
+
+
+class _Proof:
+    """Which allow-list functions can never reach a registered twin.
+
+    See "Which code gets woven" in the module docstring for the rules.
+    """
+
+    def __init__(self, twin_names: set[str]) -> None:
+        self.defs: list[_Def] = []
+        self.by_name: dict[str, list[_Def]] = {}
+        # Names a call cannot be resolved through, wherever they appear:
+        # twins, attributes and class attributes assigned anywhere,
+        # module-level names bound other than by def/class/import, names
+        # behind a non-transparent decorator, and override points.
+        self.opaque: set[str] = set(twin_names)
+
+    def add_module(self, path: str, tree: ast.Module) -> None:
+        """One pass over a module: every node is filed under the frame
+        that runs it (a def, or the module when ``owner`` is None);
+        ``cls`` marks statements of a class body."""
+        module = _Module()
+        opaque = self.opaque
+        node_of: dict[_Def, ast.FunctionDef | ast.AsyncFunctionDef] = {}
+        yielding: list[_Def] = []
+        stack: list[tuple[ast.AST, _Def | None, bool]] = [
+            (n, None, False) for n in tree.body]
+        while stack:
+            node, owner, cls = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                stack.extend((x, owner, False) for x in (
+                    *node.decorator_list, *a.defaults,
+                    *(x for x in a.kw_defaults if x is not None)))
+                d = _Def((path, _first_line(node), node.name), module, owner)
+                d.generator = isinstance(node, ast.AsyncFunctionDef)
+                node_of[d] = node
+                self.defs.append(d)
+                self.by_name.setdefault(node.name, []).append(d)
+                if any(_trailing_name(x) not in _TRANSPARENT_DECORATORS
+                       for x in node.decorator_list):
+                    opaque.add(node.name)
+                if cls and _is_override_point(node):
+                    opaque.add(node.name)
+                if owner is not None:
+                    owner.bound.add(node.name)
+                elif not cls:
+                    module.defs.setdefault(node.name, []).append(d)
+                d.bound.update(x.arg for x in (
+                    *a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                    if x is not None)
+                stack.extend((x, d, False) for x in node.body)
+                continue
+            if isinstance(node, ast.ClassDef):
+                if owner is not None:
+                    # A class body inside a def runs in its frame.
+                    owner.blocks = True
+                    owner.bound.add(node.name)
+                elif not cls:
+                    module.classes.add(node.name)
+                stack.extend((x, owner, False) for x in (
+                    *node.decorator_list, *node.bases, *node.keywords))
+                stack.extend((x, owner, True) for x in node.body)
+                continue
+            if isinstance(node, ast.Name):
+                if not isinstance(node.ctx, ast.Load):
+                    if cls:
+                        opaque.add(node.id)
+                    elif owner is None:
+                        module.other.add(node.id)
+                    else:
+                        owner.bound.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Load):
+                    opaque.add(node.attr)
+            elif isinstance(node, ast.Call):
+                if owner is not None:
+                    func = node.func
+                    owner.calls.append(
+                        ("attr", func.attr) if isinstance(func, ast.Attribute)
+                        else ("name", func.id) if isinstance(func, ast.Name)
+                        else None)
+                if (isinstance(node.func, ast.Name)
+                        and node.func.id == "setattr" and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)):
+                    opaque.add(str(node.args[1].value))
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                if owner is not None:
+                    owner.blocks = True
+            elif isinstance(node, (ast.Yield, ast.YieldFrom)):
+                if owner is not None and not owner.generator:
+                    owner.generator = True  # confirmed below
+                    yielding.append(owner)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for al in node.names:
+                    name = al.asname or al.name.partition(".")[0]
+                    orig = (al.name if isinstance(node, ast.ImportFrom)
+                            else None)
+                    if owner is None:
+                        module.imports[name] = orig
+                    elif orig is None:
+                        owner.bound.add(name)
+                    else:
+                        owner.imports[name] = orig
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                if isinstance(node, ast.Global):
+                    module.other.update(node.names)
+                if owner is not None:
+                    owner.bound.update(node.names)
+            elif isinstance(node, ast.arg):
+                if owner is not None:
+                    owner.bound.add(node.arg)  # a lambda's parameter
+            elif isinstance(node, (ast.ExceptHandler, ast.MatchAs,
+                                   ast.MatchStar, ast.MatchMapping)):
+                name = getattr(node, "name", None) or getattr(node, "rest", None)
+                if name is not None:  # except-as, match captures
+                    if owner is None:
+                        module.other.add(name)
+                    else:
+                        owner.bound.add(name)
+            stack.extend((x, owner, cls) for x in ast.iter_child_nodes(node))
+        opaque |= module.other
+        for d in yielding:  # a yield inside a lambda is the lambda's
+            d.generator = _has_own_yield(node_of[d])
+
+    def _lookup(self, name: str | None) -> list[_Def] | None:
+        """Definitions of an imported or attribute name, or None."""
+        if name is None or name in self.opaque:
+            return None
+        return self.by_name.get(name, [])
+
+    def _resolve(self, d: _Def,
+                 callee: tuple[str, str] | None) -> list[_Def] | None:
+        """The definitions a call of ``callee`` inside ``d`` can run,
+        or None when it may block whatever they are."""
+        if callee is None:
+            return None  # subscript, call result, lambda, ...
+        kind, name = callee
+        if kind == "attr":
+            return self._lookup(name)
+        if name in d.imports and name not in d.bound:
+            return self._lookup(d.imports[name])
+        scope: _Def | None = d
+        while scope is not None:
+            if name in scope.bound or name in scope.imports:
+                return None  # a parameter, local or closure variable
+            scope = scope.parent
+        module = d.module
+        if name in module.other:
+            return None
+        if name in module.imports:
+            return self._lookup(module.imports[name])
+        if name in module.defs:
+            return None if name in self.opaque else module.defs[name]
+        if name in module.classes or name in _BUILTIN_NAMES:
+            return []
+        return None
+
+    def sync_defs(self) -> frozenset[_Key]:
+        """May-block is the least fixpoint; everything else is sync."""
+        callers: dict[_Def, list[_Def]] = {}
+        for d in self.defs:
+            if d.generator:
+                # Calling a generator or coroutine function runs none of
+                # its body, and the body is never woven.
+                d.blocks = False
+                continue
+            for callee in () if d.blocks else d.calls:
+                callees = self._resolve(d, callee)
+                if callees is None:
+                    d.blocks = True
+                    break
+                for c in callees:
+                    callers.setdefault(c, []).append(d)
+        may_block = {d for d in self.defs if d.blocks}
+        work = list(may_block)
+        while work:
+            for caller in callers.get(work.pop(), ()):
+                if caller not in may_block:
+                    may_block.add(caller)
+                    work.append(caller)
+        return frozenset(d.key for d in self.defs if d not in may_block)
+
+
+def _prove_sync(paths: Iterable[str]) -> frozenset[_Key]:
+    """Run the proof over the source files ``paths``."""
+    proof = _Proof({getattr(f, "__name__", "") for f in _TWINS})
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            proof.add_module(path, ast.parse(fh.read(), path))
+    return proof.sync_defs()
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +689,10 @@ class _Weaver(ast.NodeTransformer):
     """Rewrites every call to ``yield from _pilot_w_call(...)`` and every
     ``with`` block to explicit woven ``__enter__``/``__exit__`` calls."""
 
-    def __init__(self) -> None:
+    def __init__(self, is_sync: Callable[[ast.FunctionDef], bool]
+                 | None = None) -> None:
         self._tmp = 0
+        self._is_sync = is_sync  # nested defs proven never to block
 
     def transform_body(self, body: list[ast.stmt]) -> list[ast.stmt]:
         out: list[ast.stmt] = []
@@ -541,6 +881,9 @@ class _Weaver(ast.NodeTransformer):
         # A genuine generator function: leave it (and its body) alone.
         if _has_own_yield(node):
             return node
+        # A nested def proven never to block stays plain Python.
+        if self._is_sync is not None and self._is_sync(node):
+            return node
         node.body = self.transform_body(node.body)
         # The transformed def is now a generator function; re-bind the
         # name to a sync-callable wrapper so non-woven callers still work.
@@ -661,7 +1004,16 @@ def _compile_woven(fn: types.FunctionType, *, factory: bool) -> Any:
             "closure copying cannot preserve; restructure to return the "
             "value or mutate a shared object instead")
     fndef.decorator_list = []
-    fndef.body = _Weaver().transform_body(fndef.body)
+    is_sync = None
+    if _matches(fn.__module__ or "", ("repro",)):
+        path = os.path.abspath(code.co_filename)
+        offset = code.co_firstlineno - 1
+        sync = _sync_defs()
+
+        def is_sync(node: ast.FunctionDef) -> bool:
+            return (path, _first_line(node) + offset, node.name) in sync
+
+    fndef.body = _Weaver(is_sync).transform_body(fndef.body)
     # A body with no call expressions gains no yields; this dead guard
     # still marks the code object as a generator so w_call can always
     # ``yield from`` the twin.

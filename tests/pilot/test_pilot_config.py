@@ -8,7 +8,12 @@ base config), validation, and the one launch path behind
 import pytest
 
 from repro.pilot import PilotConfig, resume_pilot, run_pilot
-from repro.pilot.api import PI_Configure, PI_StartAll, PI_StopMain
+from repro.pilot.api import (
+    PI_Configure,
+    PI_CreateProcess,
+    PI_StartAll,
+    PI_StopMain,
+)
 from repro.pilot.config import RESUME_GUARDED_FIELDS
 from repro.pilot.errors import PilotError
 
@@ -18,6 +23,21 @@ def tiny_main(argv):
     PI_StartAll()
     PI_StopMain(0)
     return "done"
+
+
+def _idle(index, arg2):
+    return 0
+
+
+def argv_main(argv):
+    """A configuration that depends on the app argv: one worker per
+    count in ``argv[0]``."""
+    PI_Configure(argv)
+    for i in range(int(argv[0])):
+        PI_CreateProcess(_idle, i)
+    PI_StartAll()
+    PI_StopMain(0)
+    return list(argv)
 
 
 class TestRoundTrips:
@@ -145,6 +165,16 @@ class TestRunPilotPaths:
         res = run_pilot(tiny_main, 2, argv=resume)
         assert res.ok and res.journal.mode == "replay"
         assert res.watchdog.timeout == 100.0
+
+    def test_resume_runs_main_with_recorded_argv(self, tmp_path):
+        jdir = str(tmp_path / "journal")
+        rec = run_pilot(argv_main, 3, argv=(f"-pijournal={jdir}", "2"))
+        assert rec.ok and rec.vmpi.results[0] == ["2"]
+        res = run_pilot(argv_main, 3, argv=("-pisvc=r", f"-pijournal={jdir}"))
+        assert res.ok and res.journal.mode == "replay"
+        assert res.vmpi.results[0] == ["2"]
+        res = resume_pilot(argv_main, jdir)
+        assert res.ok and res.vmpi.results[0] == ["2"]
 
     def test_invalid_config_rejected_before_launch(self):
         with pytest.raises(PilotError, match="scheduler"):
