@@ -26,6 +26,7 @@ from repro.jumpshot.markers import (
 )
 from repro.jumpshot.palette import rgb
 from repro.jumpshot.viewer import View
+from repro.perf import NO_PERF, PerfRecorder
 from repro.slog2.frames import FrameNode
 from repro.slog2.model import Arrow, Event, State
 
@@ -40,7 +41,7 @@ JOURNAL = "#00e5ff"  # checkpoint ticks and the replay-boundary line
 
 def render_svg(view: View, path: str | None = None, *, width: int = 1100,
                row_height: int = 36, legend: bool = True,
-               highlight_path=None, perf=None,
+               highlight_path=None, perf: PerfRecorder = NO_PERF,
                checkpoints: "list[float] | None" = None,
                replay_boundary: float | None = None) -> str:
     """Render the view's current window; optionally write to ``path``.
@@ -50,7 +51,7 @@ def render_svg(view: View, path: str | None = None, *, width: int = 1100,
     message hops drawn as thick gold arrows, so the chain that
     determined the finish time is visible at a glance.  ``perf`` takes
     a :class:`repro.perf.PerfRecorder` and accounts a ``render-svg``
-    stage (wall time + drawable count).
+    stage (wall time + SVG bytes).
 
     ``checkpoints`` (times from a run's journal checkpoint barriers)
     draws a small cyan tick at the top of the plot for each; a resumed
@@ -59,79 +60,63 @@ def render_svg(view: View, path: str | None = None, *, width: int = 1100,
     timeline into its replayed and regenerated halves.  Both default
     off, leaving the output byte-identical to earlier versions.
     """
-    if perf is not None:
-        with perf.stage("render-svg") as timer:
-            svg = _render_svg(view, path, width=width, row_height=row_height,
-                              legend=legend, highlight_path=highlight_path,
-                              checkpoints=checkpoints,
-                              replay_boundary=replay_boundary)
-            timer.count(bytes=len(svg))
-        return svg
-    return _render_svg(view, path, width=width, row_height=row_height,
-                       legend=legend, highlight_path=highlight_path,
-                       checkpoints=checkpoints,
-                       replay_boundary=replay_boundary)
-
-
-def _render_svg(view: View, path: str | None, *, width: int,
-                row_height: int, legend: bool, highlight_path,
-                checkpoints: "list[float] | None" = None,
-                replay_boundary: float | None = None) -> str:
-    legend_width = 330 if legend else 0
-    canvas = Canvas(view.t0, view.t1, view.rows, view.row_weights,
-                    width - legend_width, row_height=row_height)
-    drawables, previews = view.visible()
-    parts: list[str] = []
-    total_h = max(canvas.height, 180.0)
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{total_h:.0f}" font-family="monospace" font-size="11">')
-    parts.append(f'<rect width="{width}" height="{total_h:.0f}" fill="{BACKGROUND}"/>')
-    parts.append(_defs())
-    parts.append(_axes(view, canvas))
-    # Each category's fill, resolved once per render (index = category).
-    fills = [rgb(view.legend.entries[c.name].color)
-             for c in view.doc.categories]
-    parts.append(_previews(view, canvas, previews, fills))
-    # States below, then arrows, then bubbles on top — Jumpshot stacking.
-    states: list[State] = []
-    arrows: list[Arrow] = []
-    events: list[Event] = []
-    for d in drawables:
-        kind = d.__class__
-        if kind is State:
-            states.append(d)
-        elif kind is Arrow:
-            arrows.append(d)
-        else:
-            events.append(d)
-    states.sort(key=attrgetter("depth"))
-    # Replayed intervals of a recovered rank are striped, like
-    # Jumpshot's preview rectangles, so they read as "reconstructed"
-    # rather than ordinary execution.
-    state_fills = [f"url(#{RECOVERY_PATTERN_ID})"
-                   if c.name == RECOVERY_STATE_NAME else fill
-                   for c, fill in zip(view.doc.categories, fills)]
-    for s in states:
-        parts.append(_state(view, canvas, s, state_fills[s.category]))
-    for a in arrows:
-        parts.append(_arrow(view, canvas, a, fills[a.category]))
-    for e in events:
-        parts.append(_event(view, canvas, e, fills[e.category]))
-    if highlight_path is not None:
-        parts.append(_critical_overlay(view, canvas, highlight_path))
-    parts.append(_salvage_overlay(view, canvas))
-    if checkpoints or replay_boundary is not None:
-        parts.append(_journal_overlay(view, canvas, checkpoints or [],
-                                      replay_boundary))
-    parts.append(_annotation_overlay(view, canvas))
-    if legend:
-        parts.append(_legend_panel(view, width - legend_width + 10, total_h))
-    parts.append("</svg>")
-    svg = "\n".join(p for p in parts if p)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+    with perf.stage("render-svg") as timer:
+        legend_width = 330 if legend else 0
+        canvas = Canvas(view.t0, view.t1, view.rows, view.row_weights,
+                        width - legend_width, row_height=row_height)
+        drawables, previews = view.visible()
+        parts: list[str] = []
+        total_h = max(canvas.height, 180.0)
+        parts.append(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{total_h:.0f}" font-family="monospace" font-size="11">')
+        parts.append(f'<rect width="{width}" height="{total_h:.0f}" fill="{BACKGROUND}"/>')
+        parts.append(_defs())
+        parts.append(_axes(view, canvas))
+        # Each category's fill, resolved once per render (index = category).
+        fills = [rgb(view.legend.entries[c.name].color)
+                 for c in view.doc.categories]
+        parts.append(_previews(view, canvas, previews, fills))
+        # States below, then arrows, then bubbles on top — Jumpshot stacking.
+        states: list[State] = []
+        arrows: list[Arrow] = []
+        events: list[Event] = []
+        for d in drawables:
+            kind = d.__class__
+            if kind is State:
+                states.append(d)
+            elif kind is Arrow:
+                arrows.append(d)
+            else:
+                events.append(d)
+        states.sort(key=attrgetter("depth"))
+        # Replayed intervals of a recovered rank are striped, like
+        # Jumpshot's preview rectangles, so they read as "reconstructed"
+        # rather than ordinary execution.
+        state_fills = [f"url(#{RECOVERY_PATTERN_ID})"
+                       if c.name == RECOVERY_STATE_NAME else fill
+                       for c, fill in zip(view.doc.categories, fills)]
+        for s in states:
+            parts.append(_state(view, canvas, s, state_fills[s.category]))
+        for a in arrows:
+            parts.append(_arrow(view, canvas, a, fills[a.category]))
+        for e in events:
+            parts.append(_event(view, canvas, e, fills[e.category]))
+        if highlight_path is not None:
+            parts.append(_critical_overlay(view, canvas, highlight_path))
+        parts.append(_salvage_overlay(view, canvas))
+        if checkpoints or replay_boundary is not None:
+            parts.append(_journal_overlay(view, canvas, checkpoints or [],
+                                          replay_boundary))
+        parts.append(_annotation_overlay(view, canvas))
+        if legend:
+            parts.append(_legend_panel(view, width - legend_width + 10, total_h))
+        parts.append("</svg>")
+        svg = "\n".join(p for p in parts if p)
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        timer.count(bytes=len(svg))
     return svg
 
 

@@ -82,14 +82,13 @@ def format_record(r) -> str:
 
 
 def run_fsck(args) -> int:
-    perf = None
-    if args.perf:
-        from repro.perf import PerfRecorder
+    from repro.perf import NO_PERF, PerfRecorder
 
-        perf = PerfRecorder(meta={"tool": "fsck", "path": args.path})
+    perf = (PerfRecorder(meta={"tool": "fsck", "path": args.path})
+            if args.perf else NO_PERF)
     report = fsck_path(args.path, repair_to=args.repair,
                        quarantine_to=args.quarantine, perf=perf)
-    if perf is not None:
+    if args.perf:
         perf.dump(args.path + ".fsck.perf.json")
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))

@@ -14,7 +14,6 @@ apart from configuration, exactly like :class:`~repro.vmpi.comm.Communicator`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro._util.ids import IdAllocator
 from repro.mpe import clocksync, merge
@@ -30,12 +29,10 @@ from repro.mpe.records import (
     RankName,
     StateDef,
 )
+from repro.perf import NO_PERF, PerfRecorder
 from repro.vmpi import collectives
 from repro.vmpi.comm import Communicator
 from repro.vmpi.engine import Task
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PerfRecorder
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ class MpeLogger:
         self._state().sync_points.append(point)
 
     def finish_log(self, path: str, *,
-                   perf: "PerfRecorder | None" = None) -> MergeReport | None:
+                   perf: PerfRecorder = NO_PERF) -> MergeReport | None:
         """Collective: gather all rank buffers to rank 0, correct
         timestamps, k-way merge, and write one CLOG2 file.
 
@@ -205,15 +202,11 @@ class MpeLogger:
                       + self.options.per_rank_merge_cost * len(gathered))
         if merge_cost > 0:
             self.comm.engine.advance(merge_cost, "mpe merge")
-        if perf is not None:
-            with perf.stage("merge"):
-                streams = self._correct_gathered(gathered)
-            with perf.stage("clog2-write"):
-                self._write_merged(path, definitions, streams, perf=perf)
-            perf.count("merge", records=nrecords)
-        else:
+        with perf.stage("merge") as timer:
             streams = self._correct_gathered(gathered)
-            self._write_merged(path, definitions, streams)
+        timer.count(records=nrecords)
+        with perf.stage("clog2-write"):
+            self._write_merged(path, definitions, streams, perf=perf)
         return MergeReport(path, nrecords, len(gathered),
                            started, self.comm.engine.now)
 
@@ -226,7 +219,7 @@ class MpeLogger:
 
     def _write_merged(self, path: str, definitions: list[Definition],
                       streams, *,
-                      perf: "PerfRecorder | None" = None) -> int:
+                      perf: PerfRecorder = NO_PERF) -> int:
         """Fused merge→write: the k-way merge is consumed directly by
         the CLOG2 writer, which packs corrected timestamps in place of
         the originals — no merged record list, no rebuilt record

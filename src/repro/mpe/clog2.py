@@ -64,7 +64,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from repro._util.text import clamp_text
 from repro.mpe.records import (
@@ -79,9 +79,7 @@ from repro.mpe.records import (
 )
 
 from repro.mpe.recovery import RecoveryReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PerfRecorder
+from repro.perf import NO_PERF, PerfRecorder
 
 MAGIC = b"CLOG2PY1"
 VERSION = 1
@@ -200,7 +198,7 @@ def _pack_definition(d: Definition) -> bytes:
 
 def write_items(fh, definitions: Iterable[Definition],
                 records: Iterable[LogRecord], *,
-                perf: "PerfRecorder | None" = None) -> int:
+                perf: PerfRecorder = NO_PERF) -> int:
     """Serialise a headerless definition+record stream (shared by the
     file writer and the salvage partials).
 
@@ -249,8 +247,7 @@ def write_items(fh, definitions: Iterable[Definition],
     if parts:
         write(join(parts))
         total += pending
-    if perf is not None:
-        perf.count("clog2-write", records=nrecords, bytes=total)
+    perf.count("clog2-write", records=nrecords, bytes=total)
     return nrecords
 
 
@@ -272,7 +269,7 @@ class Clog2Writer:
 
     def __init__(self, path: str, clock_resolution: float, num_ranks: int, *,
                  checksum: bool = False,
-                 perf: "PerfRecorder | None" = None) -> None:
+                 perf: PerfRecorder = NO_PERF) -> None:
         self.path = path
         self.checksum = checksum
         self.records_written = 0
@@ -382,9 +379,8 @@ class Clog2Writer:
         self._raw.seek(_HDR.size - 4)
         self._raw.write(struct.pack("<I", self.records_written))
         self._raw.close()
-        if self._perf is not None:
-            self._perf.count("clog2-write", records=self.records_written,
-                             bytes=self.bytes_written)
+        self._perf.count("clog2-write", records=self.records_written,
+                         bytes=self.bytes_written)
 
     def __enter__(self) -> "Clog2Writer":
         return self
@@ -394,7 +390,7 @@ class Clog2Writer:
 
 
 def write_clog2_to(fh, log: Clog2File, *, checksum: bool = False,
-                   perf: "PerfRecorder | None" = None) -> None:
+                   perf: PerfRecorder = NO_PERF) -> None:
     """Serialise a whole CLOG2 image (header + items) to an open binary
     stream — the same bytes :func:`write_clog2` puts in a file.  The
     salvage partials embed CLOG2 bodies this way."""
@@ -406,20 +402,15 @@ def write_clog2_to(fh, log: Clog2File, *, checksum: bool = False,
 
 
 def write_clog2(path: str, log: Clog2File, *, checksum: bool = False,
-                perf: "PerfRecorder | None" = None) -> None:
+                perf: PerfRecorder = NO_PERF) -> None:
     """Serialise definitions + merged records to ``path``.
 
     ``checksum=True`` writes version-2 CRC32 block framing (see the
     module docstring); the default stays version 1 so existing logs and
     golden hashes are bit-stable.
     """
-    if perf is not None:
-        with perf.stage("clog2-write"):
-            with open(path, "wb") as fh:
-                write_clog2_to(fh, log, checksum=checksum, perf=perf)
-    else:
-        with open(path, "wb") as fh:
-            write_clog2_to(fh, log, checksum=checksum)
+    with perf.stage("clog2-write"), open(path, "wb") as fh:
+        write_clog2_to(fh, log, checksum=checksum, perf=perf)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +708,7 @@ def check_errors_mode(errors: str) -> None:
 
 
 def read_log(path: str, *, errors: str = "strict",
-             perf: "PerfRecorder | None" = None) -> Clog2ReadResult:
+             perf: PerfRecorder = NO_PERF) -> Clog2ReadResult:
     """Parse a CLOG2 file — the one reader entry point.
 
     ``errors="strict"`` raises :class:`Clog2FormatError` on any damage
@@ -735,18 +726,9 @@ def read_log(path: str, *, errors: str = "strict",
             data = fh.read()
         return Clog2ReadResult(read_image(data, 0, report, report.source),
                                report)
-    if perf is not None:
-        with perf.stage("clog2-read"):
-            log = _read_log_strict(path, perf)
-    else:
-        log = _read_log_strict(path, None)
+    with perf.stage("clog2-read") as timer:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        log = parse_clog2_bytes(data)
+    timer.count(records=len(log.records), bytes=len(data))
     return Clog2ReadResult(log, None)
-
-
-def _read_log_strict(path: str, perf: "PerfRecorder | None") -> Clog2File:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    log = parse_clog2_bytes(data)
-    if perf is not None:
-        perf.count("clog2-read", records=len(log.records), bytes=len(data))
-    return log

@@ -33,7 +33,6 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro._util.retry import RetryPolicy
 from repro.mpe.clog2 import (
@@ -44,9 +43,7 @@ from repro.mpe.clog2 import (
     write_clog2,
 )
 from repro.mpe.recovery import RecoveryReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PerfRecorder
+from repro.perf import NO_PERF, PerfRecorder
 
 #: How a damaged range is classified, by matching its drop reason.
 KIND_CHECKSUM = "checksum"
@@ -202,29 +199,23 @@ def _quarantine(path: str, issues: list[FsckIssue], out_path: str) -> None:
 
 def fsck_path(path: str, *, repair_to: str | None = None,
               quarantine_to: str | None = None,
-              perf: "PerfRecorder | None" = None) -> FsckReport:
+              perf: PerfRecorder = NO_PERF) -> FsckReport:
     """Scan (and optionally repair) one log file; see the module
     docstring.  Never raises on damage — a file fsck cannot even
     identify comes back as ``format="unknown"`` with one issue."""
-    if perf is not None:
-        with perf.stage("fsck-scan"):
-            report = _scan(path, perf)
-    else:
-        report = _scan(path, None)
+    with perf.stage("fsck-scan"):
+        report = _scan(path, perf)
     if quarantine_to is not None and report.issues:
         _quarantine(path, report.issues, quarantine_to)
         report.quarantined_to = quarantine_to
     if repair_to is not None and report.format != "unknown":
-        if perf is not None:
-            with perf.stage("fsck-repair"):
-                _repair(path, report, repair_to)
-        else:
+        with perf.stage("fsck-repair"):
             _repair(path, report, repair_to)
         report.repaired_to = repair_to
     return report
 
 
-def _scan(path: str, perf: "PerfRecorder | None") -> FsckReport:
+def _scan(path: str, perf: PerfRecorder) -> FsckReport:
     if not os.path.exists(path):
         report = FsckReport(path=path, format="unknown")
         report.issues.append(FsckIssue(os.path.basename(path), 0, 0,
@@ -253,8 +244,7 @@ def _scan(path: str, perf: "PerfRecorder | None") -> FsckReport:
             report.issues.append(FsckIssue(
                 source, 0, size, KIND_CORRUPTION,
                 "partial log unrecoverable (no readable header)"))
-        if perf is not None:
-            perf.count("fsck-scan", records=len(partial.records), bytes=size)
+        perf.count("fsck-scan", records=len(partial.records), bytes=size)
         return report
     log, recovery = read_log(path, errors="salvage")
     assert recovery is not None
@@ -271,8 +261,7 @@ def _scan(path: str, perf: "PerfRecorder | None") -> FsckReport:
             source, size, size, KIND_TRUNCATION,
             f"header promised {report.records_dropped} more record(s) "
             "than the body holds (tail cut on a block boundary)"))
-    if perf is not None:
-        perf.count("fsck-scan", records=len(log.records), bytes=size)
+    perf.count("fsck-scan", records=len(log.records), bytes=size)
     return report
 
 

@@ -62,7 +62,7 @@ import glob
 import os
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from repro.mpe.api import RankLog
 from repro.mpe.clocksync import SyncPoint
@@ -79,9 +79,7 @@ from repro.mpe.clog2 import (
 from repro.mpe.merge import dedup_definitions, merged_records, rank_stream
 from repro.mpe.records import Definition, LogRecord
 from repro.mpe.recovery import RecoveryReport
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PerfRecorder
+from repro.perf import NO_PERF, PerfRecorder
 
 PARTIAL_MAGIC = b"CLOGPART"
 APPEND_MAGIC = b"CLOGPARA"
@@ -366,17 +364,18 @@ def find_partials(base_path: str) -> list[str]:
 
 
 def _merge_partial_objects(partials: list[Partial], *,
-                           perf: "PerfRecorder | None" = None) -> Clog2File:
+                           perf: PerfRecorder = NO_PERF) -> Clog2File:
     """Dedup definitions, correct timestamps, and k-way merge records
-    from already-parsed partials (shared strict/salvage merge core)."""
-    definitions = dedup_definitions(p.definitions for p in partials)
-    num_ranks = max((p.rank + 1 for p in partials), default=0)
-    resolution = partials[0].clock_resolution if partials else 1e-6
-    streams = [rank_stream(p.rank, p.records, p.sync_points)
-               for p in partials]
-    records = list(merged_records(streams))
-    if perf is not None:
-        perf.count("merge", records=len(records))
+    from already-parsed partials: the strict/salvage merge core, and
+    exactly what the ``merge`` stage times."""
+    with perf.stage("merge") as timer:
+        definitions = dedup_definitions(p.definitions for p in partials)
+        num_ranks = max((p.rank + 1 for p in partials), default=0)
+        resolution = partials[0].clock_resolution if partials else 1e-6
+        streams = [rank_stream(p.rank, p.records, p.sync_points)
+                   for p in partials]
+        records = list(merged_records(streams))
+    timer.count(records=len(records))
     return Clog2File(resolution, num_ranks, definitions, records)
 
 
@@ -384,7 +383,7 @@ def merge_partial_logs(base_path: str, out_path: str | None = None, *,
                        errors: str = "strict",
                        expected_ranks: int | None = None,
                        crashed_ranks: "dict[int, float | None] | None" = None,
-                       perf: "PerfRecorder | None" = None) -> MergeResult:
+                       perf: PerfRecorder = NO_PERF) -> MergeResult:
     """Post-mortem merge of per-rank partials into one CLOG2 — the one
     entry point.
 
@@ -395,45 +394,44 @@ def merge_partial_logs(base_path: str, out_path: str | None = None, *,
     ``errors="strict"`` raises on a missing or corrupt partial and
     returns ``(log, None)``.  ``errors="salvage"`` salvages every
     readable partial, skips the unreadable, and returns
-    ``(log, report)`` saying exactly what happened; ``expected_ranks``
-    widens the missing-rank check beyond the highest rank seen (an
-    all-ranks-crashed run may have no partial for the top ranks at
-    all), and ``crashed_ranks`` annotates the report with crash times
-    from a fault plan or an :class:`~repro.vmpi.errors.AbortedError`
-    so the viewers can mark the timelines.
+    ``(log, report)`` saying exactly what happened (see
+    :func:`salvage_merge`).
     """
     check_errors_mode(errors)
+    paths = find_partials(base_path)
     if errors == "salvage":
-        return MergeResult(*_merge_partials_salvage(
-            base_path, out_path, expected_ranks=expected_ranks,
-            crashed_ranks=crashed_ranks, perf=perf))
-    paths = find_partials(base_path)
-    if not paths:
-        raise FileNotFoundError(
-            f"no partial logs found for {base_path!r} "
-            f"(pattern {base_path}.rankNNNN.part)")
-    if perf is not None:
-        with perf.stage("merge"):
-            partials = [read_partial_log(p).partial for p in paths]
-            log = _merge_partial_objects(partials, perf=perf)
+        report = RecoveryReport(source=os.path.basename(base_path))
+        if not paths:
+            report.note(f"no partial logs found for {base_path!r}")
+            return MergeResult(Clog2File(1e-6, 0, [], []), report)
+        log = salvage_merge(paths, report, expected_ranks=expected_ranks,
+                            crashed_ranks=crashed_ranks, perf=perf)
     else:
-        partials = [read_partial_log(p).partial for p in paths]
-        log = _merge_partial_objects(partials)
+        if not paths:
+            raise FileNotFoundError(
+                f"no partial logs found for {base_path!r} "
+                f"(pattern {base_path}.rankNNNN.part)")
+        report = None
+        log = _merge_partial_objects(
+            [read_partial_log(p).partial for p in paths], perf=perf)
     write_clog2(out_path or base_path, log, perf=perf)
-    return MergeResult(log, None)
+    return MergeResult(log, report)
 
 
-def _merge_partials_salvage(base_path: str, out_path: str | None, *,
-                            expected_ranks: int | None,
-                            crashed_ranks: "dict[int, float | None] | None",
-                            perf: "PerfRecorder | None" = None
-                            ) -> "tuple[Clog2File, RecoveryReport]":
-    report = RecoveryReport(source=os.path.basename(base_path))
-    paths = find_partials(base_path)
-    if not paths:
-        report.note(f"no partial logs found for {base_path!r}")
-        log = Clog2File(1e-6, 0, [], [])
-        return log, report
+def salvage_merge(paths: list[str], report: RecoveryReport, *,
+                  expected_ranks: int | None = None,
+                  crashed_ranks: "dict[int, float | None] | None" = None,
+                  perf: PerfRecorder = NO_PERF) -> Clog2File:
+    """Salvage-read ``paths`` and merge every usable partial in memory,
+    writing nothing; what was skipped or lost lands in ``report``.
+
+    ``expected_ranks`` widens the missing-rank check beyond the highest
+    rank seen (an all-ranks-crashed run may have no partial for the top
+    ranks at all), and ``crashed_ranks`` annotates the report with
+    crash times from a fault plan or an
+    :class:`~repro.vmpi.errors.AbortedError` so the viewers can mark
+    the timelines.
+    """
     usable: list[Partial] = []
     for p in paths:
         try:
@@ -449,11 +447,7 @@ def _merge_partials_salvage(base_path: str, out_path: str | None, *,
         report.note(f"{os.path.basename(p)}: rank {part.rank}, "
                     f"{len(part.records)} records, "
                     f"{len(part.sync_points)} sync points")
-    if perf is not None:
-        with perf.stage("merge"):
-            log = _merge_partial_objects(usable, perf=perf)
-    else:
-        log = _merge_partial_objects(usable)
+    log = _merge_partial_objects(usable, perf=perf)
     have = {part.rank for part in usable}
     width = max(expected_ranks or 0, (max(have) + 1) if have else 0)
     for rank in range(width):
@@ -464,8 +458,7 @@ def _merge_partials_salvage(base_path: str, out_path: str | None, *,
                         log.records)
     for rank, at in (crashed_ranks or {}).items():
         report.mark_crashed(rank, at)
-    write_clog2(out_path or base_path, log, perf=perf)
-    return log, report
+    return log
 
 
 def cleanup_partials(base_path: str) -> int:

@@ -20,11 +20,21 @@ Every pipeline entry point (:func:`repro.mpe.clog2.write_clog2`,
 :func:`repro.mpe.salvage.merge_partial_logs`,
 :func:`repro.slog2.convert.convert`,
 :class:`repro.slog2.frames.FrameTree`,
-:func:`repro.jumpshot.svg.render_svg`) accepts an optional
-``perf=PerfRecorder`` and accounts its own stage; ``None`` costs one
-``if`` per call.  At the Pilot level, service ``p`` (``-pisvc=p``, see
+:func:`repro.jumpshot.svg.render_svg`) takes ``perf=`` and accounts its
+own stage.  The default, :data:`NO_PERF`, is an inert recorder: its
+timer enters and exits without reading the clock and its counters
+return at once, so a measured and an unmeasured run execute the same
+code (an unmeasured stage entry costs a few hundred nanoseconds).  At
+the Pilot level, service ``p`` (``-pisvc=p``, see
 :mod:`repro.pilot.config`) arms a run-wide recorder and writes its
 snapshot next to the MPE log.
+
+A recorder is thread-safe: :meth:`PerfRecorder.record`,
+:meth:`~PerfRecorder.count` and :meth:`~PerfRecorder.snapshot` take one
+internal lock, so concurrent writers (the stream service's request
+threads, say) add up exactly and a snapshot is consistent.  Every
+recorder call is coarse — per stage entry, never per record — so one
+lock is not contended enough to need sharding.
 
 Timers are *real* wall time (``time.perf_counter``), never virtual
 simulation time: these counters measure the tool, not the program being
@@ -34,6 +44,7 @@ traced.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass
 
@@ -102,15 +113,15 @@ class PerfRecorder:
     """Named stage timers + counters, JSON-dumpable.
 
     One recorder spans one pipeline run; stages may be entered any
-    number of times (costs accumulate).  Not thread-safe by design —
-    each pipeline run is single-threaded, and the Pilot runner creates
-    one recorder per run.
+    number of times (costs accumulate).  Writers on several threads may
+    share it: every write and every snapshot holds one internal lock.
     """
 
     def __init__(self, meta: dict[str, object] | None = None) -> None:
         self.stages: dict[str, StageStats] = {}
         self.meta: dict[str, object] = dict(meta) if meta else {}
         self._started = time.perf_counter()
+        self._lock = threading.Lock()
 
     def _stats(self, name: str) -> StageStats:
         stats = self.stages.get(name)
@@ -124,16 +135,18 @@ class PerfRecorder:
 
     def record(self, name: str, seconds: float) -> None:
         """Account one entry of stage ``name`` timed by the caller."""
-        stats = self._stats(name)
-        stats.seconds += seconds
-        stats.calls += 1
+        with self._lock:
+            stats = self._stats(name)
+            stats.seconds += seconds
+            stats.calls += 1
 
     def count(self, name: str, *, records: int = 0, bytes: int = 0,
               drawables: int = 0) -> None:
-        stats = self._stats(name)
-        stats.records += records
-        stats.bytes += bytes
-        stats.drawables += drawables
+        with self._lock:
+            stats = self._stats(name)
+            stats.records += records
+            stats.bytes += bytes
+            stats.drawables += drawables
 
     # -- reading -----------------------------------------------------------
 
@@ -144,11 +157,13 @@ class PerfRecorder:
 
     def snapshot(self) -> dict:
         """JSON-ready view of everything recorded so far."""
+        with self._lock:
+            stages = {name: stats.as_dict()
+                      for name, stats in sorted(self.stages.items())}
         return {
             "wall_seconds": self.wall_seconds,
             "peak_rss_bytes": peak_rss_bytes(),
-            "stages": {name: stats.as_dict()
-                       for name, stats in sorted(self.stages.items())},
+            "stages": stages,
             **({"meta": dict(self.meta)} if self.meta else {}),
         }
 
@@ -173,3 +188,43 @@ class PerfRecorder:
         with open(path, "w") as fh:
             json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+class _NullTimer(_StageTimer):
+    """The one timer :data:`NO_PERF` hands out: it reads no clock and
+    counts nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullTimer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def count(self, **kw: int) -> None:
+        pass
+
+
+class _NullRecorder(PerfRecorder):
+    """:data:`NO_PERF`'s class: every write returns at once, so no stage
+    is ever created."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._timer = _NullTimer(self, "")
+
+    def stage(self, name: str) -> _StageTimer:
+        return self._timer
+
+    def record(self, name: str, seconds: float) -> None:
+        pass
+
+    def count(self, name: str, *, records: int = 0, bytes: int = 0,
+              drawables: int = 0) -> None:
+        pass
+
+
+#: The default ``perf=`` of every instrumented entry point: a recorder
+#: that records nothing.  Pass a :class:`PerfRecorder` to measure.
+NO_PERF: PerfRecorder = _NullRecorder()

@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.perf import NO_PERF, PerfRecorder
 from repro.pilot.config import RESUME_GUARDED_FIELDS, PilotConfig
 from repro.pilot.errors import Diagnostic, PilotError
 from repro.pilot.program import (
@@ -117,11 +118,9 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
         faults = load_fault_plan(cfg.fault_plan_path)
     letters = "".join(sorted(set(cfg.services)))
 
-    perf = None
-    if "p" in cfg.services:
-        from repro.perf import PerfRecorder
-
-        perf = PerfRecorder(meta={"nprocs": nprocs, "services": letters})
+    measured = "p" in cfg.services
+    perf = (PerfRecorder(meta={"nprocs": nprocs, "services": letters})
+            if measured else NO_PERF)
 
     # -pisvc=s: run the static analyzer over main before launching.
     # Advisory only — findings are printed (and kept on the result's
@@ -168,7 +167,7 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
             cfg.journal_dir, manifest,
             checkpoint_interval=cfg.journal_checkpoint_interval, perf=perf)
     if journal is not None:
-        if journal.perf is None:
+        if journal.perf is NO_PERF:
             journal.perf = perf
         journal.attach(world.engine)
 
@@ -285,9 +284,10 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
     assert vres is not None  # an exception above would have propagated
     if journal is not None and journal.mode == "replay":
         journal.check()  # raises ReplayDivergence if the rerun disagreed
-    if perf is not None:
+    if measured:
         perf.dump(cfg.perf_snapshot_path)
-    return PilotResult(run, vres, perf, journal=journal, watchdog=watchdog,
+    return PilotResult(run, vres, perf if measured else None,
+                       journal=journal, watchdog=watchdog,
                        msglog=msglog, stream=stream_service)
 
 

@@ -108,13 +108,10 @@ def _cmd_lint_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff_trace(args: argparse.Namespace) -> int:
+    from repro.perf import NO_PERF, PerfRecorder
     from repro.tracediff import diff_findings, diff_traces
 
-    perf = None
-    if args.perf_json:
-        from repro.perf import PerfRecorder
-
-        perf = PerfRecorder()
+    perf = PerfRecorder() if args.perf_json else NO_PERF
     try:
         diff = diff_traces(args.trace_a, args.trace_b,
                            errors=args.errors,
@@ -152,7 +149,7 @@ def _cmd_diff_trace(args: argparse.Namespace) -> int:
         print(diff.summary())
         if findings:
             print(render_findings(findings, header="findings:"))
-    if args.perf_json and perf is not None:
+    if args.perf_json:
         perf.dump(args.perf_json)
     return _exit_code(findings, args.strict)
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.mpe.api import MergeReport, MpeLogger, MpeOptions
+from repro.perf import NO_PERF, PerfRecorder
 from repro.pilot.hooks import CallRecord, PilotHooks
 from repro.pilot.program import PilotRun
 from repro.pilotlog.colors import ColorScheme
@@ -37,7 +38,6 @@ from repro.pilotlog.taxonomy import DrawStyle, spec_for, solo_specs, state_specs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro._util.callsite import CallSite
-    from repro.perf import PerfRecorder
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class JumpshotLoggerHook(PilotHooks):
     """The ``-pisvc=j`` facility."""
 
     def __init__(self, run: PilotRun, options: JumpshotOptions | None = None,
-                 perf: "PerfRecorder | None" = None) -> None:
+                 perf: PerfRecorder = NO_PERF) -> None:
         self.run = run
         self.options = options or JumpshotOptions()
         self.mpe = MpeLogger(run.comm, self.options.mpe)

@@ -45,10 +45,10 @@ from repro.mpe.records import (
     RankName,
     StateDef,
 )
+from repro.perf import NO_PERF, PerfRecorder
 from repro.slog2.model import Arrow, Event, SlogCategory, Slog2Doc, State
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PerfRecorder
     from repro.slog2.frames import FrameTree
 
 ARROW_CATEGORY_NAME = "message"
@@ -396,7 +396,7 @@ def convert(clog: Clog2File,
             rank_names: dict[int, str] | None = None, *,
             recovery: "object | None" = None,
             crashed_ranks: "dict[int, float | None] | None" = None,
-            perf: "PerfRecorder | None" = None
+            perf: PerfRecorder = NO_PERF
             ) -> tuple[Slog2Doc, ConversionReport]:
     """Convert a parsed CLOG2 file into an SLOG2 document.
 
@@ -409,18 +409,18 @@ def convert(clog: Clog2File,
                            clock_resolution=clog.clock_resolution,
                            rank_names=rank_names, recovery=recovery,
                            crashed_ranks=crashed_ranks)
-    if perf is not None:
-        with perf.stage("convert"):
-            conv.feed_all(clog.definitions)
-            conv.feed_all(clog.records)
-            doc, report = conv.finish()
-        perf.count("convert", records=len(clog.records),
-                   drawables=len(doc.states) + len(doc.events)
-                   + len(doc.arrows))
-    else:
+    return _convert_stage(conv, clog, perf)
+
+
+def _convert_stage(conv: StreamConverter, clog: Clog2File,
+                   perf: PerfRecorder) -> tuple[Slog2Doc, ConversionReport]:
+    """Feed ``clog`` through ``conv`` as the ``convert`` stage."""
+    with perf.stage("convert") as timer:
         conv.feed_all(clog.definitions)
         conv.feed_all(clog.records)
         doc, report = conv.finish()
+    timer.count(records=len(clog.records),
+                drawables=len(doc.states) + len(doc.events) + len(doc.arrows))
     return doc, report
 
 
@@ -430,7 +430,7 @@ def convert_with_tree(clog: Clog2File,
                       max_depth: int = 16,
                       recovery: "object | None" = None,
                       crashed_ranks: "dict[int, float | None] | None" = None,
-                      perf: "PerfRecorder | None" = None
+                      perf: PerfRecorder = NO_PERF
                       ) -> "tuple[Slog2Doc, ConversionReport, FrameTree]":
     """Fused conversion + frame-tree build.
 
@@ -451,20 +451,8 @@ def convert_with_tree(clog: Clog2File,
                            clock_resolution=clog.clock_resolution,
                            rank_names=rank_names, recovery=recovery,
                            crashed_ranks=crashed_ranks, sink=tree.insert)
-    if perf is not None:
-        with perf.stage("convert"):
-            conv.feed_all(clog.definitions)
-            conv.feed_all(clog.records)
-            doc, report = conv.finish()
-        perf.count("convert", records=len(clog.records),
-                   drawables=len(doc.states) + len(doc.events)
-                   + len(doc.arrows))
-        with perf.stage("frame-tree"):
-            tree.finalize(doc)
-    else:
-        conv.feed_all(clog.definitions)
-        conv.feed_all(clog.records)
-        doc, report = conv.finish()
+    doc, report = _convert_stage(conv, clog, perf)
+    with perf.stage("frame-tree"):
         tree.finalize(doc)
     return doc, report, tree
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING
 
+from repro.perf import NO_PERF, PerfRecorder
 from repro.slog2.convert import StreamConverter
 from repro.slog2.frames import DEFAULT_FRAME_SIZE, FrameTree
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpe.records import Definition, LogRecord
-    from repro.perf import PerfRecorder
     from repro.slog2.model import SlogCategory
     from repro.stream.follow import FollowUpdate
 
@@ -43,7 +43,7 @@ class LiveFold:
 
     def __init__(self, *, frame_size: int | None = None,
                  clock_resolution: float = 1e-6,
-                 perf: "PerfRecorder | None" = None) -> None:
+                 perf: PerfRecorder = NO_PERF) -> None:
         self.frame_size = frame_size or DEFAULT_FRAME_SIZE
         self.clock_resolution = clock_resolution
         self.perf = perf
@@ -136,8 +136,7 @@ class LiveFold:
         self._conv.feed_all(rec for _t, _rank, rec in merged)
         self._emitted.extend(merged)
         self.records_folded += len(merged)
-        if self.perf is not None:
-            self.perf.count("stream-fold", records=len(merged))
+        self.perf.count("stream-fold", records=len(merged))
         return len(merged)
 
     def _ensure_fold(self, needed_t: float) -> None:

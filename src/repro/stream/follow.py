@@ -40,12 +40,12 @@ from repro.mpe.salvage import (
     read_partial_log,
     tail_partial,
 )
+from repro.perf import NO_PERF, PerfRecorder
 from repro.stream.cursors import RankCursor, StreamCursors, cursors_path
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpe.clocksync import SyncPoint
     from repro.mpe.records import Definition, LogRecord
-    from repro.perf import PerfRecorder
 
 #: Exit sidecar naming convention (written by the Pilot runner when the
 #: stream service letter is armed; ``python -m repro.stream serve`` on a
@@ -98,7 +98,7 @@ class LogFollower:
                  policy: RetryPolicy | None = None,
                  cursors_file: str | None = None,
                  journal_dir: str | None = None,
-                 perf: "PerfRecorder | None" = None,
+                 perf: PerfRecorder = NO_PERF,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.base_path = base_path
         self.policy = policy or DEFAULT_POLICY
@@ -154,8 +154,7 @@ class LogFollower:
             self._last_growth = self._clock()
             update.grew = True
         self._check_writer_death(update)
-        if self.perf is not None:
-            self.perf.count("stream-tail", records=update.record_count)
+        self.perf.count("stream-tail", records=update.record_count)
         return update
 
     def save_cursors(self) -> bool:

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING
 from repro._util.retry import RetryPolicy
 from repro.jumpshot.markers import rank_markers
 from repro.mpe.salvage import find_partials, merge_partial_logs
+from repro.perf import NO_PERF, PerfRecorder
 from repro.slog2.convert import convert_with_tree
 from repro.stream.follow import DEFAULT_POLICY, LogFollower
 from repro.stream.tiles import (
@@ -57,7 +58,6 @@ from repro.stream.tiles import (
 from repro.stream.viewer import VIEWER_HTML
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PerfRecorder
     from repro.slog2.frames import FrameTree
     from repro.slog2.model import Slog2Doc
 
@@ -81,20 +81,13 @@ class StreamService:
                  frame_size: int | None = None,
                  cache_tiles: int = DEFAULT_CACHE_TILES,
                  client_timeout: float = 5.0,
-                 perf: "PerfRecorder | None" = None) -> None:
+                 perf: PerfRecorder = NO_PERF) -> None:
         self.base_path = base_path
         self.host = host
         self.policy = policy or DEFAULT_POLICY
         self.expected_ranks = expected_ranks
         self.client_timeout = client_timeout
         self.perf = perf
-        if perf is not None:
-            # The recorder is single-threaded: handler threads record
-            # into the pre-created "stream-serve" stage only, and only
-            # while holding _perf_lock.
-            for stage in ("stream-tail", "stream-fold", "stream-serve"):
-                perf.count(stage)
-        self._perf_lock = threading.Lock()
         self.follower = LogFollower(base_path, policy=self.policy,
                                     cursors_file=cursors_file,
                                     journal_dir=journal_dir, perf=perf)
@@ -182,10 +175,7 @@ class StreamService:
 
     def _poll_once(self) -> bool:
         perf = self.perf
-        if perf is not None:
-            with perf.stage("stream-tail"):
-                update = self.follower.poll()
-        else:
+        with perf.stage("stream-tail"):
             update = self.follower.poll()
         self.fold.absorb(update)
         if update.finished:
@@ -194,10 +184,7 @@ class StreamService:
         # Before the fold, so the tree a fold builds is published the
         # moment it exists, not one fsync later.
         moved = self.follower.save_cursors()
-        if perf is not None:
-            with perf.stage("stream-fold"):
-                folded = self.fold.advance()
-        else:
+        with perf.stage("stream-fold"):
             folded = self.fold.advance()
         newly_degraded = update.degraded and not self.degraded
         if newly_degraded:
@@ -348,10 +335,8 @@ class StreamService:
 
     def record_request(self, seconds: float, nbytes: int) -> None:
         """Account one served request to the ``stream-serve`` stage."""
-        if self.perf is not None:
-            with self._perf_lock:
-                self.perf.record("stream-serve", seconds)
-                self.perf.count("stream-serve", bytes=nbytes)
+        self.perf.record("stream-serve", seconds)
+        self.perf.count("stream-serve", bytes=nbytes)
 
     def _status_snapshot(self) -> dict:
         doc = self._doc

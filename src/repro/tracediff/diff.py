@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.perf import NO_PERF, PerfRecorder
 from repro.tracediff.align import (
     STRUCTURAL_KINDS,
     DiffEpisode,
@@ -27,7 +28,6 @@ from repro.tracediff.score import RankScore, score_ranks
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpe.clog2 import Clog2File
-    from repro.perf import PerfRecorder
 
 
 @dataclass
@@ -151,16 +151,14 @@ def _identical_diff(side_a: TraceSide, side_b: TraceSide,
 
 def diff_sides(side_a: TraceSide, side_b: TraceSide, *,
                time_tolerance: float = 1e-9,
-               perf: "PerfRecorder | None" = None) -> TraceDiff:
+               perf: PerfRecorder = NO_PERF) -> TraceDiff:
     """Structurally diff two loaded sides (see :func:`diff_traces`)."""
     log_a, log_b = side_a.log, side_b.log
     names_a = event_name_table(log_a.definitions)
     names_b = event_name_table(log_b.definitions)
     episodes: list[DiffEpisode] = []
     aligned = 0
-
-    def _align() -> None:
-        nonlocal aligned
+    with perf.stage("diff-align") as timer:
         streams_a = rank_streams(log_a.records)
         streams_b = rank_streams(log_b.records)
         for rank in sorted(set(streams_a) | set(streams_b)):
@@ -172,23 +170,13 @@ def diff_sides(side_a: TraceSide, side_b: TraceSide, *,
             diverged = sum(ep.count for ep in rank_eps
                            if ep.kind in STRUCTURAL_KINDS)
             aligned += max(0, min(len(recs_a), len(recs_b)) - diverged)
-
-    if perf is not None:
-        with perf.stage("diff-align"):
-            _align()
-        perf.count("diff-align",
-                   records=len(log_a.records) + len(log_b.records))
-    else:
-        _align()
+    timer.count(records=len(log_a.records) + len(log_b.records))
 
     episodes.sort(key=lambda ep: (ep.time if ep.time is not None
                                   else float("inf"), ep.rank, ep.index_a))
     ranks = sorted(set(range(log_a.num_ranks)) | set(range(log_b.num_ranks)))
     crashed_only = _crashed_only(side_a, side_b)
-    if perf is not None:
-        with perf.stage("diff-score"):
-            scores = score_ranks(episodes, ranks, crashed_only=crashed_only)
-    else:
+    with perf.stage("diff-score"):
         scores = score_ranks(episodes, ranks, crashed_only=crashed_only)
 
     notes = side_a.salvage_notes() + side_b.salvage_notes()
@@ -207,7 +195,7 @@ def diff_traces(a: "str | Clog2File | TraceSide",
                 b: "str | Clog2File | TraceSide", *,
                 errors: str = "salvage", time_tolerance: float = 1e-9,
                 label_a: str | None = None, label_b: str | None = None,
-                perf: "PerfRecorder | None" = None) -> TraceDiff:
+                perf: PerfRecorder = NO_PERF) -> TraceDiff:
     """Diff two traces and localize the rank most likely at fault.
 
     ``a`` is the reference (fault-free / before) trace, ``b`` the
@@ -228,42 +216,30 @@ def diff_traces(a: "str | Clog2File | TraceSide",
 
     la = label_a or _label(a, "A")
     lb = label_b or _label(b, "B")
-
-    def _load() -> tuple[TraceSide, TraceSide]:
-        return (load_side(a, la, errors=errors, perf=perf),
-                load_side(b, lb, errors=errors, perf=perf))
-
     # Byte-identity fast path: replay pairs are *supposed* to be
     # byte-identical, so the common "did anything change?" query pays
     # for two streamed digests and one header — never a parse or an
     # alignment.
-    if (isinstance(a, str) and isinstance(b, str)
-            and os.path.isfile(a) and os.path.isfile(b)
-            and os.path.getsize(a) == os.path.getsize(b)
-            and file_digest(a) == file_digest(b)):
+    identical = (isinstance(a, str) and isinstance(b, str)
+                 and os.path.isfile(a) and os.path.isfile(b)
+                 and os.path.getsize(a) == os.path.getsize(b)
+                 and file_digest(a) == file_digest(b))
+    if identical:
         header = _read_clog2_header(a)
         if header is not None:
-            if perf is not None:
-                perf.count("diff-load", records=header.num_records,
-                           bytes=os.path.getsize(a))
+            perf.count("diff-load", records=header.num_records,
+                       bytes=os.path.getsize(a))
             return TraceDiff(
                 la, lb, True, header.num_records, header.num_records,
                 header.num_ranks, header.num_ranks, header.num_records,
                 time_tolerance=time_tolerance)
-        # Identical bytes in a container the header reader doesn't
-        # recognise: load tolerantly just for the counts.
-        if perf is not None:
-            with perf.stage("diff-load"):
-                side_a, side_b = _load()
-        else:
-            side_a, side_b = _load()
+    # Identical bytes in a container the header reader doesn't
+    # recognise still load (tolerantly), just for the counts.
+    with perf.stage("diff-load"):
+        side_a = load_side(a, la, errors=errors, perf=perf)
+        side_b = load_side(b, lb, errors=errors, perf=perf)
+    if identical:
         return _identical_diff(side_a, side_b, time_tolerance)
-
-    if perf is not None:
-        with perf.stage("diff-load"):
-            side_a, side_b = _load()
-    else:
-        side_a, side_b = _load()
     return diff_sides(side_a, side_b, time_tolerance=time_tolerance,
                       perf=perf)
 

@@ -14,15 +14,11 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.mpe.clog2 import Clog2File, read_log
-from repro.mpe.merge import dedup_definitions, merged_records, rank_stream
 from repro.mpe.recovery import RecoveryReport
-from repro.mpe.salvage import find_partials, read_partial_log
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PerfRecorder
+from repro.mpe.salvage import find_partials, salvage_merge
+from repro.perf import NO_PERF, PerfRecorder
 
 
 @dataclass
@@ -68,31 +64,18 @@ class TraceSide:
 def _merge_partials_in_memory(base_path: str, label: str) -> TraceSide:
     """Salvage-merge ``base.clog2.rankNNNN.part`` files without writing
     anything: the post-abort equivalent of the finalize merge."""
-    aggregate = RecoveryReport(source=os.path.basename(base_path))
-    partials = []
-    for path in find_partials(base_path):
-        partial, report = read_partial_log(path, errors="salvage")
-        if report is not None:
-            aggregate.absorb(report)
-        if partial.rank >= 0:
-            partials.append(partial)
-    definitions = dedup_definitions(p.definitions for p in partials)
-    num_ranks = max((p.rank + 1 for p in partials), default=0)
-    resolution = partials[0].clock_resolution if partials else 1e-6
-    streams = [rank_stream(p.rank, p.records, p.sync_points)
-               for p in partials]
-    records = list(merged_records(streams))
-    aggregate.records_kept = len(records)
-    aggregate.note(f"merged {len(partials)} salvage partial(s) in memory")
-    log = Clog2File(resolution, num_ranks, definitions, records)
-    return TraceSide(label, log, aggregate, path=base_path,
+    paths = find_partials(base_path)
+    report = RecoveryReport(source=os.path.basename(base_path))
+    log = salvage_merge(paths, report)
+    report.note(f"merged {len(paths)} salvage partial(s) in memory")
+    return TraceSide(label, log, report, path=base_path,
                      notes=[f"{label}: no merged log; aligned "
-                            f"{len(partials)} salvage partial(s)"])
+                            f"{len(paths)} salvage partial(s)"])
 
 
 def load_side(source: "str | Clog2File | TraceSide", label: str, *,
               errors: str = "salvage",
-              perf: "PerfRecorder | None" = None) -> TraceSide:
+              perf: PerfRecorder = NO_PERF) -> TraceSide:
     """Resolve one diff input into a :class:`TraceSide`.
 
     ``source`` may be a path to a merged CLOG2 (or, when that file is
@@ -107,17 +90,15 @@ def load_side(source: "str | Clog2File | TraceSide", label: str, *,
     if not os.path.exists(path):
         if find_partials(path):
             side = _merge_partials_in_memory(path, label)
-            if perf is not None:
-                perf.count("diff-load", records=len(side.log.records))
+            perf.count("diff-load", records=len(side.log.records))
             return side
         raise FileNotFoundError(
             f"{label}: no trace at {path!r} and no salvage partials "
             f"({path}.rankNNNN.part)")
     result = read_log(path, errors=errors)
     side = TraceSide(label, result.log, result.recovery, path=path)
-    if perf is not None:
-        perf.count("diff-load", records=len(result.log.records),
-                   bytes=os.path.getsize(path))
+    perf.count("diff-load", records=len(result.log.records),
+               bytes=os.path.getsize(path))
     return side
 
 

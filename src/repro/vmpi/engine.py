@@ -46,6 +46,7 @@ import threading
 from collections import deque
 from typing import Any, Callable
 
+from repro.perf import NO_PERF, PerfRecorder
 from repro.vmpi.clock import ClockSkew, LocalClock
 from repro.vmpi.errors import (
     AbortedError,
@@ -692,7 +693,7 @@ class Engine:
     # -- restart ----------------------------------------------------------
 
     @classmethod
-    def resume(cls, journal_dir: str, *, perf: Any = None,
+    def resume(cls, journal_dir: str, *, perf: PerfRecorder = NO_PERF,
                scheduler: str = "threads") -> "Engine":
         """Rebuild an engine from a journal directory, armed for replay.
 

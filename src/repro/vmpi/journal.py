@@ -62,10 +62,10 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro._util.fsio import atomic_write_json as _atomic_write_json_impl
 from repro._util.retry import RetryError, RetryPolicy
+from repro.perf import NO_PERF, PerfRecorder
 from repro.vmpi.errors import VmpiError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PerfRecorder
     from repro.vmpi.comm import Message
     from repro.vmpi.engine import Engine, Task
 
@@ -262,7 +262,7 @@ class Journal:
     def __init__(self, path: str, mode: str, manifest: dict, *,
                  checkpoint_interval: float = 0.0,
                  sync: str = "checkpoint",
-                 perf: "PerfRecorder | None" = None) -> None:
+                 perf: PerfRecorder = NO_PERF) -> None:
         if mode not in ("record", "replay"):
             raise JournalError(f"mode must be 'record' or 'replay', "
                                f"got {mode!r}")
@@ -302,7 +302,7 @@ class Journal:
     def record(cls, path: str, manifest: dict, *,
                checkpoint_interval: float = 0.01,
                sync: str = "checkpoint",
-               perf: "PerfRecorder | None" = None) -> "Journal":
+               perf: PerfRecorder = NO_PERF) -> "Journal":
         """Create/overwrite a journal directory and start recording."""
         os.makedirs(path, exist_ok=True)
         for name in os.listdir(path):
@@ -320,7 +320,7 @@ class Journal:
     @classmethod
     def replay(cls, path: str, *,
                retry: RetryPolicy | None = None,
-               perf: "PerfRecorder | None" = None) -> "Journal":
+               perf: PerfRecorder = NO_PERF) -> "Journal":
         """Open an existing journal read-only, for verified replay.
 
         The manifest load runs under ``retry`` (default
@@ -414,17 +414,11 @@ class Journal:
         return writer
 
     def _append(self, writer: _WalWriter, kind: int, data: dict) -> None:
-        perf = self.perf
-        if perf is not None:
-            with perf.stage("journal-append") as timer:
-                n = writer.append(kind, data)
-                if self.sync == "always":
-                    writer.sync()
-            timer.count(records=1, bytes=n)
-        else:
-            writer.append(kind, data)
+        with self.perf.stage("journal-append") as timer:
+            n = writer.append(kind, data)
             if self.sync == "always":
                 writer.sync()
+        timer.count(records=1, bytes=n)
 
     def on_deliver(self, msg: "Message", now: float,
                    world_dest: int | None = None) -> None:
@@ -507,13 +501,9 @@ class Journal:
         if self.mode == "replay":
             self._verify_checkpoint(data)
             return
-        perf = self.perf
-        if perf is not None:
-            with perf.stage("checkpoint-write"):
-                self._write_checkpoint(index, data)
-            perf.count("checkpoint-write", records=1)
-        else:
+        with self.perf.stage("checkpoint-write") as timer:
             self._write_checkpoint(index, data)
+        timer.count(records=1)
         if engine.msglog is not None:
             # The checkpoint barrier is the send-log GC point: the
             # durable prefix it certifies is exactly what makes older
@@ -542,9 +532,7 @@ class Journal:
             engine.abort(96, -1, f"replay divergence: {message}")
 
     def _verify_delivery(self, entry: dict, dest: int) -> None:
-        perf = self.perf
-        if perf is not None:
-            perf.count("replay-verify", records=1)
+        self.perf.count("replay-verify", records=1)
         cursor = self._cursors.get(dest, 0)
         recorded = self._recorded_ranks.get(dest, ())
         if cursor >= len(recorded):

@@ -51,12 +51,12 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.perf import NO_PERF, PerfRecorder
 from repro.vmpi.engine import Task, TaskState
 from repro.vmpi.errors import VmpiError
 from repro.vmpi.journal import _WalWriter, read_wal
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.perf import PerfRecorder
     from repro.vmpi.comm import Communicator, Message
     from repro.vmpi.engine import Engine
     from repro.vmpi.faults import CrashFault
@@ -154,7 +154,7 @@ class MessageLogger:
 
     def __init__(self, engine: "Engine", *, journal_dir: str | None = None,
                  sync: str = "checkpoint",
-                 perf: "PerfRecorder | None" = None) -> None:
+                 perf: PerfRecorder = NO_PERF) -> None:
         if sync not in ("checkpoint", "always"):
             raise MsglogError(f"sync must be 'checkpoint' or 'always', "
                               f"got {sync!r}")
@@ -208,15 +208,10 @@ class MessageLogger:
                 return True
             # Beyond the pre-crash count: a genuinely new send at the
             # replay boundary — log it and let it go live.
-        perf = self.perf
-        if perf is not None:
-            with perf.stage("msglog-append") as timer:
-                self.send_log[(msg.context, msg.seq)] = _SendEntry(
-                    msg, src, dest, msg.nbytes)
-            timer.count(records=1, bytes=msg.nbytes)
-        else:
+        with self.perf.stage("msglog-append") as timer:
             self.send_log[(msg.context, msg.seq)] = _SendEntry(
                 msg, src, dest, msg.nbytes)
+        timer.count(records=1, bytes=msg.nbytes)
         self.lane_sent[lane] = self.lane_sent.get(lane, 0) + 1
         self.stats["logged"] += 1
         self.stats["logged_bytes"] += msg.nbytes
@@ -236,8 +231,7 @@ class MessageLogger:
             n = self._wal.append(K_DET, det.to_dict())
             if self.sync == "always":
                 self._wal.sync()
-            if self.perf is not None:
-                self.perf.count("msglog-append", bytes=n)
+            self.perf.count("msglog-append", bytes=n)
 
     # -- recovery ---------------------------------------------------------
 
@@ -253,13 +247,9 @@ class MessageLogger:
         old = engine.tasks.get(rank)
         if old is None or old.state is TaskState.DONE:
             return  # nothing left to recover
-        perf = self.perf
-        if perf is not None:
-            with perf.stage("msglog-replay") as timer:
-                episode = self._recover(old, rule, rule_index)
-            timer.count(records=episode.determinants_replayed)
-        else:
+        with self.perf.stage("msglog-replay") as timer:
             episode = self._recover(old, rule, rule_index)
+        timer.count(records=episode.determinants_replayed)
         self.episodes.append(episode)
         for hook in list(self.on_recovered):
             hook(self, episode)
@@ -425,15 +415,9 @@ class MessageLogger:
             now = engine.now
             protected = {r.rank for r in injector.plan.crash_rules
                          if r.recover != "never" and r.at >= now}
-        reclaimed = 0
-        reclaimed_bytes = 0
-        perf = self.perf
-        if perf is not None:
-            with perf.stage("msglog-gc") as timer:
-                reclaimed, reclaimed_bytes = self._sweep(protected)
-            timer.count(records=reclaimed, bytes=reclaimed_bytes)
-        else:
+        with self.perf.stage("msglog-gc") as timer:
             reclaimed, reclaimed_bytes = self._sweep(protected)
+        timer.count(records=reclaimed, bytes=reclaimed_bytes)
         self.stats["gc_reclaimed"] += reclaimed
         self.stats["gc_bytes"] += reclaimed_bytes
         if self._wal is not None:

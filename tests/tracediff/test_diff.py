@@ -126,6 +126,38 @@ class TestDiffTraces:
         assert side.log.records
         assert side.notes  # "no merged log; aligned N partial(s)"
 
+    def test_partials_side_is_the_salvage_merge(self, tmp_path):
+        # The in-memory merge is the salvage merge, minus the file: the
+        # same log (clock-corrected, rank gap kept) and the same losses.
+        from types import SimpleNamespace
+
+        from repro.mpe.clocksync import SyncPoint
+        from repro.mpe.salvage import (
+            merge_partial_logs,
+            partial_path,
+            write_partial,
+        )
+
+        base = str(tmp_path / "aborted.clog2")
+        by_rank = {}
+        for r in ping_pong(num_ranks=4):
+            by_rank.setdefault(r.rank, []).append(r)
+        del by_rank[2]  # rank 2 left no partial
+        for rank, recs in by_rank.items():
+            ranklog = SimpleNamespace(
+                records=recs, definitions=make_log([]).definitions,
+                sync_points=[SyncPoint(0.0, 2e-4 * rank)])
+            write_partial(partial_path(base, rank), rank, ranklog, 1e-6)
+        before = sorted(tmp_path.iterdir())
+        side = load_side(base, "aborted")
+        assert sorted(tmp_path.iterdir()) == before  # nothing written
+        merged, report = merge_partial_logs(
+            base, str(tmp_path / "merged.clog2"), errors="salvage")
+        assert side.log == merged
+        assert side.report.missing_ranks == report.missing_ranks == [2]
+        assert side.report.records_kept == report.records_kept
+        assert side.report.records_kept == len(merged.records)
+
 
 class TestDiffRenderers:
     @pytest.fixture()
