@@ -197,8 +197,7 @@ def _pack_definition(d: Definition) -> bytes:
 
 
 def write_items(fh, definitions: Iterable[Definition],
-                records: Iterable[LogRecord], *,
-                perf: PerfRecorder = NO_PERF) -> int:
+                records: Iterable[LogRecord]) -> int:
     """Serialise a headerless definition+record stream (shared by the
     file writer and the salvage partials).
 
@@ -209,7 +208,6 @@ def write_items(fh, definitions: Iterable[Definition],
     parts: list[bytes] = []
     append = parts.append
     pending = 0
-    total = 0
     nrecords = 0
     bare_pack = _BARE_FULL_U16.pack
     msg_pack = _MSG_FULL.pack
@@ -242,12 +240,9 @@ def write_items(fh, definitions: Iterable[Definition],
         if pending >= batch:
             write(join(parts))
             parts.clear()
-            total += pending
             pending = 0
     if parts:
         write(join(parts))
-        total += pending
-    perf.count("clog2-write", records=nrecords, bytes=total)
     return nrecords
 
 
@@ -273,7 +268,6 @@ class Clog2Writer:
         self.path = path
         self.checksum = checksum
         self.records_written = 0
-        self.bytes_written = 0
         self._perf = perf
         self._raw = open(path, "wb")
         version = CHECKSUM_VERSION if checksum else VERSION
@@ -292,7 +286,6 @@ class Clog2Writer:
     def _flush(self) -> None:
         if self._parts:
             self._fh.write(b"".join(self._parts))
-            self.bytes_written += self._pending
             self._parts.clear()
             self._pending = 0
 
@@ -342,7 +335,6 @@ class Clog2Writer:
         batch = _WRITE_BATCH
         write = self._fh.write
         join = b"".join
-        total = 0
         for t, _rank, r in items:
             nrecords += 1
             if type(r) is MsgEvent:
@@ -363,16 +355,15 @@ class Clog2Writer:
             if pending >= batch:
                 write(join(parts))
                 parts.clear()
-                total += pending
                 pending = 0
         self._pending = pending
-        self.bytes_written += total
         self.records_written += nrecords
 
     def close(self) -> None:
         if self._raw.closed:
             return
         self._flush()
+        size = self._raw.tell()
         # Patch the record count into the header (offset of the trailing
         # u32 in "<8sHdiI").  The header is never block-framed, so the
         # patch goes straight to the file in both versions.
@@ -380,7 +371,7 @@ class Clog2Writer:
         self._raw.write(struct.pack("<I", self.records_written))
         self._raw.close()
         self._perf.count("clog2-write", records=self.records_written,
-                         bytes=self.bytes_written)
+                         bytes=size)
 
     def __enter__(self) -> "Clog2Writer":
         return self
@@ -395,10 +386,12 @@ def write_clog2_to(fh, log: Clog2File, *, checksum: bool = False,
     stream — the same bytes :func:`write_clog2` puts in a file.  The
     salvage partials embed CLOG2 bodies this way."""
     version = CHECKSUM_VERSION if checksum else VERSION
+    start = fh.tell()
     fh.write(_HDR.pack(MAGIC, version, log.clock_resolution,
                        log.num_ranks, len(log.records)))
     body = _BlockWriter(fh) if checksum else fh
-    write_items(body, log.definitions, log.records, perf=perf)
+    nrecords = write_items(body, log.definitions, log.records)
+    perf.count("clog2-write", records=nrecords, bytes=fh.tell() - start)
 
 
 def write_clog2(path: str, log: Clog2File, *, checksum: bool = False,

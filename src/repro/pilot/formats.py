@@ -28,7 +28,9 @@ internally".
 
 from __future__ import annotations
 
+import functools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,15 +118,24 @@ class FormatItem:
         return 2 if self.count == "^" else 1
 
 
-def parse_format(fmt: str, *, allow_ops: bool = False) -> list[FormatItem]:
+def parse_format(fmt: str, *,
+                 allow_ops: bool = False) -> tuple[FormatItem, ...]:
     """Parse a Pilot format string into items.
 
     Items are separated by whitespace, exactly like the paper's
     examples (``"%d %100f"``).  Raises :class:`FormatError` on anything
     unrecognised — Pilot treats a bad format as an API-abuse error.
+    Every PI_Read/PI_Write parses its format, and a program uses a
+    handful of them, so results are cached per ``(fmt, allow_ops)``; a
+    bad format raises afresh on every call.
     """
     if not isinstance(fmt, str):
         raise FormatError(f"format must be a string, got {type(fmt).__name__}")
+    return _parse_format(fmt, allow_ops)
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_format(fmt: str, allow_ops: bool) -> tuple[FormatItem, ...]:
     items: list[FormatItem] = []
     for tok in re.finditer(r"\S+", fmt):
         token, pos = tok.group(), tok.start()
@@ -155,10 +166,10 @@ def parse_format(fmt: str, *, allow_ops: bool = False) -> list[FormatItem]:
         items.append(FormatItem(type_code, count, op, pos=pos))
     if not items:
         raise FormatError(f"empty format string {fmt!r}", pos=0)
-    return items
+    return tuple(items)
 
 
-def signature(fmt_items: list[FormatItem]) -> str:
+def signature(fmt_items: Sequence[FormatItem]) -> str:
     """Canonical signature of a whole format, for reader/writer match."""
     return " ".join(item.signature() for item in fmt_items)
 
@@ -213,7 +224,7 @@ class WirePart:
     note: str  # short description for log bubbles ("len=100 first=3.5")
 
 
-def encode_write(items: list[FormatItem], args: tuple, *, strict: bool) -> list[list[WirePart]]:
+def encode_write(items: Sequence[FormatItem], args: tuple, *, strict: bool) -> list[list[WirePart]]:
     """Turn PI_Write arguments into per-item wire parts.
 
     Returns one list of :class:`WirePart` per format item (usually a
@@ -261,7 +272,7 @@ def encode_write(items: list[FormatItem], args: tuple, *, strict: bool) -> list[
     return out
 
 
-def decode_read(items: list[FormatItem], args: tuple, parts_per_item: list[list[object]]) -> list[object]:
+def decode_read(items: Sequence[FormatItem], args: tuple, parts_per_item: list[list[object]]) -> list[object]:
     """Turn received wire parts back into PI_Read return values.
 
     ``args`` supplies the runtime counts for ``%*`` items (one int

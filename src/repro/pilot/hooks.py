@@ -11,7 +11,6 @@ paper's new MPE/Jumpshot logger — is an independent implementation.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -102,24 +101,44 @@ class PilotHooks:
         """The blocked call resumed."""
 
 
+#: The hook events, in :class:`PilotHooks` order.
+_EVENTS = tuple(name for name in vars(PilotHooks) if name.startswith("on_"))
+
+
+def _ignore(*args: Any, **kwargs: Any) -> None:
+    """An event no enabled hook overrides."""
+
+
+def _fan_out(methods: list[Any]) -> Any:
+    def fan_out(*args: Any, **kwargs: Any) -> None:
+        for method in methods:
+            method(*args, **kwargs)
+
+    return fan_out
+
+
 class HookSet:
-    """Orders and dispatches to the enabled hooks."""
+    """Orders and dispatches to the enabled hooks.
+
+    Every event is one attribute, rebound by :meth:`add`: a no-op when
+    no hook overrides it, the overriding hook's bound method when one
+    does, or a fan-out over several, in the order they were added.  On
+    the coroutine scheduler an event therefore costs one woven call, and
+    a hook method that charges virtual time (the jumpshot logger's MPE
+    buffering cost) may block.
+    """
 
     def __init__(self) -> None:
         self.hooks: list[PilotHooks] = []
+        for name in _EVENTS:
+            setattr(self, name, _ignore)
 
     def add(self, hook: PilotHooks) -> None:
         self.hooks.append(hook)
-
-    def _dispatch(self, name: str, *args: Any, **kw: Any) -> None:
-        for hook in self.hooks:
-            getattr(hook, name)(*args, **kw)
-
-    def __getattr__(self, name: str):
-        if not name.startswith("on_"):
-            raise AttributeError(name)
-        # A partial over a named method (not a closure): the coroutine
-        # scheduler's call rewriter unwraps partials and weaves
-        # _dispatch, so hook methods that charge virtual time (e.g. the
-        # jumpshot logger's MPE buffering cost) may block.
-        return functools.partial(self._dispatch, name)
+        for name in _EVENTS:
+            base = getattr(PilotHooks, name)
+            methods = [m for m in (getattr(h, name) for h in self.hooks)
+                       if getattr(m, "__func__", None) is not base]
+            setattr(self, name, _ignore if not methods
+                    else methods[0] if len(methods) == 1
+                    else _fan_out(methods))

@@ -93,9 +93,6 @@ class PilotRun:
         self.bundles: list[PI_BUNDLE] = []
         self.custom_states: list = []  # PI_DefineState handles, in order
         self._bundled_channels: set[int] = set()
-        # Config tables touched by many rank bodies; a no-op on the
-        # single-threaded coroutine scheduler.
-        self._lock = self.engine.make_lock()
         self.app_argv: list[str] = []
         self.exec_ended: dict[int, float] = {}
         self.finished_at: float | None = None
@@ -174,23 +171,25 @@ class PilotRun:
 
         ``offset`` accounts for pre-existing table entries that are not
         user-created (the PI_MAIN process occupies ``processes[0]``).
+        Needs no lock: both schedulers run one rank at a time, and this
+        body can suspend only inside a failed check (``fail`` runs the
+        abort hooks), which ends the run.
         """
         state = self.rank_state()
         cursor = offset + state.creation_cursor.get(kind, 0)
         state.creation_cursor[kind] = cursor + 1 - offset
-        with self._lock:
-            if cursor < len(table):
-                existing = table[cursor]
-                if not match(existing):
-                    self.fail(
-                        "CONFIG_MISMATCH",
-                        f"rank {state.rank} executed a different configuration: "
-                        f"{kind} #{cursor} does not match the one created first "
-                        f"({existing!r})", callsite)
-                return existing
-            obj = build()
-            table.append(obj)
-            return obj
+        if cursor < len(table):
+            existing = table[cursor]
+            if not match(existing):
+                self.fail(
+                    "CONFIG_MISMATCH",
+                    f"rank {state.rank} executed a different configuration: "
+                    f"{kind} #{cursor} does not match the one created first "
+                    f"({existing!r})", callsite)
+            return existing
+        obj = build()
+        table.append(obj)
+        return obj
 
     def resolve_endpoint(self, endpoint: Any, callsite: CallSite) -> PI_PROCESS:
         if isinstance(endpoint, _MainHandle) or endpoint is PI_MAIN:

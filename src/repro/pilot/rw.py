@@ -14,6 +14,7 @@ puts on the wire.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -50,7 +51,7 @@ def make_call(run: PilotRun, name: str, callsite: CallSite,
 
 
 def _parse_or_fail(run: PilotRun, fmt: str, callsite: CallSite,
-                   *, allow_ops: bool = False) -> list[FormatItem]:
+                   *, allow_ops: bool = False) -> Sequence[FormatItem]:
     try:
         return parse_format(fmt, allow_ops=allow_ops)
     except FormatError as exc:
@@ -58,7 +59,7 @@ def _parse_or_fail(run: PilotRun, fmt: str, callsite: CallSite,
         raise AssertionError("unreachable")
 
 
-def _encode_or_fail(run: PilotRun, items: list[FormatItem], args: tuple,
+def _encode_or_fail(run: PilotRun, items: Sequence[FormatItem], args: tuple,
                     callsite: CallSite) -> list[list[WirePart]]:
     try:
         return encode_write(items, args,
@@ -112,7 +113,7 @@ def _require_common(run: PilotRun, bundle: PI_BUNDLE, usage: BundleUsage,
 
 
 def _send_parts(run: PilotRun, call: CallRecord, channel: PI_CHANNEL,
-                items: list[FormatItem], parts: list[list[WirePart]]) -> None:
+                items: Sequence[FormatItem], parts: list[list[WirePart]]) -> None:
     from repro.vmpi.datatypes import sizeof
 
     for item, partlist in zip(items, parts):
@@ -144,7 +145,7 @@ def do_write(run: PilotRun, channel: PI_CHANNEL, fmt: str, args: tuple,
 
 
 def _recv_parts(run: PilotRun, call: CallRecord, channel: PI_CHANNEL,
-                items: list[FormatItem], callsite: CallSite) -> list[list[Any]]:
+                items: Sequence[FormatItem], callsite: CallSite) -> list[list[Any]]:
     """Receive one wire part per expected message, with L2 signature checks."""
     parts_per_item: list[list[Any]] = []
     for item in items:
@@ -239,7 +240,7 @@ def do_scatter(run: PilotRun, bundle: PI_BUNDLE, fmt: str, args: tuple,
     run.hooks.on_call_end(call)
 
 
-def _slice_scatter_args(run: PilotRun, items: list[FormatItem], args: tuple,
+def _slice_scatter_args(run: PilotRun, items: Sequence[FormatItem], args: tuple,
                         n: int, callsite: CallSite) -> list[tuple]:
     """Split the root's arguments into one argument tuple per channel.
 

@@ -15,7 +15,6 @@ expressions like ``chans[f"to{i}"]``.
 from __future__ import annotations
 
 import sys
-import threading
 from dataclasses import dataclass, field
 from types import CodeType
 from typing import Any, Callable
@@ -117,12 +116,11 @@ class CaptureRun:
         self.bundles: list[PI_BUNDLE] = []
         self.custom_states: list = []
         self._bundled_channels: set[int] = set()
-        self._lock = threading.Lock()
         self.app_argv: list[str] = []
         self.exec_ended: dict[int, float] = {}
         self.finished_at = None
         self._nprocs = nprocs
-        self._state = RankState(0)
+        self._rank0 = RankState(0)
         self.channel_sites: dict[int, CallSite] = {}
         self.process_sites: dict[int, CallSite] = {}
         self.bundle_sites: dict[int, CallSite] = {}
@@ -130,7 +128,7 @@ class CaptureRun:
     # -- PilotRun protocol -------------------------------------------------
 
     def rank_state(self) -> RankState:
-        return self._state
+        return self._rank0
 
     @property
     def rank(self) -> int:

@@ -216,28 +216,29 @@ def diff_traces(a: "str | Clog2File | TraceSide",
 
     la = label_a or _label(a, "A")
     lb = label_b or _label(b, "B")
-    # Byte-identity fast path: replay pairs are *supposed* to be
-    # byte-identical, so the common "did anything change?" query pays
-    # for two streamed digests and one header — never a parse or an
-    # alignment.
-    identical = (isinstance(a, str) and isinstance(b, str)
-                 and os.path.isfile(a) and os.path.isfile(b)
-                 and os.path.getsize(a) == os.path.getsize(b)
-                 and file_digest(a) == file_digest(b))
-    if identical:
-        header = _read_clog2_header(a)
+    with perf.stage("diff-load") as timer:
+        # Byte-identity fast path: replay pairs are *supposed* to be
+        # byte-identical, so the common "did anything change?" query
+        # pays for two streamed digests and one header — never a parse
+        # or an alignment.
+        identical = (isinstance(a, str) and isinstance(b, str)
+                     and os.path.isfile(a) and os.path.isfile(b)
+                     and os.path.getsize(a) == os.path.getsize(b)
+                     and file_digest(a) == file_digest(b))
+        header = _read_clog2_header(a) if identical else None
         if header is not None:
-            perf.count("diff-load", records=header.num_records,
-                       bytes=os.path.getsize(a))
-            return TraceDiff(
-                la, lb, True, header.num_records, header.num_records,
-                header.num_ranks, header.num_ranks, header.num_records,
-                time_tolerance=time_tolerance)
-    # Identical bytes in a container the header reader doesn't
-    # recognise still load (tolerantly), just for the counts.
-    with perf.stage("diff-load"):
-        side_a = load_side(a, la, errors=errors, perf=perf)
-        side_b = load_side(b, lb, errors=errors, perf=perf)
+            timer.count(records=2 * header.num_records,
+                        bytes=2 * os.path.getsize(a))
+        else:
+            # Identical bytes in a container the header reader doesn't
+            # recognise still load (tolerantly), just for the counts.
+            side_a = load_side(a, la, errors=errors, perf=perf)
+            side_b = load_side(b, lb, errors=errors, perf=perf)
+    if header is not None:
+        return TraceDiff(
+            la, lb, True, header.num_records, header.num_records,
+            header.num_ranks, header.num_ranks, header.num_records,
+            time_tolerance=time_tolerance)
     if identical:
         return _identical_diff(side_a, side_b, time_tolerance)
     return diff_sides(side_a, side_b, time_tolerance=time_tolerance,

@@ -427,19 +427,6 @@ class Engine:
         cls = ThreadTask if self.scheduler == "threads" else CoroTask
         return cls(self, rank, fn, name)
 
-    def make_lock(self):
-        """A mutex appropriate for this backend's task bodies.
-
-        Thread backend: a real lock (rank threads exist concurrently
-        even though only one runs at a time).  Coroutine backend: a
-        no-op context manager — everything runs on one thread, and a
-        real lock held across a suspension would wedge the process.
-        """
-        if self.scheduler == "threads":
-            return threading.Lock()
-        import contextlib
-        return contextlib.nullcontext()
-
     def skew_for(self, rank: int) -> ClockSkew:
         return self._skews.get(rank, ClockSkew())
 
@@ -562,9 +549,9 @@ class Engine:
                 "comprehension that is not the whole value of an "
                 "assignment or return, or code repro.vmpi.weave "
                 "declines to rewrite: a module outside its allow-list, "
-                "or a function it proved never blocks whose callee was "
-                "rebound) tries to block — move the blocking call into "
-                "a named function or loop")
+                "or a function or call site it proved never blocks "
+                "whose callee was rebound) tries to block — move the "
+                "blocking call into a named function or loop")
         mon = self._mon
         with mon:
             mon.notify_all()

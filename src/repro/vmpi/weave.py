@@ -46,23 +46,45 @@ function).  A function *may block* if any of these hold:
   ``acquire``);
 * it calls something the proof cannot resolve statically: a parameter,
   a local or closure variable, a subscript, a call result (so
-  ``getattr(...)(...)``), a lambda, a name bound nowhere; or a name that
-  the allow-list binds by assignment (module globals, class attributes,
-  ``x.name = ...``), behind a decorator other than
-  ``staticmethod``/``classmethod``/``property``, or as a method with an
-  empty body (an override point: the override may live outside the
-  allow-list);
+  ``getattr(...)(...)``), a lambda, a name bound nowhere; a name that
+  the allow-list binds by assignment (module globals, class
+  attributes), behind a decorator other than
+  ``staticmethod``/``classmethod`` (calling a property's name calls
+  what it returns), or as a method with an empty body (an override
+  point: the override may live outside the allow-list); or an
+  attribute that fails the attribute rule below;
 * it calls a name or attribute whose definitions in the allow-list
   (matched by name, across all its modules) include a function that may
   block.
+
+The attribute rule: ``x.name(...)`` resolves only if ``name`` is the
+name of a ``def`` somewhere in ``repro`` or of a builtin-type method
+(``append``, ``get``), and nothing in ``repro`` stores under it: no
+``x.name = ...``, ``setattr(x, "name", ...)``, class-body field or
+assignment, or module global.  Otherwise ``x.name`` may hold anything —
+``proc.work`` is the user's work function, stored by
+``pilot/objects.py``.  A field annotated with a builtin data type
+(``count: int``) is not such a store.  These facts come from a text
+scan of every ``repro`` source file (parsing them all would cost
+several times the proof), which takes a line ``name = ...`` whose
+nearest enclosing ``def``/``class`` header is a ``def`` as a local; a
+header or a store inside a string literal can mislead it.  A call into
+a module imported with a plain ``import`` from outside ``repro``
+(``os.path.join``, ``np.asarray``) resolves too.
 
 May-block is the least fixpoint of those rules; every other definition
 is sync.  Builtins, classes and functions outside the allow-list count
 as sync, because :func:`w_call` already runs them synchronously.
 Generator and async functions are never woven, so calling one is sync.
-Rebinding at run time a global that a sync function calls, to something
-that blocks, fails as loudly as a blocking lambda (the engine's
-"reached the engine synchronously" ``EngineError``).
+
+The proof also judges every call site: inside a woven function, a call
+whose callee resolves and whose definitions are all sync is emitted as
+a plain call, not a dispatch (the rewriter matches call sites by their
+source span).  Only ``repro`` functions get per-call-site verdicts; user
+code is woven call by call.  Rebinding at run time a global that a sync
+function or a plain call site calls, to something that blocks, fails as
+loudly as a blocking lambda (the engine's "reached the engine
+synchronously" ``EngineError``).
 
 Known, checked limitations: ``nonlocal`` rebinding a free variable of
 the woven function is refused (closure cells are copied by value);
@@ -81,6 +103,7 @@ import builtins
 import functools
 import inspect
 import os
+import re
 import sys
 import sysconfig
 import textwrap
@@ -214,23 +237,45 @@ def _weavable_uncached(fn: types.FunctionType, code: types.CodeType) -> bool:
 #: decorators — which is ``co_firstlineno`` — and name).
 _Key = tuple[str, int, str]
 
-#: Definitions in the allow-list proven never to reach a twin; None
-#: until the first weave decision about a repro function needs it.
-_SYNC_DEFS: frozenset[_Key] | None = None
+#: A call expression's span in its file: (line, column, end line, end
+#: column), as ``ast`` reports them.  The end tells ``f(x)(y)`` from
+#: ``f(x)``.
+_Pos = tuple[int, int, int, int]
+
+
+class _Verdicts(frozenset):
+    """The proof's result: the keys of the definitions proven sync.
+
+    ``calls`` maps a source path to the call sites, inside definitions
+    that may block, whose callee is proven never to block.
+    """
+
+    calls: dict[str, frozenset[_Pos]]
+
+
+#: The proof's verdicts over the allow-list; None until the first weave
+#: decision about a repro function needs them.
+_SYNC_DEFS: _Verdicts | None = None
 
 #: Decorators that leave a call of the decorated name running the def's
-#: own body (any other decorator makes the name opaque).
+#: own body (any other decorator makes the name opaque; calling a
+#: property's name calls whatever the property returns).
 _TRANSPARENT_DECORATORS = frozenset({
-    "staticmethod", "classmethod", "property", "setter", "getter",
-    "deleter", "abstractmethod", "overload"})
+    "staticmethod", "classmethod", "abstractmethod", "overload"})
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
+#: Method names of the builtin types: ``x.append(...)`` is sync unless
+#: a definition in the allow-list of the same name may block.
+_BUILTIN_METHODS = frozenset().union(*(dir(t) for t in (
+    object, bool, int, float, complex, str, bytes, bytearray, memoryview,
+    list, tuple, dict, set, frozenset, range, slice)))
 
-def _sync_defs() -> frozenset[_Key]:
+
+def _sync_defs() -> _Verdicts:
     global _SYNC_DEFS
     if _SYNC_DEFS is None:
-        _SYNC_DEFS = _prove_sync(_allow_list_files())
+        _SYNC_DEFS = _prove_sync(_allow_list_files(), _repro_files())
     return _SYNC_DEFS
 
 
@@ -245,8 +290,8 @@ def _first_line(node: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
     return min([node.lineno] + [d.lineno for d in node.decorator_list])
 
 
-def _allow_list_files() -> list[str]:
-    """Source files of the repro modules :func:`weavable` may weave."""
+def _repro_files(allow_list_only: bool = False) -> list[str]:
+    """Source files of the repro package (or of its allow-list)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     top = os.path.dirname(root)
     files = []
@@ -257,10 +302,93 @@ def _allow_list_files() -> list[str]:
             if not fname.endswith(".py"):
                 continue
             mod = pkg if fname == "__init__.py" else f"{pkg}.{fname[:-3]}"
-            if (_matches(mod, _WEAVE_MODULES)
-                    and not _matches(mod, _DENY_MODULES)):
+            if not allow_list_only or (_matches(mod, _WEAVE_MODULES)
+                                       and not _matches(mod, _DENY_MODULES)):
                 files.append(os.path.join(dirpath, fname))
     return files
+
+
+def _allow_list_files() -> list[str]:
+    """Source files of the repro modules :func:`weavable` may weave."""
+    return _repro_files(allow_list_only=True)
+
+
+# The repo-wide text scan.  Parsing every repro file would cost several
+# times the proof itself, and the scan only needs names: every ``def``,
+# and every name an attribute or field may be bound under.  The line
+# pattern starts at a newline (the scan prefixes one to every file), and
+# ``(?=(x))\N`` matches ``x`` without ever giving part of it back, so
+# ``re`` spends a few steps per line.
+_AUG = r"(?:[-+*/%@&|^]|//|\*\*|<<|>>)?="
+_LINE_RE = re.compile(
+    r"\n(?=([ \t]*))\1(?:"
+    # 2, 3: a ``def``/``class`` header and its name.
+    r"(class|def|async[ \t]+def)[ \t]+(\w+)"
+    # 4: ``global a, b``.
+    r"|global[ \t]+(\w+(?:[ \t]*,[ \t]*\w+)*)"
+    # 5, 6: the targets of ``a.x, b = ...`` or ``name: T``, and the
+    # annotation's first word.
+    r"|(?=([\w.]+(?:[ \t]*,[ \t]*[\w.]+)*))\5[ \t]*"
+    rf"(?::[ \t]*(\w*)|,?[ \t]*{_AUG}(?!=)))")
+#: ``x.name = ...``, ``x.name += ...``.
+_ATTR_STORE_RE = re.compile(rf"\.(?=(\w+))\1[ \t]*{_AUG}(?!=)")
+#: ``setattr(x, "name", ...)``, ``object.__setattr__(x, "name", ...)``.
+_SETATTR_RE = re.compile(r"setattr(?:__)?\([^,]*,[ \t]*[\"'](\w+)")
+_SPLIT_RE = re.compile(r"[ \t]*,[ \t]*")
+#: A field annotated with one of these holds no callable.
+_DATA_TYPES = frozenset({
+    "bool", "int", "float", "complex", "str", "bytes", "bytearray", "list",
+    "tuple", "dict", "set", "frozenset"})
+
+
+class _Scan:
+    """What a text scan of source files finds: every ``def`` name, and
+    every name something may store a callable under: ``x.name = ...``,
+    ``setattr``, a class-body field or assignment, a module global.  A
+    line ``name = ...`` whose nearest enclosing header is a ``def`` is a
+    local; a field annotated with a builtin data type (``count: int``)
+    holds no callable."""
+
+    def __init__(self, texts: Iterable[str]) -> None:
+        self.defs: set[str] = set()
+        self.assigned: set[str] = set()
+        for text in texts:
+            self._add("\n" + text)
+
+    def _add(self, text: str) -> None:
+        defs, assigned = self.defs, self.assigned
+        scopes: list[tuple[int, bool]] = [(-1, True)]  # (indent, class?)
+        for indent, header, name, names, targets, ann in _LINE_RE.findall(
+                text):
+            depth = len(indent)
+            if header:
+                while scopes[-1][0] >= depth:
+                    scopes.pop()
+                scopes.append((depth, header == "class"))
+                if header != "class":
+                    defs.add(name)
+            elif names:
+                assigned.update(_SPLIT_RE.split(names))
+            elif ann not in _DATA_TYPES:
+                for store in _SPLIT_RE.split(targets):
+                    if "." in store:
+                        assigned.add(store.rpartition(".")[2])
+                        continue
+                    # The nearest header indented less: a class body or
+                    # the module (the sentinel) binds a field or a
+                    # global; a def binds a local.
+                    i = len(scopes) - 1
+                    while scopes[i][0] >= depth:
+                        i -= 1
+                    if scopes[i][1]:
+                        assigned.add(store)
+        assigned.update(_ATTR_STORE_RE.findall(text))
+        assigned.update(_SETATTR_RE.findall(text))
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _trailing_name(node: ast.expr) -> str:
@@ -302,9 +430,10 @@ class _Def:
         self.parent = parent  # innermost enclosing def (closure scope)
         self.bound: set[str] = set()  # parameters and locals
         self.imports: dict[str, str] = {}  # ``from m import f`` in the body
-        # Each call's callee: ("name", id), ("attr", attr), or None for
-        # any other expression.
-        self.calls: list[tuple[str, str] | None] = []
+        # Each call's span and callee: ("name", id, ""), ("attr", attr,
+        # root name of the receiver or ""), or None for any other
+        # expression.
+        self.calls: list[tuple[_Pos, tuple[str, str, str] | None]] = []
         self.blocks = False
         self.generator = False
 
@@ -316,23 +445,39 @@ class _Module:
         self.defs: dict[str, list[_Def]] = {}
         self.classes: set[str] = set()
         self.imports: dict[str, str | None] = {}  # alias -> name (None: module)
+        self.foreign: set[str] = set()  # aliases of non-repro modules
         self.other: set[str] = set()  # bound any other way
 
 
+def _callee(func: ast.expr) -> tuple[str, str, str] | None:
+    if isinstance(func, ast.Name):
+        return ("name", func.id, "")
+    if not isinstance(func, ast.Attribute):
+        return None
+    root = func.value
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return ("attr", func.attr, root.id if isinstance(root, ast.Name) else "")
+
+
 class _Proof:
-    """Which allow-list functions can never reach a registered twin.
+    """Which allow-list functions can never reach a registered twin, and
+    which of their call sites cannot.
 
     See "Which code gets woven" in the module docstring for the rules.
     """
 
-    def __init__(self, twin_names: set[str]) -> None:
+    def __init__(self, twin_names: set[str], scan: _Scan) -> None:
         self.defs: list[_Def] = []
         self.by_name: dict[str, list[_Def]] = {}
         # Names a call cannot be resolved through, wherever they appear:
-        # twins, attributes and class attributes assigned anywhere,
-        # module-level names bound other than by def/class/import, names
-        # behind a non-transparent decorator, and override points.
-        self.opaque: set[str] = set(twin_names)
+        # twins, attributes, fields and globals assigned anywhere the
+        # scan saw, module-level names bound other than by
+        # def/class/import, names behind a non-transparent decorator,
+        # and override points.
+        self.opaque: set[str] = set(twin_names) | scan.assigned
+        # The attribute names a call may resolve through: methods.
+        self.methods = scan.defs | _BUILTIN_METHODS
 
     def add_module(self, path: str, tree: ast.Module) -> None:
         """One pass over a module: every node is filed under the frame
@@ -346,6 +491,25 @@ class _Proof:
             (n, None, False) for n in tree.body]
         while stack:
             node, owner, cls = stack.pop()
+            t = node.__class__
+            # The commonest nodes first; neither has a child to visit
+            # but its context.
+            if t is ast.Name:
+                if node.ctx.__class__ is not ast.Load:
+                    if cls:
+                        opaque.add(node.id)
+                    elif owner is None:
+                        module.other.add(node.id)
+                    else:
+                        owner.bound.add(node.id)
+                continue
+            if t is ast.Constant or t is ast.Load:
+                continue
+            if t is ast.Attribute:
+                if node.ctx.__class__ is not ast.Load:
+                    opaque.add(node.attr)
+                stack.append((node.value, owner, cls))
+                continue
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
                 stack.extend((x, owner, False) for x in (
@@ -381,28 +545,11 @@ class _Proof:
                     *node.decorator_list, *node.bases, *node.keywords))
                 stack.extend((x, owner, True) for x in node.body)
                 continue
-            if isinstance(node, ast.Name):
-                if not isinstance(node.ctx, ast.Load):
-                    if cls:
-                        opaque.add(node.id)
-                    elif owner is None:
-                        module.other.add(node.id)
-                    else:
-                        owner.bound.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                if not isinstance(node.ctx, ast.Load):
-                    opaque.add(node.attr)
-            elif isinstance(node, ast.Call):
+            if isinstance(node, ast.Call):
                 if owner is not None:
-                    func = node.func
-                    owner.calls.append(
-                        ("attr", func.attr) if isinstance(func, ast.Attribute)
-                        else ("name", func.id) if isinstance(func, ast.Name)
-                        else None)
-                if (isinstance(node.func, ast.Name)
-                        and node.func.id == "setattr" and len(node.args) > 1
-                        and isinstance(node.args[1], ast.Constant)):
-                    opaque.add(str(node.args[1].value))
+                    owner.calls.append(((node.lineno, node.col_offset,
+                                         node.end_lineno, node.end_col_offset),
+                                        _callee(node.func)))
             elif isinstance(node, (ast.With, ast.AsyncWith)):
                 if owner is not None:
                     owner.blocks = True
@@ -417,6 +564,8 @@ class _Proof:
                             else None)
                     if owner is None:
                         module.imports[name] = orig
+                        if orig is None and not _matches(al.name, ("repro",)):
+                            module.foreign.add(name)
                     elif orig is None:
                         owner.bound.add(name)
                     else:
@@ -448,24 +597,32 @@ class _Proof:
             return None
         return self.by_name.get(name, [])
 
-    def _resolve(self, d: _Def,
-                 callee: tuple[str, str] | None) -> list[_Def] | None:
+    @staticmethod
+    def _local(d: _Def, name: str) -> bool:
+        """A parameter, local, closure variable or local import."""
+        scope: _Def | None = d
+        while scope is not None:
+            if name in scope.bound or name in scope.imports:
+                return True
+            scope = scope.parent
+        return False
+
+    def _resolve(self, d: _Def, callee: tuple[str, str, str] | None
+                 ) -> list[_Def] | None:
         """The definitions a call of ``callee`` inside ``d`` can run,
         or None when it may block whatever they are."""
         if callee is None:
             return None  # subscript, call result, lambda, ...
-        kind, name = callee
+        kind, name, root = callee
+        module = d.module
         if kind == "attr":
-            return self._lookup(name)
+            if (root in module.foreign and root not in module.other
+                    and not self._local(d, root)):
+                return []  # into a non-repro module: never woven
+            return self._lookup(name) if name in self.methods else None
         if name in d.imports and name not in d.bound:
             return self._lookup(d.imports[name])
-        scope: _Def | None = d
-        while scope is not None:
-            if name in scope.bound or name in scope.imports:
-                return None  # a parameter, local or closure variable
-            scope = scope.parent
-        module = d.module
-        if name in module.other:
+        if self._local(d, name) or name in module.other:
             return None
         if name in module.imports:
             return self._lookup(module.imports[name])
@@ -475,20 +632,24 @@ class _Proof:
             return []
         return None
 
-    def sync_defs(self) -> frozenset[_Key]:
-        """May-block is the least fixpoint; everything else is sync."""
+    def verdicts(self) -> _Verdicts:
+        """May-block is the least fixpoint; everything else is sync.  A
+        call site is sync when its callee resolves and none of the
+        definitions it can run may block."""
         callers: dict[_Def, list[_Def]] = {}
+        resolved: list[tuple[_Def, _Pos, list[_Def]]] = []
         for d in self.defs:
             if d.generator:
                 # Calling a generator or coroutine function runs none of
                 # its body, and the body is never woven.
                 d.blocks = False
                 continue
-            for callee in () if d.blocks else d.calls:
+            for pos, callee in d.calls:
                 callees = self._resolve(d, callee)
                 if callees is None:
                     d.blocks = True
-                    break
+                    continue
+                resolved.append((d, pos, callees))
                 for c in callees:
                     callers.setdefault(c, []).append(d)
         may_block = {d for d in self.defs if d.blocks}
@@ -498,16 +659,29 @@ class _Proof:
                 if caller not in may_block:
                     may_block.add(caller)
                     work.append(caller)
-        return frozenset(d.key for d in self.defs if d not in may_block)
+        calls: dict[str, set[_Pos]] = {}
+        for d, pos, callees in resolved:
+            # Only the bodies of may-block definitions are ever woven.
+            if d in may_block and may_block.isdisjoint(callees):
+                calls.setdefault(d.key[0], set()).add(pos)
+        verdicts = _Verdicts(d.key for d in self.defs if d not in may_block)
+        verdicts.calls = {path: frozenset(pos) for path, pos in calls.items()}
+        return verdicts
 
 
-def _prove_sync(paths: Iterable[str]) -> frozenset[_Key]:
-    """Run the proof over the source files ``paths``."""
-    proof = _Proof({getattr(f, "__name__", "") for f in _TWINS})
+def _prove_sync(paths: Iterable[str],
+                scan_paths: Iterable[str] | None = None) -> _Verdicts:
+    """Run the proof over the source files ``paths``; attribute names
+    resolve against a text scan of ``scan_paths`` (default: ``paths``)."""
+    paths = list(paths)
+    # One file in memory at a time: the scan would otherwise hold all of
+    # repro's source at once, and the heap keeps what it grows to.
+    scan = _Scan(_read(p) for p in (paths if scan_paths is None
+                                    else scan_paths))
+    proof = _Proof({getattr(f, "__name__", "") for f in _TWINS}, scan)
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            proof.add_module(path, ast.parse(fh.read(), path))
-    return proof.sync_defs()
+        proof.add_module(path, ast.parse(_read(path), path))
+    return proof.verdicts()
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +861,17 @@ class _Rename(ast.NodeTransformer):
 
 class _Weaver(ast.NodeTransformer):
     """Rewrites every call to ``yield from _pilot_w_call(...)`` and every
-    ``with`` block to explicit woven ``__enter__``/``__exit__`` calls."""
+    ``with`` block to explicit woven ``__enter__``/``__exit__`` calls.
+
+    ``is_sync`` and ``plain`` name the nested defs and the call sites
+    proven never to block; those stay plain Python."""
 
     def __init__(self, is_sync: Callable[[ast.FunctionDef], bool]
-                 | None = None) -> None:
+                 | None = None,
+                 plain: Callable[[ast.Call], bool] | None = None) -> None:
         self._tmp = 0
-        self._is_sync = is_sync  # nested defs proven never to block
+        self._is_sync = is_sync
+        self._plain = plain
 
     def transform_body(self, body: list[ast.stmt]) -> list[ast.stmt]:
         out: list[ast.stmt] = []
@@ -867,6 +1046,8 @@ class _Weaver(ast.NodeTransformer):
 
     def visit_Call(self, node: ast.Call) -> ast.AST:
         self.generic_visit(node)
+        if self._plain is not None and self._plain(node):
+            return node
         call = ast.Call(
             func=ast.Name(id="_pilot_w_call", ctx=ast.Load()),
             args=[node.func, *node.args],
@@ -979,11 +1160,12 @@ def _install_helpers(g: dict[str, Any]) -> None:
 def _compile_woven(fn: types.FunctionType, *, factory: bool) -> Any:
     code = fn.__code__
     try:
-        src = textwrap.dedent(inspect.getsource(fn))
+        raw = inspect.getsource(fn)
     except (OSError, TypeError) as exc:
         raise WeaveError(
             f"cannot weave {fn.__qualname__}: source unavailable ({exc})"
         ) from exc
+    src = textwrap.dedent(raw)
     try:
         mod = ast.parse(src)
     except SyntaxError as exc:  # pragma: no cover - getsource artifacts
@@ -1004,16 +1186,25 @@ def _compile_woven(fn: types.FunctionType, *, factory: bool) -> Any:
             "closure copying cannot preserve; restructure to return the "
             "value or mutate a shared object instead")
     fndef.decorator_list = []
-    is_sync = None
+    weaver = _Weaver()
     if _matches(fn.__module__ or "", ("repro",)):
         path = os.path.abspath(code.co_filename)
-        offset = code.co_firstlineno - 1
+        line = code.co_firstlineno - 1
+        # The columns the dedent removed from every line.
+        col = (len(raw) - len(raw.lstrip())) - (len(src) - len(src.lstrip()))
         sync = _sync_defs()
+        sync_calls = sync.calls.get(path, frozenset())
 
         def is_sync(node: ast.FunctionDef) -> bool:
-            return (path, _first_line(node) + offset, node.name) in sync
+            return (path, _first_line(node) + line, node.name) in sync
 
-    fndef.body = _Weaver(is_sync).transform_body(fndef.body)
+        def plain(node: ast.Call) -> bool:
+            return (node.lineno + line, node.col_offset + col,
+                    node.end_lineno + line,
+                    node.end_col_offset + col) in sync_calls
+
+        weaver = _Weaver(is_sync, plain)
+    fndef.body = weaver.transform_body(fndef.body)
     # A body with no call expressions gains no yields; this dead guard
     # still marks the code object as a generator so w_call can always
     # ``yield from`` the twin.

@@ -140,6 +140,84 @@ class TestHookSet:
         with pytest.raises(AttributeError):
             HookSet().not_a_hook
 
+    def test_event_no_hook_overrides_is_a_no_op(self):
+        hooks = HookSet()
+        hooks.add(Recorder())
+        assert hooks.on_abort(0, 1, "x") is None
+        assert hooks.on_abort is HookSet().on_abort
+
+    def test_single_overriding_hook_is_bound_directly(self):
+        hooks = HookSet()
+        rec = Recorder()
+        hooks.add(PilotHooks())
+        hooks.add(rec)
+        assert hooks.on_block == rec.on_block
+
+    def test_second_hook_overriding_on_block_is_called(self):
+        class BlockOnly(PilotHooks):
+            def __init__(self):
+                self.blocked = []
+
+            def on_block(self, call, waiting):
+                self.blocked.append(tuple(waiting))
+
+        hooks = HookSet()
+        rec, late = Recorder(), BlockOnly()
+        hooks.add(rec)
+        hooks.add(late)
+        call = CallRecord("PI_Read", 1, "P1", 0, None)
+        hooks.on_block(call, [0, 2])
+        hooks.on_unblock(call)
+        assert rec.events == [("block", 1, (0, 2)), ("unblock", 1)]
+        assert late.blocked == [(0, 2)]
+
+    def test_hooks_run_in_add_order(self):
+        order = []
+
+        class Named(PilotHooks):
+            def __init__(self, name):
+                self.name = name
+
+            def on_finalize(self, rank):
+                order.append((self.name, rank))
+
+        hooks = HookSet()
+        for name in "abc":
+            hooks.add(Named(name))
+        hooks.on_finalize(2)
+        assert order == [("a", 2), ("b", 2), ("c", 2)]
+
+    def test_fan_out_may_block_on_the_coroutine_scheduler(self, tmp_path):
+        # With a second hook on the jumpshot logger's events, the
+        # fan-out is what the rank calls; the logger's buffering charge
+        # inside it must still advance virtual time, exactly as on the
+        # threads backend.
+        runs = {}
+        for scheduler in ("threads", "coroutine"):
+            rec = Recorder()
+            log = tmp_path / f"{scheduler}.clog2"
+            res = run_pilot(pingpong, 2, argv=("-pisvc=j",),
+                            extra_hooks=[rec], config=PilotConfig(
+                                scheduler=scheduler, mpe_log_path=str(log)))
+            assert res.ok
+            runs[scheduler] = (log.read_bytes(), res.total_time, rec.events)
+        assert runs["threads"] == runs["coroutine"]
+
+    def test_pilotcheck_capture_stops_at_startall(self):
+        from repro.pilotcheck import capture_program
+
+        def main(argv):
+            PI_Configure(argv)
+            worker = PI_CreateProcess(lambda i, a: 0, 0)
+            to_worker = PI_CreateChannel(PI_MAIN, worker)
+            PI_StartAll()
+            raise AssertionError(f"ran past PI_StartAll ({to_worker})")
+
+        captured = capture_program(main, 3)
+        assert captured.started
+        assert len(captured.channels) == 1
+        assert "to_worker" in captured.main_locals
+
 
 class TestResultTimings:
     def test_exec_end_before_total_with_mpe(self, tmp_path):

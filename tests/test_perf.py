@@ -175,7 +175,7 @@ def test_inventory_diff(lab2, tmp_path):
     assert counters(perf) == INVENTORY["diff"]
 
 
-_MERGE = {"clog2-write": {"bytes": 6046, "calls": 1, "records": 144},
+_MERGE = {"clog2-write": {"bytes": 6072, "calls": 1, "records": 144},
           "merge": {"calls": 1, "records": 144}}
 
 INVENTORY: dict[str, dict[str, dict[str, int]]] = {
@@ -189,7 +189,7 @@ INVENTORY: dict[str, dict[str, dict[str, int]]] = {
     "fsck": {"fsck-repair": {"calls": 1},
              "fsck-scan": {"bytes": 7417, "calls": 2, "records": 160}},
     "diff": {"diff-align": {"calls": 1, "records": 248},
-             "diff-load": {"bytes": 16755, "calls": 1, "records": 392},
+             "diff-load": {"bytes": 22827, "calls": 2, "records": 536},
              "diff-score": {"calls": 1}},
 }
 

@@ -71,20 +71,19 @@ class TestParity:
         assert exc.details == ref.details
         assert exc.now == ref.now
 
-    def test_make_lock_protects_check_then_set(self, scheduler):
-        # make_lock guards non-suspending critical sections (first
-        # creator wins, as in slot creation); it must work identically
-        # under ``with`` on both backends.
+    def test_check_then_set_needs_no_lock(self, scheduler):
+        # Both backends run one rank at a time, so a critical section
+        # that does not suspend (first creator wins, as in slot
+        # creation) needs no lock on either.
         eng = Engine(scheduler=scheduler)
-        lock = eng.make_lock()
         slots = {}
 
         def fn():
             rank = eng.current_task.rank
             for _ in range(3):
                 eng.advance(1e-4, "compute")
-                with lock:
-                    slots.setdefault("owner", rank)
+                if "owner" not in slots:
+                    slots["owner"] = rank
             return slots["owner"]
 
         for r in range(3):
