@@ -113,22 +113,18 @@ def PI_CreateProcess(work: Callable[[int, Any], int], index: int = 0,
                   f"work function must be callable, got {type(work).__name__}",
                   cs)
     run.charge(run.costs.config_call)
-
-    def build() -> PI_PROCESS:
-        rank = len(run.processes)
-        if rank >= run.available_processes:
-            run.fail("TOO_MANY_PROCESSES",
-                     f"cannot create process #{rank}: only "
-                     f"{run.available_processes} processes available "
-                     "(is a service rank enabled?)", cs)
-        return PI_PROCESS(rank, work, index, arg2)
-
-    def match(existing: PI_PROCESS) -> bool:
-        return (getattr(existing.work, "__qualname__", None)
-                == getattr(work, "__qualname__", None)
-                and existing.index == index)
-
-    return run._create_slot("process", run.processes, build, match, cs, offset=1)
+    key = (getattr(work, "__qualname__", None), index)
+    proc = run._claim_slot("process", run.processes, key, cs, offset=1)
+    if proc is not None:
+        return proc
+    rank = len(run.processes)
+    if rank >= run.available_processes:
+        run.fail("TOO_MANY_PROCESSES",
+                 f"cannot create process #{rank}: only "
+                 f"{run.available_processes} processes available "
+                 "(is a service rank enabled?)", cs)
+    return run._add_slot("process", run.processes, key,
+                         PI_PROCESS(rank, work, index, arg2), cs)
 
 
 def PI_CreateChannel(from_end: Any, to_end: Any) -> PI_CHANNEL:
@@ -143,15 +139,17 @@ def PI_CreateChannel(from_end: Any, to_end: Any) -> PI_CHANNEL:
         run.check(perr.CHECK_API, False, "SELF_CHANNEL",
                   f"channel endpoints must differ ({writer.name} on both ends)",
                   cs)
+    return _channel_slot(run, writer, reader, cs)
 
-    def build() -> PI_CHANNEL:
-        return PI_CHANNEL(len(run.channels), writer, reader)
 
-    def match(existing: PI_CHANNEL) -> bool:
-        return (existing.writer.rank == writer.rank
-                and existing.reader.rank == reader.rank)
-
-    return run._create_slot("channel", run.channels, build, match, cs)
+def _channel_slot(run: PilotRun, writer: PI_PROCESS, reader: PI_PROCESS,
+                  cs: CallSite) -> PI_CHANNEL:
+    key = (writer.rank, reader.rank)
+    chan = run._claim_slot("channel", run.channels, key, cs)
+    if chan is not None:
+        return chan
+    return run._add_slot("channel", run.channels, key,
+                         PI_CHANNEL(len(run.channels), writer, reader), cs)
 
 
 def PI_CopyChannels(channels: list[PI_CHANNEL]) -> list[PI_CHANNEL]:
@@ -173,16 +171,7 @@ def PI_CopyChannels(channels: list[PI_CHANNEL]) -> list[PI_CHANNEL]:
     run.charge(run.costs.config_call)
     copies = []
     for chan in channels:
-
-        def build(chan=chan) -> PI_CHANNEL:
-            return PI_CHANNEL(len(run.channels), chan.writer, chan.reader)
-
-        def match(existing: PI_CHANNEL, chan=chan) -> bool:
-            return (existing.writer.rank == chan.writer.rank
-                    and existing.reader.rank == chan.reader.rank)
-
-        copies.append(run._create_slot("channel", run.channels, build,
-                                       match, cs))
+        copies.append(_channel_slot(run, chan.writer, chan.reader, cs))
     return copies
 
 
@@ -215,23 +204,21 @@ def PI_CreateBundle(usage: BundleUsage | str,
                   f"found ranks {sorted(commons)}", cs)
     common = (channels[0].writer if usage.common_end_writes
               else channels[0].reader)
-    def build() -> PI_BUNDLE:
-        # Membership is checked at creation time only: when another rank
-        # re-executes the same configuration code, the slot matcher
-        # below validates it against the existing bundle instead.
-        already = [c.name for c in channels if c.cid in run._bundled_channels]
-        if already:
-            run.check(perr.CHECK_API, False, "CHANNEL_REBUNDLED",
-                      f"channel(s) {already} already belong to a bundle", cs)
-        bundle = PI_BUNDLE(len(run.bundles), usage, channels, common)
-        run._bundled_channels.update(c.cid for c in channels)
+    key = (usage, [c.cid for c in channels])
+    bundle = run._claim_slot("bundle", run.bundles, key, cs)
+    if bundle is not None:
         return bundle
-
-    def match(existing: PI_BUNDLE) -> bool:
-        return (existing.usage is usage
-                and [c.cid for c in existing.channels] == [c.cid for c in channels])
-
-    return run._create_slot("bundle", run.bundles, build, match, cs)
+    # Membership is checked at creation time only: when another rank
+    # re-executes the same configuration code, its key is compared with
+    # the existing bundle's instead.
+    already = [c.name for c in channels if c.cid in run._bundled_channels]
+    if already:
+        run.check(perr.CHECK_API, False, "CHANNEL_REBUNDLED",
+                  f"channel(s) {already} already belong to a bundle", cs)
+    run._bundled_channels.update(c.cid for c in channels)
+    return run._add_slot("bundle", run.bundles, key,
+                         PI_BUNDLE(len(run.bundles), usage, channels, common),
+                         cs)
 
 
 def PI_StartAll() -> None:
@@ -422,9 +409,7 @@ def PI_Abort(errorcode: int = 1, text: str = "") -> None:
     native log, already flushed per record, survives.
     """
     run = current_run()
-    state = run.rank_state()
-    run.hooks.on_abort(state.rank, errorcode, text)
-    run.engine.abort(errorcode, state.rank, text)
+    run.engine.abort(errorcode, run.rank_state().rank, text)
 
 
 class PI_STATE:
@@ -462,15 +447,12 @@ def PI_DefineState(name: str, color: str = "blue") -> PI_STATE:
     run.check(perr.CHECK_API, isinstance(name, str) and name != "",
               "BAD_ARGUMENTS", "PI_DefineState needs a non-empty name", cs)
     run.charge(run.costs.config_call)
-
-    def build() -> PI_STATE:
-        return PI_STATE(len(run.custom_states), name, color)
-
-    def match(existing: PI_STATE) -> bool:
-        return existing.name == name and existing.color == color
-
-    return run._create_slot("custom_state", run.custom_states, build,
-                            match, cs)
+    key = (name, color)
+    handle = run._claim_slot("custom_state", run.custom_states, key, cs)
+    if handle is not None:
+        return handle
+    return run._add_slot("custom_state", run.custom_states, key,
+                         PI_STATE(len(run.custom_states), name, color), cs)
 
 
 class _StateBlock:

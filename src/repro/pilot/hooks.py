@@ -42,6 +42,11 @@ class PilotHooks:
     All methods run on the rank that triggered them, inside the virtual
     machine, so they may legitimately send messages or advance time
     (that is how logging overhead becomes measurable, Section III.E).
+
+    There is no abort event: ``PI_Abort``, a failed check, a crash fault
+    and the watchdog all end in ``Engine.abort``, and a facility that
+    must act then appends to ``engine.on_abort_hooks`` (those run
+    outside any rank, so they can neither send nor advance time).
     """
 
     # -- lifecycle ------------------------------------------------------
@@ -60,9 +65,6 @@ class PilotHooks:
         job ends.  MPE's log collection/merge happens here; it may use
         collective communication (every rank is guaranteed to call this,
         in a deterministic order relative to other hooks)."""
-
-    def on_abort(self, rank: int, errorcode: int, reason: str) -> None:
-        """PI_Abort is about to tear the world down."""
 
     # -- per-call -------------------------------------------------------
     def on_call_begin(self, call: CallRecord) -> None:

@@ -4,9 +4,10 @@ One :class:`PilotRun` exists per job.  All ranks execute the same user
 ``main`` (SPMD under the hood, exactly like Pilot-over-MPI); the
 configuration phase must therefore be executed identically everywhere.
 The first rank to execute a creation call actually creates the object;
-every other rank's identical call is validated against it (check level
->= 1 turns a mismatch into a CONFIG_MISMATCH diagnostic, mirroring
-Pilot's insistence that all processes run the same configuration code).
+every other rank's identical call is validated against it by comparing
+creation keys (a mismatch is a CONFIG_MISMATCH diagnostic at every
+check level, mirroring Pilot's insistence that all processes run the
+same configuration code).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import enum
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro._util.callsite import CallSite, capture_callsite
 from repro.pilot import errors as perr
@@ -96,6 +97,8 @@ class PilotRun:
         self.app_argv: list[str] = []
         self.exec_ended: dict[int, float] = {}
         self.finished_at: float | None = None
+        # Per kind, the creation key of each user-created table entry.
+        self._slot_keys: dict[str, list[Any]] = {}
 
     # -- rank-local state ------------------------------------------------
 
@@ -140,7 +143,6 @@ class PilotRun:
         diag = Diagnostic(code, message, callsite, self._safe_rank())
         self.diagnostics.record(diag)
         print(diag.render(), file=sys.stderr)
-        self.hooks.on_abort(diag.rank, 1, diag.message)
         self.engine.abort(1, diag.rank, diag.message)
         raise PilotError(diag)  # only reached when called outside a task
 
@@ -164,30 +166,39 @@ class PilotRun:
 
     # -- configuration-phase object creation -------------------------------
 
-    def _create_slot(self, kind: str, table: list, build: Callable[[], Any],
-                     match: Callable[[Any], bool], callsite: CallSite,
-                     offset: int = 0) -> Any:
+    def _claim_slot(self, kind: str, table: list, key: Any,
+                    callsite: CallSite, offset: int = 0) -> Any:
         """First-creator-wins slot allocation with cross-rank validation.
 
-        ``offset`` accounts for pre-existing table entries that are not
+        Advances this rank's ``kind`` cursor.  If another rank already
+        created the object in that slot, returns it once its creation
+        ``key`` equals ``key``; otherwise returns None, and the caller
+        builds the object and hands it to :meth:`_add_slot`.  ``offset``
+        accounts for pre-existing table entries that are not
         user-created (the PI_MAIN process occupies ``processes[0]``).
-        Needs no lock: both schedulers run one rank at a time, and this
-        body can suspend only inside a failed check (``fail`` runs the
-        abort hooks), which ends the run.
+        Needs no lock: both schedulers run one rank at a time, and
+        nothing here can suspend.
         """
         state = self.rank_state()
-        cursor = offset + state.creation_cursor.get(kind, 0)
-        state.creation_cursor[kind] = cursor + 1 - offset
-        if cursor < len(table):
-            existing = table[cursor]
-            if not match(existing):
-                self.fail(
-                    "CONFIG_MISMATCH",
-                    f"rank {state.rank} executed a different configuration: "
-                    f"{kind} #{cursor} does not match the one created first "
-                    f"({existing!r})", callsite)
-            return existing
-        obj = build()
+        cursor = state.creation_cursor.get(kind, 0)
+        state.creation_cursor[kind] = cursor + 1
+        keys = self._slot_keys.setdefault(kind, [])
+        if cursor >= len(keys):
+            return None
+        existing = table[offset + cursor]
+        if keys[cursor] != key:
+            self.fail(
+                "CONFIG_MISMATCH",
+                f"rank {state.rank} executed a different configuration: "
+                f"{kind} #{offset + cursor} does not match the one created "
+                f"first ({existing!r})", callsite)
+        return existing
+
+    def _add_slot(self, kind: str, table: list, key: Any, obj: Any,
+                  callsite: CallSite) -> Any:
+        """Append the object a :meth:`_claim_slot` caller built, under
+        the key the other ranks' identical calls must match."""
+        self._slot_keys[kind].append(key)
         table.append(obj)
         return obj
 

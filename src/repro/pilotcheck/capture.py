@@ -3,29 +3,27 @@
 The configuration phase of a Pilot program is ordinary sequential Python
 — the paper's programs build their process/channel/bundle tables with
 loops and helper lists before ``PI_StartAll``.  Rather than re-implement
-that with abstract interpretation, pilotcheck *executes* it against a
-stand-in run object (:class:`CaptureRun`) that reuses the real
-``PilotRun`` creation/validation machinery but never starts the virtual
-cluster.  A hook raises at ``PI_StartAll``, unwinding ``main`` with the
-complete declared topology plus a snapshot of main's local variables —
-which is exactly the environment the AST walk needs to resolve channel
-expressions like ``chans[f"to{i}"]``.
+that with abstract interpretation, pilotcheck *executes* it against
+:class:`CaptureRun`, a real ``PilotRun`` on a stub communicator that
+never starts the virtual cluster.  A hook raises at ``PI_StartAll``,
+unwinding ``main`` with the complete declared topology plus a snapshot
+of main's local variables — which is exactly the environment the AST
+walk needs to resolve channel expressions like ``chans[f"to{i}"]``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from types import CodeType
+from types import CodeType, SimpleNamespace
 from typing import Any, Callable
 
 from repro._util.callsite import CallSite
-from repro.pilot.errors import Diagnostic, DiagnosticLog, PilotError
-from repro.pilot.hooks import HookSet, PilotHooks
 from repro.pilot.config import PilotConfig
+from repro.pilot.errors import Diagnostic, PilotError
+from repro.pilot.hooks import PilotHooks
 from repro.pilot.objects import PI_BUNDLE, PI_CHANNEL, PI_PROCESS
 from repro.pilot.program import (
-    PilotCosts,
     PilotRun,
     RankState,
     current_run,
@@ -68,9 +66,6 @@ class _StubEngine:
     def advance(self, seconds: float, reason: str = "") -> None:
         self.now += seconds
 
-    def abort(self, errorcode: int, rank: int, reason: str) -> None:
-        pass  # CaptureRun.fail raises instead
-
 
 class _CaptureHook(PilotHooks):
     """Raises :class:`_CaptureDone` when the program reaches PI_StartAll,
@@ -88,70 +83,27 @@ class _CaptureHook(PilotHooks):
             frame.f_code, dict(frame.f_locals), frame.f_globals, callsite))
 
 
-class CaptureRun:
-    """A PilotRun stand-in that records the configuration phase.
+class CaptureRun(PilotRun):
+    """A PilotRun on a stub communicator that records the configuration
+    phase.
 
-    Borrows the real slot-allocation and validation methods so the
-    captured topology is built by exactly the code the runtime uses; a
-    single rank-0 state stands in for the SPMD re-execution (capture
-    only needs the tables once).
+    The captured topology is built by exactly the code the runtime uses;
+    a single rank-0 state stands in for the SPMD re-execution (capture
+    only needs the tables once), and a failed check raises
+    :class:`CaptureError` instead of aborting.
     """
 
-    # The real machinery, reused unbound (duck-typed self).
-    _create_slot_impl = PilotRun._create_slot
-    resolve_endpoint = PilotRun.resolve_endpoint
-    require_phase = PilotRun.require_phase
-    check = PilotRun.check
-
     def __init__(self, nprocs: int, options: PilotConfig) -> None:
-        self.engine = _StubEngine()
-        self.options = options
-        self.costs = PilotCosts()
-        self.hooks = HookSet()
+        comm = SimpleNamespace(rank=0, size=nprocs, engine=_StubEngine())
+        super().__init__(comm, options)  # type: ignore[arg-type]
         self.hooks.add(_CaptureHook())
-        self.diagnostics = DiagnosticLog()
-        self.processes: list[PI_PROCESS] = [PI_PROCESS(0, None)]
-        self.processes[0].name = "PI_MAIN"
-        self.channels: list[PI_CHANNEL] = []
-        self.bundles: list[PI_BUNDLE] = []
-        self.custom_states: list = []
-        self._bundled_channels: set[int] = set()
-        self.app_argv: list[str] = []
-        self.exec_ended: dict[int, float] = {}
-        self.finished_at = None
-        self._nprocs = nprocs
         self._rank0 = RankState(0)
-        self.channel_sites: dict[int, CallSite] = {}
-        self.process_sites: dict[int, CallSite] = {}
-        self.bundle_sites: dict[int, CallSite] = {}
-
-    # -- PilotRun protocol -------------------------------------------------
+        # Per kind, the creation site of each object by table index.
+        self.sites: dict[str, dict[int, CallSite]] = {
+            "process": {}, "channel": {}, "bundle": {}}
 
     def rank_state(self) -> RankState:
         return self._rank0
-
-    @property
-    def rank(self) -> int:
-        return 0
-
-    @property
-    def world_size(self) -> int:
-        return self._nprocs
-
-    @property
-    def service_rank(self) -> int | None:
-        return self.world_size - 1 if self.options.needs_service_rank else None
-
-    @property
-    def available_processes(self) -> int:
-        n = self.world_size
-        if self.options.needs_service_rank:
-            n -= 1
-        return n
-
-    @property
-    def max_worker_processes(self) -> int:
-        return self.available_processes - 1
 
     def fail(self, code: str, message: str,
              callsite: CallSite | None = None) -> None:
@@ -159,24 +111,11 @@ class CaptureRun:
         self.diagnostics.record(diag)
         raise CaptureError(diag)
 
-    def charge(self, seconds: float, reason: str = "pilot overhead") -> None:
-        pass
-
-    def charge_call(self) -> None:
-        pass
-
-    def _create_slot(self, kind: str, table: list, build: Callable[[], Any],
-                     match: Callable[[Any], bool], callsite: CallSite,
-                     offset: int = 0) -> Any:
-        obj = self._create_slot_impl(kind, table, build, match, callsite,
-                                     offset)
-        if isinstance(obj, PI_CHANNEL):
-            self.channel_sites.setdefault(obj.cid, callsite)
-        elif isinstance(obj, PI_PROCESS):
-            self.process_sites.setdefault(obj.rank, callsite)
-        elif isinstance(obj, PI_BUNDLE):
-            self.bundle_sites.setdefault(obj.bid, callsite)
-        return obj
+    def _add_slot(self, kind: str, table: list, key: Any, obj: Any,
+                  callsite: CallSite) -> Any:
+        if kind in self.sites:
+            self.sites[kind][len(table)] = callsite
+        return super()._add_slot(kind, table, key, obj, callsite)
 
 
 @dataclass
@@ -240,8 +179,8 @@ def capture_program(main: Callable[[list[str]], Any], nprocs: int,
         options=opts, app_argv=app_argv, nprocs=nprocs,
         processes=list(run.processes), channels=list(run.channels),
         bundles=list(run.bundles), custom_states=list(run.custom_states),
-        channel_sites=run.channel_sites, process_sites=run.process_sites,
-        bundle_sites=run.bundle_sites,
+        channel_sites=run.sites["channel"],
+        process_sites=run.sites["process"], bundle_sites=run.sites["bundle"],
         started=snapshot is not None,
         main_code=snapshot.code if snapshot else None,
         main_locals=snapshot.locals if snapshot else {},

@@ -86,11 +86,12 @@ class JumpshotLoggerHook(PilotHooks):
         self.report: MergeReport | None = None
         self.perf = perf
         if self.options.salvage:
-            # A crash is a world abort: every rank's buffer dies, not
-            # just the aborting rank's.  The engine fires these hooks
-            # from abort context (no current task, no messaging) —
-            # rank-local disk flushes are exactly what still works.
-            self.run.engine.on_abort_hooks.append(self._flush_all_on_abort)
+            # Every abort — PI_Abort, a failed check, a crash fault,
+            # the watchdog — is a world abort: every rank's buffer dies,
+            # the aborting rank's included.  The engine fires these
+            # hooks from abort context (no current task, no messaging)
+            # — rank-local disk flushes are exactly what still works.
+            self.run.engine.on_abort_hooks.append(self._flush_all_at_abort)
 
     # -- id allocation -----------------------------------------------------
 
@@ -232,19 +233,19 @@ class JumpshotLoggerHook(PilotHooks):
 
     # -- abort salvage (the paper's future work, Section V) -----------------
 
-    def _maybe_checkpoint(self, force: bool = False) -> None:
+    def _maybe_checkpoint(self) -> None:
         if not self.options.salvage:
             return
-        task = self.run.engine._require_task()
-        self._checkpoint_task(task, force=force, charge=True)
+        self._checkpoint_task(self.run.engine._require_task())
 
-    def _checkpoint_task(self, task, *, force: bool = False,
-                         charge: bool = True) -> None:
+    def _checkpoint_task(self, task, *, final: bool = False) -> None:
         """Flush one rank's new records to its partial file.
 
-        ``charge`` bills the (virtual) disk-write time to the task via
-        ``engine.advance`` — only possible from that task's own context;
-        the abort hook flushes uncharged, since the world is over anyway.
+        Every ``salvage_interval`` records, billing the (virtual)
+        disk-write time to the task via ``engine.advance`` — only
+        possible from that task's own context.  The ``final`` flush from
+        the abort hook writes whatever is pending, uncharged, since the
+        world is over anyway.
         """
         from repro.mpe.salvage import (
             AppendPartialWriter,
@@ -257,7 +258,7 @@ class JumpshotLoggerHook(PilotHooks):
             return
         last = task.locals.get("pilotlog_salvaged", 0)
         pending = len(log.records) - last
-        if not force and pending < self.options.salvage_interval:
+        if not final and pending < self.options.salvage_interval:
             return
         if pending <= 0:
             return
@@ -275,13 +276,13 @@ class JumpshotLoggerHook(PilotHooks):
                           self.run.engine.clock_resolution)
             charged = len(log.records)  # O(whole buffer)
         task.locals["pilotlog_salvaged"] = len(log.records)
-        if charge:
+        if not final:
             self.run.engine.advance(
                 self.options.salvage_checkpoint_latency
                 + self.options.salvage_cost_per_record * charged,
                 "salvage checkpoint")
 
-    def _flush_all_on_abort(self, exc) -> None:
+    def _flush_all_at_abort(self, exc) -> None:
         """Engine abort hook: last-chance flush of *every* rank's buffer.
 
         Runs outside any task, after the abort flag is set but before
@@ -290,7 +291,7 @@ class JumpshotLoggerHook(PilotHooks):
         rank-local writes still complete.
         """
         for task in self.run.engine.tasks.values():
-            self._checkpoint_task(task, force=True, charge=False)
+            self._checkpoint_task(task, final=True)
 
     # -- wrap-up ---------------------------------------------------------------
 
@@ -308,13 +309,3 @@ class JumpshotLoggerHook(PilotHooks):
         if report is not None:
             self.report = report
             self.run.mpe_report = report  # type: ignore[attr-defined]
-
-    def on_abort(self, rank: int, errorcode: int, reason: str) -> None:
-        # Without salvage there is nothing we can do: "when MPI_Abort is
-        # called, there is no way to avoid the loss of the MPE log"
-        # (Section III.B).  With salvage enabled, flush this rank's
-        # buffer one last time — rank-local disk I/O needs none of the
-        # messaging the abort is about to destroy.  The other ranks get
-        # their final flush from the engine abort hook registered at
-        # construction (see _flush_all_on_abort).
-        self._maybe_checkpoint(force=True)

@@ -105,7 +105,7 @@ class TestPartialFiles:
         assert find_partials(base) == []
 
 
-def aborting_program(rounds_before_abort):
+def aborting_program(rounds_before_abort, ending="abort"):
     def main(argv):
         chans = {}
 
@@ -123,7 +123,9 @@ def aborting_program(rounds_before_abort):
         for r in range(rounds_before_abort):
             PI_Write(chans["to"], "%d", r)
             PI_Read(chans["back"], "%d")
-        PI_Abort(2, "fatal problem detected")
+        if ending == "abort":
+            PI_Abort(2, "fatal problem detected")
+        PI_CreateChannel(PI_MAIN, p)  # WRONG_PHASE: a failed check
 
     return main
 
@@ -163,6 +165,26 @@ class TestEndToEndSalvage:
         for rank in (0, 1):
             writes = [s for s in doc.states_of("PI_Write") if s.rank == rank]
             assert 0 < len(writes) <= 100
+
+    @pytest.mark.parametrize("scheduler", ["threads", "coroutine"])
+    @pytest.mark.parametrize("ending", ["abort", "failed-check"])
+    def test_aborting_rank_flushes_every_record(self, tmp_path, scheduler,
+                                                ending):
+        """The interval is never reached: only the abort-time flush
+        writes rank 0's partial, and it holds everything rank 0 logged
+        (the engine's abort hook flushes the aborting rank too)."""
+        base = str(tmp_path / "run.clog2")
+        jopts = JumpshotOptions(salvage=True, salvage_interval=100_000)
+        res = run_pilot(aborting_program(20, ending), 2, argv=("-pisvc=j",),
+                        config=PilotConfig(mpe_log_path=base, mpe=jopts,
+                                           scheduler=scheduler))
+        assert res.aborted is not None and res.aborted.origin_rank == 0
+        if ending == "failed-check":
+            assert res.diagnostics.codes == ["WRONG_PHASE"]
+        logged = res.run.engine.tasks[0].locals["mpe"].records
+        assert len(logged) > 20
+        partial = read_partial_log(partial_path(base, 0)).partial
+        assert partial.records == logged
 
     def test_normal_run_cleans_partials(self, tmp_path):
         base = str(tmp_path / "ok.clog2")

@@ -141,10 +141,15 @@ class TestHookSet:
             HookSet().not_a_hook
 
     def test_event_no_hook_overrides_is_a_no_op(self):
+        class FinalizeOnly(PilotHooks):
+            def on_finalize(self, rank):
+                pass
+
         hooks = HookSet()
-        hooks.add(Recorder())
-        assert hooks.on_abort(0, 1, "x") is None
-        assert hooks.on_abort is HookSet().on_abort
+        hooks.add(FinalizeOnly())
+        call = CallRecord("PI_Read", 1, "P1", 0, None)
+        assert hooks.on_block(call, [0]) is None
+        assert hooks.on_block is HookSet().on_block
 
     def test_single_overriding_hook_is_bound_directly(self):
         hooks = HookSet()

@@ -5,11 +5,12 @@ allow-list have no path to a registered twin; those run as plain
 Python on the coroutine scheduler.  These tests pin the verdicts the
 hot paths rely on, each proof rule on small synthetic modules, the
 lazy once-per-process computation, the loud failure when a rebinding
-defeats the proof, and the dispatch budget it buys on the classroom
-workload.
+defeats the proof, and the dispatches it saves on the classroom and
+fleet workloads.
 """
 
 import ast
+import collections
 import functools
 import os
 import subprocess
@@ -20,6 +21,7 @@ import types
 import pytest
 
 from repro.apps import ThumbnailConfig, thumbnail_main
+from repro.apps.fleet import make_fleet_main
 from repro.mpe import api as mpe_api
 from repro.mpe.api import MpeLogger
 from repro.mpe.records import BareEvent
@@ -69,9 +71,30 @@ class TestVerdicts:
         assert not weave.weavable(fn)
 
     @pytest.mark.parametrize("fn", [
-        PilotRun.check,  # -> fail -> hooks.on_abort -> engine.advance
-        PilotRun.fail,
-        PilotRun.require_phase,
+        # A failed check aborts through engine.abort, which never
+        # blocks: the salvage flush is the engine's abort hook.
+        PilotRun.fail, PilotRun.check, PilotRun.require_phase,
+        PilotRun.resolve_endpoint, PilotRun._claim_slot, PilotRun._add_slot,
+        pilot_rw._require_exec, pilot_rw._require_writer,
+        pilot_rw._require_reader, pilot_rw._require_common,
+        pilot_rw._parse_or_fail, pilot_rw._encode_or_fail,
+    ], ids=lambda f: f.__qualname__)
+    def test_pilot_checks_are_proven_sync(self, fn):
+        assert weave._proven_sync(fn.__code__)
+        assert not weave.weavable(fn)
+
+    def test_nothing_stores_under_the_pilot_check_names(self):
+        """The attribute rule: ``run.check(...)`` resolves only while no
+        ``repro`` source stores under ``check`` (a class-body
+        ``check = PilotRun.check`` would make every call site a
+        dispatch).  Read with the proof's own text scan."""
+        scan = weave._Scan(weave._read(p) for p in weave._repro_files())
+        names = {"check", "fail", "require_phase", "resolve_endpoint",
+                 "rank_state", "_claim_slot", "_add_slot"}
+        assert names <= scan.defs
+        assert not names & scan.assigned
+
+    @pytest.mark.parametrize("fn", [
         JumpshotLoggerHook._maybe_checkpoint,  # engine.advance
         Communicator._pop_pending,  # calls its matcher parameter
     ], ids=lambda f: f.__qualname__)
@@ -161,9 +184,9 @@ class TestCallSites:
 
     def test_rebound_plain_call_site_callee_that_blocks_raises(
             self, monkeypatch, tmp_path):
-        """``_parse_or_fail`` may block (it can abort the run) but its
-        ``parse_format(...)`` call site is plain; rebinding that global
-        to something that blocks must fail loudly, not hang."""
+        """``_parse_or_fail`` is proven sync, so ``parse_format(...)``
+        runs as a plain call; rebinding that global to something that
+        blocks must fail loudly, not hang."""
         real = pilot_rw.parse_format
 
         def blocking_parse(*args, **kwargs):
@@ -419,21 +442,21 @@ class TestLoudFailure:
         assert not log.exists()
 
 
-def test_dispatch_budget_on_classroom(tmp_path, monkeypatch):
-    """thumbnail-150 on 11 ranks with ``services="j"``: woven call sites
-    may dispatch at most 8 times per blocking twin call (21 when every
-    allow-list function was woven, 15.2 with per-function verdicts
-    only)."""
-    counts = {"dispatch": 0, "twin": 0}
+def _count_dispatches(monkeypatch, run):
+    """Run ``run()`` with every woven call site's dispatch and every
+    blocking twin call counted; returns the result, the twin calls and
+    the dispatches per callee name."""
+    dispatched = collections.Counter()
+    twins = [0]
     real_w_call = weave.w_call
 
     def counting_w_call(fn, /, *args, **kwargs):
-        counts["dispatch"] += 1
+        dispatched[getattr(fn, "__name__", repr(fn))] += 1
         return (yield from real_w_call(fn, *args, **kwargs))
 
     def counting_twin(twin):
         def gen(*args, **kwargs):
-            counts["twin"] += 1
+            twins[0] += 1
             return (yield from twin(*args, **kwargs))
         return gen
 
@@ -443,17 +466,41 @@ def test_dispatch_budget_on_classroom(tmp_path, monkeypatch):
     for mod in list(sys.modules.values()):
         if getattr(mod, "_pilot_w_call", None) is real_w_call:
             monkeypatch.setattr(mod, "_pilot_w_call", counting_w_call)
-    main = functools.partial(thumbnail_main,
-                             config=ThumbnailConfig(nfiles=150, seed=0))
     try:
-        res = run_pilot(main, 11, config=PilotConfig(
-            services="j", scheduler="coroutine", seed=0,
-            mpe_log_path=str(tmp_path / "classroom.clog2")))
+        res = run()
     finally:
         # Modules first woven during the run got the shim installed.
         for mod in list(sys.modules.values()):
             if getattr(mod, "_pilot_w_call", None) is counting_w_call:
                 mod._pilot_w_call = real_w_call
+    return res, twins[0], dispatched
+
+
+def test_dispatch_budget_on_classroom(tmp_path, monkeypatch):
+    """thumbnail-150 on 11 ranks with ``services="j"``: woven call sites
+    may dispatch at most 5 times per blocking twin call (21 when every
+    allow-list function was woven, 15.2 with per-function verdicts
+    only, 5.2 while the Pilot checks stayed woven)."""
+    main = functools.partial(thumbnail_main,
+                             config=ThumbnailConfig(nfiles=150, seed=0))
+    res, twins, dispatched = _count_dispatches(monkeypatch, lambda: run_pilot(
+        main, 11, config=PilotConfig(
+            services="j", scheduler="coroutine", seed=0,
+            mpe_log_path=str(tmp_path / "classroom.clog2"))))
     assert res.ok
-    assert counts["twin"] > 10_000
-    assert counts["dispatch"] <= 8 * counts["twin"], counts
+    assert twins > 10_000
+    assert sum(dispatched.values()) <= 5 * twins, (twins, dispatched)
+
+
+def test_config_slots_are_plain_calls_on_a_fleet(monkeypatch):
+    """The configuration phase of a 21-rank fleet: every rank makes all
+    61 creation calls, and none dispatches its slot lookup, its
+    endpoint resolution or its phase check."""
+    res, _, dispatched = _count_dispatches(monkeypatch, lambda: run_pilot(
+        make_fleet_main(20, tasks_per_worker=1), 21,
+        config=PilotConfig(scheduler="coroutine", seed=0)))
+    assert res.ok
+    assert dispatched["PI_CreateChannel"] == 21 * 40
+    for name in ("_claim_slot", "_add_slot", "_channel_slot",
+                 "resolve_endpoint", "require_phase", "check", "fail"):
+        assert dispatched[name] == 0, name
