@@ -33,6 +33,10 @@ ANY_TAG = -1
 # (collectives, MPE log collection, Pilot service traffic).
 INTERNAL_TAG_BASE = 1 << 28
 
+#: What a receive matches: ``(source, tag, context)``, with the
+#: ``ANY_SOURCE`` / ``ANY_TAG`` wildcards (:func:`_matches`).
+MatchKey = tuple[int, int, int]
+
 
 @dataclass(frozen=True)
 class NetworkModel:
@@ -75,11 +79,11 @@ class Request:
     """Handle for a non-blocking operation (mpi4py ``Request`` shape)."""
 
     def __init__(self, comm: "Communicator", task: Task, kind: str,
-                 matcher: Callable[[Message], bool] | None = None) -> None:
+                 key: MatchKey | None = None) -> None:
         self._comm = comm
         self._task = task
         self.kind = kind
-        self._matcher = matcher
+        self._key = key
         self._message: Message | None = None
         self._complete = kind == "send"  # eager sends complete immediately
         self._overhead_charged = False
@@ -123,7 +127,7 @@ class Mailbox:
     pending: deque[Message] = field(default_factory=deque)
     posted: list[Request] = field(default_factory=list)
     blocked_requests: list[Request] = field(default_factory=list)
-    blocked_recv: list[tuple[Callable[[Message], bool], Task]] = field(default_factory=list)
+    blocked_recv: list[tuple[MatchKey, Task]] = field(default_factory=list)
     arrivals: int = 0
 
     # Hooks fired when a message is delivered; Pilot's PI_Read uses this
@@ -131,14 +135,11 @@ class Mailbox:
     observers: list[Callable[[Message], None]] = field(default_factory=list)
 
 
-def _make_matcher(source: int, tag: int,
-                  context: int = 0) -> Callable[[Message], bool]:
-    def matcher(msg: Message) -> bool:
-        return (msg.context == context
-                and source in (ANY_SOURCE, msg.src)
-                and tag in (ANY_TAG, msg.tag))
-
-    return matcher
+def _matches(msg: Message, key: MatchKey) -> bool:
+    source, tag, context = key
+    return (msg.context == context
+            and source in (ANY_SOURCE, msg.src)
+            and tag in (ANY_TAG, msg.tag))
 
 
 class Communicator:
@@ -314,13 +315,13 @@ class Communicator:
             observer(msg)
         # A blocked blocking-recv takes priority, then posted irecvs,
         # then the pending queue.
-        for i, (matcher, task) in enumerate(mbox.blocked_recv):
-            if matcher(msg):
+        for i, (key, task) in enumerate(mbox.blocked_recv):
+            if _matches(msg, key):
                 del mbox.blocked_recv[i]
                 self.engine.wake(task, msg)
                 return
         for req in mbox.posted:
-            if not req._complete and req._matcher and req._matcher(msg):
+            if not req._complete and req._key and _matches(msg, req._key):
                 req._fulfill(msg)
                 mbox.posted.remove(req)
                 self._wake_blocked_requests(mbox)
@@ -351,18 +352,18 @@ class Communicator:
         self._check_peer(source, wildcard_ok=True)
         task = self.engine._require_task()
         mbox = self._mailbox(task)
-        matcher = _make_matcher(source, tag, self.context)
-        msg = self._pop_pending(mbox, matcher)
+        key = (source, tag, self.context)
+        msg = self._pop_pending(mbox, key)
         if msg is None:
-            mbox.blocked_recv.append((matcher, task))
+            mbox.blocked_recv.append((key, task))
             msg = self.engine.block(
                 f"recv(source={source}, tag={tag}) on rank {task.rank}")
         self.engine.advance(self.network.recv_overhead, "recv overhead")
         return msg
 
-    def _pop_pending(self, mbox: Mailbox, matcher: Callable[[Message], bool]) -> Message | None:
+    def _pop_pending(self, mbox: Mailbox, key: MatchKey) -> Message | None:
         for i, msg in enumerate(mbox.pending):
-            if matcher(msg):
+            if _matches(msg, key):
                 del mbox.pending[i]
                 return msg
         return None
@@ -370,10 +371,9 @@ class Communicator:
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         self._check_peer(source, wildcard_ok=True)
         task = self.engine._require_task()
-        req = Request(self, task, "recv",
-                      _make_matcher(source, tag, self.context))
+        req = Request(self, task, "recv", (source, tag, self.context))
         mbox = self._mailbox(task)
-        msg = self._pop_pending(mbox, req._matcher)
+        msg = self._pop_pending(mbox, req._key)
         if msg is not None:
             req._fulfill(msg)
         else:
@@ -387,7 +387,7 @@ class Communicator:
             if req._complete:
                 mbox.posted.remove(req)
                 continue
-            msg = self._pop_pending(mbox, req._matcher)
+            msg = self._pop_pending(mbox, req._key)
             if msg is not None:
                 req._fulfill(msg)
                 mbox.posted.remove(req)
@@ -437,10 +437,10 @@ class Communicator:
             self._check_peer(source, wildcard_ok=True)
         task = self.engine._require_task()
         mbox = self._mailbox(task)
-        matchers = [_make_matcher(s, t, self.context) for s, t in pairs]
+        keys = [(s, t, self.context) for s, t in pairs]
         while True:
-            for i, matcher in enumerate(matchers):
-                if any(matcher(msg) for msg in mbox.pending):
+            for i, key in enumerate(keys):
+                if any(_matches(msg, key) for msg in mbox.pending):
                     return i
             mbox.blocked_requests.append(Request(self, task, "probe"))
             self.engine.block(f"wait_any over {len(pairs)} channels")
@@ -450,8 +450,8 @@ class Communicator:
         task = self.engine._require_task()
         mbox = self._mailbox(task)
         for i, (s, t) in enumerate(pairs):
-            matcher = _make_matcher(s, t, self.context)
-            if any(matcher(msg) for msg in mbox.pending):
+            key = (s, t, self.context)
+            if any(_matches(msg, key) for msg in mbox.pending):
                 return i
         return -1
 
@@ -463,9 +463,9 @@ class Communicator:
         self._check_peer(source, wildcard_ok=True)
         task = self.engine._require_task()
         mbox = self._mailbox(task)
-        matcher = _make_matcher(source, tag, self.context)
+        key = (source, tag, self.context)
         for msg in mbox.pending:
-            if matcher(msg):
+            if _matches(msg, key):
                 return msg.status()
         return None
 
@@ -474,10 +474,10 @@ class Communicator:
         self._check_peer(source, wildcard_ok=True)
         task = self.engine._require_task()
         mbox = self._mailbox(task)
-        matcher = _make_matcher(source, tag, self.context)
+        key = (source, tag, self.context)
         while True:
             for msg in mbox.pending:
-                if matcher(msg):
+                if _matches(msg, key):
                     return msg.status()
             # Park until *any* delivery, then re-scan.
             mbox.blocked_requests.append(Request(self, task, "probe"))

@@ -184,7 +184,12 @@ class ThreadTask(Task):
                 self.thread.start()
             mon.notify_all()
             while self.state is TaskState.RUNNING:
-                if not mon.wait(_HANDOFF_TIMEOUT):
+                # A rank whose wakes keep coming next runs on without a
+                # handoff (Engine._wake_is_next), so silence alone is no
+                # fault: only a wait in which no event happened is.
+                events = eng.stats["events"]
+                if (not mon.wait(_HANDOFF_TIMEOUT)
+                        and eng.stats["events"] == events):
                     raise EngineError(
                         f"handoff to task {self.name} timed out; "
                         "a task thread blocked outside the engine"
@@ -461,8 +466,28 @@ class Engine:
 
     # -- task-side blocking primitives -----------------------------------
 
-    def _advance_begin(self, dt: float, reason: str) -> Task:
-        """Everything :meth:`advance` does before suspending (both backends)."""
+    def _wake_is_next(self, t: float) -> bool:
+        """Whether a wake event at ``t`` would be the next event popped.
+
+        Ties go to the older event, as the heap's ``(time, seq)`` order
+        does.  After an abort every wake goes through the heap, so the
+        wind-down (whose drain pops without counting) is unchanged.
+        """
+        heap = self._heap
+        return self._aborted is None and (not heap or t < heap[0][0])
+
+    def _advance_begin(self, dt: float, reason: str,
+                       inline: bool = True) -> Task | None:
+        """Everything :meth:`advance` does before suspending (both backends).
+
+        Returns the task to suspend, or None when the task keeps
+        running: with ``inline`` set and its wake the next event
+        (:meth:`_wake_is_next`), the engine does in place what popping
+        that event and resuming the task would have done — the clock,
+        the ``events``/``switches`` counters and the task's state end up
+        the same — and pushes nothing.  The msglog replay and rejoin
+        branches always suspend: the recovery driver must see the yield.
+        """
         if dt < 0:
             raise EngineError(f"advance() needs dt >= 0, got {dt}")
         task = self._require_task()
@@ -486,7 +511,20 @@ class Engine:
         else:
             # Even zero-length compute is a scheduling point: it lets
             # same-time events interleave deterministically.
-            self.call_later(dt, lambda: self._resume(task, None))
+            t = self._now + dt
+            if inline and self._wake_is_next(t):
+                # Nothing else can run before this wake, so no killed
+                # or abort check can fire: a killed incarnation is never
+                # the running task, and the world is not aborted.
+                self._now = t
+                self.stats["events"] += 1
+                self.stats["switches"] += 1
+                task.last_active = t
+                task.wake_payload = None
+                task.blocked_reason = reason
+                task.state = TaskState.RUNNING
+                return None
+            self.call_at(t, lambda: self._resume(task, None))
         task.state = TaskState.READY
         task.blocked_reason = reason
         return task
@@ -499,14 +537,23 @@ class Engine:
         return task
 
     def advance(self, dt: float, reason: str = "compute") -> None:
-        """Let virtual time pass for the calling task (declared compute)."""
-        task = self._advance_begin(dt, reason)
-        self._yield_current(task)
+        """Let virtual time pass for the calling task (declared compute).
+
+        When the task's wake is the next event, it keeps running with
+        no handoff (see :meth:`_advance_begin`).  That holds on the
+        threads scheduler only: on the coroutine scheduler a synchronous
+        ``advance`` is un-woven code blocking, and it always raises.
+        """
+        task = self._advance_begin(dt, reason,
+                                   inline=self.scheduler == "threads")
+        if task is not None:
+            self._yield_current(task)
 
     def advance_gen(self, dt: float, reason: str = "compute"):
         """Generator twin of :meth:`advance` (coroutine scheduler)."""
         task = self._advance_begin(dt, reason)
-        yield from task._suspend()
+        if task is not None:
+            yield from task._suspend()
 
     def block(self, reason: str) -> Any:
         """Park the calling task until someone calls :meth:`wake` on it.

@@ -354,7 +354,7 @@ class MessageLogger:
     def _route(self, task: Task, det: Determinant) -> bool:
         """Heap-free mirror of ``Communicator._deliver`` for one
         replayed message.  Returns True when it readied the task."""
-        from repro.vmpi.comm import Mailbox
+        from repro.vmpi.comm import Mailbox, _matches
 
         entry = self.send_log.get((det.ctx, det.seq))
         if entry is None:
@@ -369,14 +369,14 @@ class MessageLogger:
         mbox.arrivals += 1
         for observer in list(mbox.observers):
             observer(msg)
-        for i, (matcher, waiter) in enumerate(mbox.blocked_recv):
-            if matcher(msg):
+        for i, (key, waiter) in enumerate(mbox.blocked_recv):
+            if _matches(msg, key):
                 del mbox.blocked_recv[i]
                 waiter.wake_payload = msg
                 waiter.state = TaskState.READY
                 return True
         for req in mbox.posted:
-            if not req._complete and req._matcher and req._matcher(msg):
+            if not req._complete and req._key and _matches(msg, req._key):
                 req._fulfill(msg)
                 mbox.posted.remove(req)
                 return self._drain_blocked_requests(task, mbox)

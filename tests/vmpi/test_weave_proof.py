@@ -42,7 +42,7 @@ from repro.pilot.api import (
 from repro.pilot.program import PilotRun, current_run, pilot_callsite
 from repro.pilotlog.integration import JumpshotLoggerHook
 from repro.vmpi import weave
-from repro.vmpi.comm import Communicator, _make_matcher
+from repro.vmpi.comm import Communicator, _matches
 from repro.vmpi.errors import EngineError, TaskFailed
 
 
@@ -63,7 +63,8 @@ def _prove(tmp_path, source, outside=None):
 
 class TestVerdicts:
     @pytest.mark.parametrize("fn", [
-        PilotRun.rank_state, Communicator.wtime, _make_matcher,
+        PilotRun.rank_state, Communicator.wtime, _matches,
+        Communicator._pop_pending,  # matches by key, calls no parameter
         current_run, pilot_callsite,
     ], ids=lambda f: f.__qualname__)
     def test_hot_helpers_are_proven_sync(self, fn):
@@ -96,7 +97,6 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("fn", [
         JumpshotLoggerHook._maybe_checkpoint,  # engine.advance
-        Communicator._pop_pending,  # calls its matcher parameter
     ], ids=lambda f: f.__qualname__)
     def test_may_block_functions_stay_woven(self, fn):
         assert not weave._proven_sync(fn.__code__)
@@ -495,12 +495,15 @@ def test_dispatch_budget_on_classroom(tmp_path, monkeypatch):
 def test_config_slots_are_plain_calls_on_a_fleet(monkeypatch):
     """The configuration phase of a 21-rank fleet: every rank makes all
     61 creation calls, and none dispatches its slot lookup, its
-    endpoint resolution or its phase check."""
+    endpoint resolution or its phase check.  Nor does the run dispatch
+    a pending-message match (PI_MAIN scans its pending queue on every
+    receive)."""
     res, _, dispatched = _count_dispatches(monkeypatch, lambda: run_pilot(
         make_fleet_main(20, tasks_per_worker=1), 21,
         config=PilotConfig(scheduler="coroutine", seed=0)))
     assert res.ok
     assert dispatched["PI_CreateChannel"] == 21 * 40
     for name in ("_claim_slot", "_add_slot", "_channel_slot",
-                 "resolve_endpoint", "require_phase", "check", "fail"):
+                 "resolve_endpoint", "require_phase", "check", "fail",
+                 "_pop_pending", "_matches"):
         assert dispatched[name] == 0, name
