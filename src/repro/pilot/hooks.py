@@ -125,8 +125,9 @@ class HookSet:
     Every event is one attribute, rebound by :meth:`add`: a no-op when
     no hook overrides it, the overriding hook's bound method when one
     does, or a fan-out over several, in the order they were added.  On
-    the coroutine scheduler an event therefore costs one woven call, and
-    a hook method that charges virtual time (the jumpshot logger's MPE
+    the coroutine scheduler an event therefore costs one call through
+    its call site's cache (a plain call for the no-op), and a hook
+    method that charges virtual time (the jumpshot logger's MPE
     buffering cost) may block.
     """
 

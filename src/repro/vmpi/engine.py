@@ -24,9 +24,10 @@ interchangeable task backends implement the suspend/resume protocol
 (``Engine(scheduler=...)``; see docs/ARCHITECTURE.md):
 
 * ``"threads"`` — one OS thread per rank (:class:`ThreadTask`); blocking
-  calls park the thread via the monitor handoff in
-  :meth:`ThreadTask._switch_to` / :meth:`Engine._yield_current`.  The
-  historical backend; caps worlds at a few hundred ranks.
+  calls park the thread via the handoff in :meth:`ThreadTask._switch_to`
+  / :meth:`Engine._yield_current`, which wakes only the one thread that
+  runs next.  The historical backend; caps worlds at a few hundred
+  ranks.
 * ``"coroutine"`` — every rank is a generator (:class:`CoroTask`)
   resumed by a single-threaded trampoline; rank code is rewritten at
   runtime by :mod:`repro.vmpi.weave` so each blocking call becomes a
@@ -139,17 +140,20 @@ class ThreadTask(Task):
         self.thread = threading.Thread(
             target=self._body, name=f"vmpi-{name}", daemon=True
         )
+        # This task's own wake condition, on the engine's one lock.
+        self._wake = threading.Condition(engine._lock)
 
     # ------------------------------------------------------------------
     # Thread body and handoff protocol.  All state transitions happen
-    # under engine._mon; notify_all wakes whichever side is waiting.
+    # under engine._lock.  A handoff wakes one thread: the scheduler
+    # notifies only the task it resumes (its ``_wake``), and a task that
+    # yields or ends notifies only the scheduler (``engine._sched``).
     # ------------------------------------------------------------------
 
     def _body(self) -> None:
-        mon = self.engine._mon
-        with mon:
+        with self.engine._lock:
             while self.state is not TaskState.RUNNING:
-                mon.wait(_HANDOFF_TIMEOUT)
+                self._wake.wait(_HANDOFF_TIMEOUT)
         try:
             self.engine._check_abort()
             self.result = self.fn()
@@ -166,29 +170,29 @@ class ThreadTask(Task):
             self.engine._abort_locked_free(errorcode=1, origin_rank=self.rank,
                                            reason=f"unhandled exception: {exc!r}")
         finally:
-            with mon:
+            with self.engine._lock:
                 self.state = TaskState.DONE
                 self.engine._live_tasks -= 1
-                mon.notify_all()
+                self.engine._sched.notify()
 
     def _switch_to(self) -> None:
         """Scheduler-side: run this task until it yields again."""
         eng = self.engine
-        mon = eng._mon
-        with mon:
+        with eng._lock:
             if self.state is TaskState.DONE:
                 return
             eng._current = self
             self.state = TaskState.RUNNING
-            if not self.thread.is_alive():
+            if self.thread.is_alive():
+                self._wake.notify()
+            else:
                 self.thread.start()
-            mon.notify_all()
             while self.state is TaskState.RUNNING:
                 # A rank whose wakes keep coming next runs on without a
                 # handoff (Engine._wake_is_next), so silence alone is no
                 # fault: only a wait in which no event happened is.
                 events = eng.stats["events"]
-                if (not mon.wait(_HANDOFF_TIMEOUT)
+                if (not eng._sched.wait(_HANDOFF_TIMEOUT)
                         and eng.stats["events"] == events):
                     raise EngineError(
                         f"handoff to task {self.name} timed out; "
@@ -381,7 +385,10 @@ class Engine:
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        self._mon = threading.Condition()
+        # The threads backend's handoff lock; the scheduler waits on
+        # ``_sched``, each ThreadTask on its own condition on this lock.
+        self._lock = threading.Lock()
+        self._sched = threading.Condition(self._lock)
         self._current: Task | None = None
         self._tasks: dict[int, Task] = {}
         self._live_tasks = 0
@@ -599,11 +606,10 @@ class Engine:
                 "or a function or call site it proved never blocks "
                 "whose callee was rebound) tries to block — move the "
                 "blocking call into a named function or loop")
-        mon = self._mon
-        with mon:
-            mon.notify_all()
+        with self._lock:
+            self._sched.notify()
             while task.state is not TaskState.RUNNING:
-                mon.wait(_HANDOFF_TIMEOUT)
+                task._wake.wait(_HANDOFF_TIMEOUT)
         if task.killed:
             raise TaskKilled(task.rank)
         self._check_abort()

@@ -11,6 +11,7 @@ fleet workloads.
 
 import ast
 import collections
+import contextlib
 import functools
 import os
 import subprocess
@@ -133,17 +134,19 @@ class TestCallSites:
             self, monkeypatch):
         """``MpeLogger.log_event`` runs once per MPE record: inside its
         woven twin only ``_charge`` (which may advance virtual time) goes
-        through the dispatcher; ``_state``, ``wtime``, ``append`` and
+        through a call site; ``_state``, ``wtime``, ``append`` and
         ``BareEvent`` are plain calls."""
         twin = weave.woven_twin(MpeLogger.log_event)
         dispatched = []
 
-        def recording_w_call(fn, /, *args, **kwargs):
+        def recording_miss(site, fn, /, *args, **kwargs):
             dispatched.append(fn.__name__)
             return fn(*args, **kwargs)
-            yield  # a generator, like the real dispatcher
+            yield  # a generator, like the real slow path
 
-        monkeypatch.setattr(mpe_api, "_pilot_w_call", recording_w_call)
+        # Every site misses, and this slow path fills no cache.
+        weave._empty_sites()
+        monkeypatch.setattr(mpe_api, "_pilot_w_miss", recording_miss)
         records = []
 
         class Comm:
@@ -442,68 +445,131 @@ class TestLoudFailure:
         assert not log.exists()
 
 
-def _count_dispatches(monkeypatch, run):
-    """Run ``run()`` with every woven call site's dispatch and every
-    blocking twin call counted; returns the result, the twin calls and
-    the dispatches per callee name."""
-    dispatched = collections.Counter()
-    twins = [0]
+class _Dispatches:
+    """Counts, per callee name, the calls through woven call sites —
+    cache hits and slow-path dispatches apart — and every blocking twin
+    call, while installed (see :func:`_counting`)."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.hits = collections.Counter()
+        self.slow = collections.Counter()
+        self.twins = 0
+
+    def sites(self, name):
+        """Calls of ``name`` through a call site, hit or not."""
+        return self.hits[name] + self.slow[name]
+
+
+def _name(fn):
+    return getattr(fn, "__name__", repr(fn))
+
+
+@contextlib.contextmanager
+def _counting(monkeypatch):
+    """Count dispatches in the block.  Every site cache is emptied on the
+    way in and out, so entries filled before cannot hide a twin call,
+    and the counting entries filled inside do not outlive the block."""
+    counts = _Dispatches()
     real_w_call = weave.w_call
+    real_entry = weave._site_entry
 
     def counting_w_call(fn, /, *args, **kwargs):
-        dispatched[getattr(fn, "__name__", repr(fn))] += 1
+        counts.slow[_name(fn)] += 1
         return (yield from real_w_call(fn, *args, **kwargs))
 
     def counting_twin(twin):
         def gen(*args, **kwargs):
-            twins[0] += 1
+            counts.twins += 1
             return (yield from twin(*args, **kwargs))
         return gen
 
+    def counting_entry(fn):
+        # A cached target that counts its hits.  A callee the site runs
+        # synchronously gets a generator target that calls it plainly.
+        found = real_entry(fn)
+        if found is None:
+            return None
+        slot, (key, target) = found
+        name = _name(key)
+
+        def hit(*args, **kwargs):
+            counts.hits[name] += 1
+            if target is None:
+                return key(*args, **kwargs)
+            return (yield from target(*args, **kwargs))
+
+        return slot, (key, hit)
+
     monkeypatch.setattr(weave, "w_call", counting_w_call)
+    monkeypatch.setattr(weave, "_site_entry", counting_entry)
     for original, twin in list(weave._TWINS.items()):
         monkeypatch.setitem(weave._TWINS, original, counting_twin(twin))
     for mod in list(sys.modules.values()):
         if getattr(mod, "_pilot_w_call", None) is real_w_call:
             monkeypatch.setattr(mod, "_pilot_w_call", counting_w_call)
+    weave._empty_sites()
     try:
-        res = run()
+        yield counts
     finally:
-        # Modules first woven during the run got the shim installed.
+        weave._empty_sites()
+        # Modules first woven in the block got the shim installed.
         for mod in list(sys.modules.values()):
             if getattr(mod, "_pilot_w_call", None) is counting_w_call:
                 mod._pilot_w_call = real_w_call
-    return res, twins[0], dispatched
+
+
+def _classroom(tmp_path):
+    main = functools.partial(thumbnail_main,
+                             config=ThumbnailConfig(nfiles=150, seed=0))
+    return run_pilot(main, 11, config=PilotConfig(
+        services="j", scheduler="coroutine", seed=0,
+        mpe_log_path=str(tmp_path / "classroom.clog2")))
 
 
 def test_dispatch_budget_on_classroom(tmp_path, monkeypatch):
-    """thumbnail-150 on 11 ranks with ``services="j"``: woven call sites
-    may dispatch at most 5 times per blocking twin call (21 when every
-    allow-list function was woven, 15.2 with per-function verdicts
-    only, 5.2 while the Pilot checks stayed woven)."""
-    main = functools.partial(thumbnail_main,
-                             config=ThumbnailConfig(nfiles=150, seed=0))
-    res, twins, dispatched = _count_dispatches(monkeypatch, lambda: run_pilot(
-        main, 11, config=PilotConfig(
-            services="j", scheduler="coroutine", seed=0,
-            mpe_log_path=str(tmp_path / "classroom.clog2"))))
+    """thumbnail-150 on 11 ranks with ``services="j"``: at most 0.25
+    slow-path dispatches per blocking twin call (21 dispatches when
+    every allow-list function was woven, 15.2 with per-function verdicts
+    only, 5.2 while the Pilot checks stayed woven, ~4.2 before call
+    sites cached their callee; 0.13 with the caches, mostly ``with``
+    blocks)."""
+    with _counting(monkeypatch) as counts:
+        res = _classroom(tmp_path)
     assert res.ok
-    assert twins > 10_000
-    assert sum(dispatched.values()) <= 5 * twins, (twins, dispatched)
+    assert counts.twins > 10_000
+    assert sum(counts.hits.values()) > 10_000
+    assert sum(counts.slow.values()) <= 0.25 * counts.twins, (
+        counts.twins, counts.slow)
+
+
+def test_event_no_hook_overrides_costs_no_slow_path(tmp_path, monkeypatch):
+    """``on_block``/``on_unblock`` stay the no-op ``_ignore`` under
+    ``services="j"``; once each site has met it, every call is a cache
+    hit run as a plain call (it was 2,156 dispatches per classroom
+    run)."""
+    with _counting(monkeypatch) as counts:
+        assert _classroom(tmp_path).ok
+        counts.reset()
+        assert _classroom(tmp_path).ok
+    assert counts.hits["_ignore"] > 1_000
+    assert counts.slow["_ignore"] == 0
 
 
 def test_config_slots_are_plain_calls_on_a_fleet(monkeypatch):
     """The configuration phase of a 21-rank fleet: every rank makes all
-    61 creation calls, and none dispatches its slot lookup, its
-    endpoint resolution or its phase check.  Nor does the run dispatch
-    a pending-message match (PI_MAIN scans its pending queue on every
-    receive)."""
-    res, _, dispatched = _count_dispatches(monkeypatch, lambda: run_pilot(
-        make_fleet_main(20, tasks_per_worker=1), 21,
-        config=PilotConfig(scheduler="coroutine", seed=0)))
+    61 creation calls, and none goes through a call site for its slot
+    lookup, its endpoint resolution or its phase check.  Nor does the
+    run dispatch a pending-message match (PI_MAIN scans its pending
+    queue on every receive)."""
+    with _counting(monkeypatch) as counts:
+        res = run_pilot(make_fleet_main(20, tasks_per_worker=1), 21,
+                        config=PilotConfig(scheduler="coroutine", seed=0))
     assert res.ok
-    assert dispatched["PI_CreateChannel"] == 21 * 40
+    assert counts.sites("PI_CreateChannel") == 21 * 40
     for name in ("_claim_slot", "_add_slot", "_channel_slot",
                  "resolve_endpoint", "require_phase", "check", "fail",
                  "_pop_pending", "_matches"):
-        assert dispatched[name] == 0, name
+        assert counts.sites(name) == 0, name
