@@ -11,9 +11,9 @@ call is a generator.
 
 This module makes that true at runtime.  When a function is first called
 on the coroutine backend it is *woven*: its source is re-parsed and every
-call expression ``f(x)`` is rewritten to ``(yield from _pilot_w_call(f, x))``
-(in ``repro`` code, to a cached call site; see below).  :func:`w_call`
-then dispatches:
+call expression ``f(x)`` — and each ``with`` block's ``__enter__`` and
+``__exit__`` — is rewritten to a cached call site (see below).  One
+resolver, :func:`_site_entry`, says what a callee runs:
 
 * engine/resource blocking primitives go to hand-written generator twins
   (registered by :mod:`repro.vmpi.engine` via :func:`register_twin`), whose
@@ -38,9 +38,9 @@ tests) is woven by default.  Stdlib and site-packages are never woven.
 Within the allow-list, a conservative static proof — run lazily, once
 per process, over the allow-list's source files — finds the functions
 with no path to a registered twin.  :func:`weavable` says no to them:
-their bodies run as plain Python, and :func:`w_call` calls them
-directly (a nested ``def`` proven sync also stays plain inside a woven
-function).  A function *may block* if any of these hold:
+their bodies run as plain Python, and call sites call them directly (a
+nested ``def`` proven sync also stays plain inside a woven function).
+A function *may block* if any of these hold:
 
 * it contains a ``with`` (``Resource.__enter__`` is a twin);
 * it calls an attribute named like a twin (``advance``, ``block``,
@@ -75,7 +75,7 @@ a module imported with a plain ``import`` from outside ``repro``
 
 May-block is the least fixpoint of those rules; every other definition
 is sync.  Builtins, classes and functions outside the allow-list count
-as sync, because :func:`w_call` already runs them synchronously.
+as sync, because a call site already runs them synchronously.
 Generator and async functions are never woven, so calling one is sync.
 
 The proof also judges every call site: inside a woven function, a call
@@ -90,22 +90,23 @@ synchronously" ``EngineError``).
 Call-site caches
 ----------------
 
-Every call site of a woven ``repro`` function that the proof leaves
-woven remembers its last callee in a one-entry cache, instead of
-dispatching through :func:`w_call` on every call.  The site evaluates
-its callee once, first.  If the callee is the cached key — a bound method's
-``__func__``, or a function, class or woven nested def itself — the
-site runs the cached target directly: ``yield from`` the generator twin
-(the target gets the bound ``self`` first), or a plain call when
-:func:`w_call` would run the callee synchronously (so an event no hook
-overrides, ``HookSet``'s ``_ignore``, costs one plain call).  Any other
-callee takes the slow path (:func:`_site_miss`): it fills the cache
-(:func:`_site_entry` resolves the target just as :func:`w_call` does)
-and dispatches through :func:`w_call`.  The arguments are evaluated
-once, after the callee, in the branch that runs.  Sites that spread
-``*args`` or ``**kwargs``, the ``with`` statement's ``__enter__`` and
-``__exit__``, and all of user code keep dispatching through
-:func:`w_call`.  Two rules keep a cache from running a stale target:
+Every call site of a woven function (apart from the ``repro`` call
+sites the proof emits as plain calls) remembers its last callee in a
+one-entry cache.  The site evaluates its callee once, first.  If the
+callee is the cached key — a bound method's ``__func__``, or a
+function, class or woven nested def itself — the site runs the cached
+target directly: ``yield from`` the generator twin (the target gets the
+bound ``self`` first), or a plain call for a callee with no twin (so an
+event no hook overrides, ``HookSet``'s ``_ignore``, or a
+``nullcontext``'s ``__exit__`` costs one plain call).  A builtin
+(``len``, a bound ``list.append``) is called plainly without touching
+the cache.  Any other callee takes the slow path (:func:`_site_miss`):
+it fills the cache from :func:`_site_entry` and dispatches through
+:func:`w_call`, which runs what the same resolver names.  The
+arguments are evaluated once, after the callee, in the branch that
+runs.  A ``with`` block calls ``type(mgr).__enter__(mgr)`` and
+``type(mgr).__exit__(...)`` through two such sites (three with the
+exception path).  Two rules keep a cache from running a stale target:
 
 * an entry is one ``(key, target)`` tuple, stored in one step and read
   once per call, so two coroutine engines on two threads that share a
@@ -118,6 +119,11 @@ the slow path; a rebound callee that blocks synchronously still fails
 loudly.  The caches of a woven function are free variables of its
 twin, one set per code object, all listed in :data:`_SITES`.
 
+Each function object gets its own twin, built by one factory per code
+object, which takes the cache lists and the closure's cell values; the
+twin takes the original's defaults, so they are evaluated once, where
+the ``def`` ran.
+
 Known, checked limitations: ``nonlocal`` rebinding a free variable of
 the woven function is refused (closure cells are copied by value);
 generator/async functions are never woven (they are called directly);
@@ -125,14 +131,16 @@ generator/async functions are never woven (they are called directly);
 ``EngineError`` instead of deadlocking.  Comprehensions are desugared
 into explicit loops when they form the whole value of an assignment or
 return; in any other position their bodies stay synchronous (same loud
-error if they block).
+error if they block).  A method's zero-argument ``super()`` is
+rewritten to ``super(__class__, <first parameter>)``: the bare form
+reads its class and instance from the frame that makes the call, which
+a site's slow path is not.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
-import copy
 import functools
 import inspect
 import os
@@ -244,8 +252,8 @@ _GENERATORISH = (inspect.CO_GENERATOR | inspect.CO_COROUTINE
 #: Weavability verdict per code object.  The verdict depends only on
 #: the code object (flags, name, filename) and the defining module —
 #: and every function sharing a code object (closures from one factory
-#: def) shares the module too — so one entry serves them all.  w_call
-#: consults this on every single call from woven code; without the
+#: def) shares the module too — so one entry serves them all.  The
+#: callee resolver consults this on every slow-path call; without the
 #: cache the inspect flag checks and prefix matches dominate large-rank
 #: runs.
 _WEAVABLE_CACHE: dict[types.CodeType, bool] = {}
@@ -745,9 +753,9 @@ class WovenCallable:
     Calling it synchronously drives the generator to completion; that
     succeeds exactly when the function does not block — anything that
     blocked from such a context would have deadlocked or failed on the
-    thread backend too.  Woven callers dispatch through :func:`w_call`,
-    which recognises the wrapper and ``yield from``s the underlying
-    generator so blocking works as usual.
+    thread backend too.  A woven call site recognises the wrapper
+    (:func:`_site_entry`) and ``yield from``s the underlying generator,
+    so blocking works as usual.
     """
 
     def __init__(self, gen_fn: Callable[..., Any],
@@ -789,145 +797,93 @@ def _mark(obj: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# The call dispatcher every woven call site goes through.
+# The callee resolver and the slow path every call site falls back to.
 # ---------------------------------------------------------------------------
 
 def w_call(fn, /, *args, **kwargs):  # noqa: ANN001 - generator protocol
     """Dispatch one call from woven code (generator; used via yield from).
 
-    Every call of woven user code funnels through here, and so does a
-    woven repro call site when its cache misses or its call spreads
-    ``*args``/``**kwargs`` (:func:`_site_miss`).  The common shapes are
-    dispatched on exact type before the generic attribute-probing tail:
-    plain functions, builtins/slot wrappers and class constructors
-    (which never weave and never block), bound methods, partials and
-    woven nested defs."""
-    t = fn.__class__
-    if t is types.FunctionType:
-        twin = _TWINS.get(fn)
-        if twin is not None:
-            return (yield from twin(*args, **kwargs))
-        if weavable(fn):
-            return (yield from woven_twin(fn)(*args, **kwargs))
-        return fn(*args, **kwargs)
-    if (t is types.BuiltinFunctionType or t is types.MethodWrapperType
-            or t is type):
-        return fn(*args, **kwargs)
-    if t is types.MethodType:
-        func = fn.__func__
-        twin = _TWINS.get(func)
-        if twin is not None:
-            return (yield from twin(fn.__self__, *args, **kwargs))
-        if isinstance(func, WovenCallable):
-            return (yield from func.gen_fn(fn.__self__, *args, **kwargs))
-        if weavable(func):
-            return (yield from woven_twin(func)(fn.__self__, *args, **kwargs))
-        return fn(*args, **kwargs)
-    # Generic tail: partial chains, WovenCallable, callable objects,
-    # classmethods/staticmethods, metaclass instances.
+    The slow path of every call site (:func:`_site_miss`) and the entry
+    of every coroutine task.  It unwraps partials, then runs what
+    :func:`_site_entry` names: the generator twin, ``yield from``-ed
+    (a bound method's ``self`` first), or else a plain call."""
     while isinstance(fn, functools.partial):
-        if fn.keywords:
-            kwargs = {**fn.keywords, **kwargs}
         args = fn.args + args
+        kwargs = {**fn.keywords, **kwargs}
         fn = fn.func
-        if fn.__class__ is not functools.partial:
-            return (yield from w_call(fn, *args, **kwargs))
-    if isinstance(fn, WovenCallable):
-        return (yield from fn.gen_fn(*args, **kwargs))
-    func = getattr(fn, "__func__", None)
-    if func is not None and getattr(fn, "__self__", None) is not None:
-        # Bound method: dispatch on the underlying function.
-        twin = _TWINS.get(func)
-        if twin is not None:
-            return (yield from twin(fn.__self__, *args, **kwargs))
-        if isinstance(func, WovenCallable):
-            return (yield from func.gen_fn(fn.__self__, *args, **kwargs))
-        if weavable(func):
-            woven = woven_twin(func)
-            return (yield from woven(fn.__self__, *args, **kwargs))
+    entry = _site_entry(fn)
+    target = None if entry is None else entry[1][1]
+    if target is None:
         return fn(*args, **kwargs)
+    if entry[0] == 0:
+        return (yield from target(fn.__self__, *args, **kwargs))
+    return (yield from target(*args, **kwargs))
+
+
+def _target(fn: Any) -> Callable[..., Any] | None:
+    """The generator twin a call of ``fn`` runs, or None for a plain
+    call: a registered twin, a woven nested def's generator, or the
+    woven twin of a weavable function."""
     twin = _TWINS.get(fn)
     if twin is not None:
-        return (yield from twin(*args, **kwargs))
-    if weavable(fn):
-        woven = woven_twin(fn)
-        return (yield from woven(*args, **kwargs))
-    return fn(*args, **kwargs)
+        return twin
+    if fn.__class__ is WovenCallable:
+        return fn.gen_fn
+    return woven_twin(fn) if weavable(fn) else None
 
 
 def _site_entry(fn: Any) -> tuple[int, tuple[Any, Any]] | None:
-    """The cache slot and ``(key, target)`` entry for callee ``fn``, or
-    None when ``fn`` is no shape a site caches.
+    """The one callee resolver: the cache slot and ``(key, target)``
+    entry for callee ``fn``, or None for a callee no site caches (a
+    partial, a bound builtin, a callable object), which is called
+    plainly once unwrapped.
 
-    The target is what :func:`w_call` would run: the generator twin, or
-    None for a callee it runs synchronously.  A bound method goes in
-    slot 0, keyed by its ``__func__`` (its target takes ``self``
-    first); a function, a class or a woven nested def in slot 1, keyed
-    by itself."""
+    The target is the generator twin (:func:`_target`), or None for a
+    plain call.  A bound method goes in slot 0, keyed by its
+    ``__func__`` (its target takes ``self`` first); a function, a woven
+    nested def or a class in slot 1, keyed by itself."""
     t = fn.__class__
     if t is types.MethodType:
         func = fn.__func__
-        twin = _TWINS.get(func)
-        if twin is None:
-            if isinstance(func, WovenCallable):
-                twin = func.gen_fn
-            elif weavable(func):
-                twin = woven_twin(func)
-        return 0, (func, twin)
-    if t is types.FunctionType:
-        twin = _TWINS.get(fn)
-        if twin is None and weavable(fn):
-            twin = woven_twin(fn)
-        return 1, (fn, twin)
-    if t is WovenCallable:
-        return 1, (fn, fn.gen_fn)
-    if t is type:
+        return 0, (func, _target(func))
+    if t is types.FunctionType or t is WovenCallable:
+        return 1, (fn, _target(fn))
+    if isinstance(fn, type):
         return 1, (fn, None)
     return None
 
 
 def _site_miss(site, fn, /, *args, **kwargs):  # noqa: ANN001
-    """A call site's slow path: fill its cache, then dispatch as
-    :func:`w_call` does.  The entry is one tuple, stored in one step."""
+    """A call site's slow path: fill its cache, then dispatch through
+    :func:`w_call`.  The entry is one tuple, stored in one step."""
     entry = _site_entry(fn)
     if entry is not None:
         site[entry[0]] = entry[1]
     return (yield from w_call(fn, *args, **kwargs))
 
 
-def _w_enter(mgr):
-    """``with`` support: run ``type(mgr).__enter__`` through the weave."""
-    enter = type(mgr).__enter__
-    return (yield from w_call(enter, mgr))
-
-
-def _w_exit(mgr, exc):
-    """``with`` support: run ``type(mgr).__exit__`` through the weave."""
-    exit_ = type(mgr).__exit__
-    if exc is None:
-        return (yield from w_call(exit_, mgr, None, None, None))
-    return (yield from w_call(exit_, mgr, type(exc), exc, exc.__traceback__))
-
-
 # ---------------------------------------------------------------------------
 # The AST rewrite.
 # ---------------------------------------------------------------------------
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fndef: ast.AST) -> Iterable[ast.AST]:
+    """The nodes of a function's *own* scope: nested defs, lambdas and
+    classes are yielded but not entered."""
+    stack = list(ast.iter_child_nodes(fndef))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _has_own_yield(fndef: ast.AST) -> bool:
     """True if the function body contains a yield of its *own* scope."""
-    barriers = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-    def scan(nodes: Iterable[ast.AST]) -> bool:
-        for n in nodes:
-            if isinstance(n, (ast.Yield, ast.YieldFrom)):
-                return True
-            if isinstance(n, barriers):
-                continue
-            if scan(ast.iter_child_nodes(n)):
-                return True
-        return False
-
-    return scan(ast.iter_child_nodes(fndef))
+    return any(isinstance(n, (ast.Yield, ast.YieldFrom))
+               for n in _own_nodes(fndef))
 
 
 def _nonlocal_names(fndef: ast.AST) -> set[str]:
@@ -953,7 +909,10 @@ class _Rename(ast.NodeTransformer):
 
 #: A cached call site ``CALLEE(ARGS)``.  ``S`` is the site's cache,
 #: ``F``, ``E`` and ``T`` its temporaries; the callee is evaluated once,
-#: first, and the arguments once, in the one branch that runs.
+#: first, and the arguments once, in the one branch that runs.  A
+#: builtin (``len``, a bound ``list.append``: never woven, never a twin,
+#: and a new object on every access when bound) is called plainly
+#: without touching the cache.
 _SITE_TEMPLATE = ast.parse("""(
     ((yield from T(F.__self__, ARGS)) if (T := E[1]) is not None
      else F(ARGS))
@@ -961,8 +920,22 @@ _SITE_TEMPLATE = ast.parse("""(
     and (E := S[0])[0] is F.__func__
     else ((yield from T(ARGS)) if (T := E[1]) is not None else F(ARGS))
     if (E := S[1])[0] is F
+    else F(ARGS) if F.__class__ is _pilot_w_builtin
     else (yield from _pilot_w_miss(S, F, ARGS))
 )""", mode="eval").body
+
+
+def _clone(node: Any) -> Any:
+    """A deep copy of an AST node or list of nodes; ``copy.deepcopy``
+    takes several times as long, and every site copies its arguments
+    once per branch."""
+    if node.__class__ is list:
+        return [_clone(x) for x in node]
+    if not isinstance(node, ast.AST):
+        return node
+    new = node.__class__.__new__(node.__class__)
+    new.__dict__.update({k: _clone(v) for k, v in node.__dict__.items()})
+    return new
 
 
 class _FillSite(ast.NodeTransformer):
@@ -992,24 +965,86 @@ class _FillSite(ast.NodeTransformer):
         return node
 
 
+#: A ``with`` item ``with CONTEXT as TARGET: BODY``, expanded.  ``M``
+#: holds the manager; ``K`` is true from ``__enter__``'s return until
+#: the body raises; ``X`` is the exception.  ``_pilot_w_type`` is
+#: ``builtins.type``, whatever the code calls ``type``.  No argument of
+#: ``__exit__`` holds a call: a site would keep them in temporaries,
+#: and a traceback held there keeps its frame alive.
+_WITH_TEMPLATE = ast.parse("""
+M = CONTEXT
+TARGET = _pilot_w_type(M).__enter__(M)
+K = True
+try:
+    try:
+        BODY
+    except BaseException as X:
+        K = False
+        if not _pilot_w_type(M).__exit__(M, X.__class__, X, X.__traceback__):
+            raise
+finally:
+    if K:
+        _pilot_w_type(M).__exit__(M, None, None, None)
+""").body
+
+
+class _FillWith(ast.NodeTransformer):
+    """Instantiates :data:`_WITH_TEMPLATE` for one ``with`` item: renames
+    ``M``, ``K`` and ``X``, makes each ``__enter__``/``__exit__`` call a
+    site, and puts in the item's context, target and the body (all
+    already woven).  Without a target the ``__enter__`` result goes to
+    ``K``, which the next statement sets."""
+
+    def __init__(self, n: int, item: ast.withitem, body: list[ast.stmt],
+                 site: Callable[[ast.Call], ast.expr]) -> None:
+        ok = f"_pilot_w_ok{n}"
+        self.names = {"M": f"_pilot_w_mgr{n}", "K": ok, "TARGET": ok,
+                      "X": f"_pilot_w_exc{n}"}
+        self.item = item
+        self.body = body
+        self.site = site
+
+    def visit_Name(self, node: ast.Name) -> ast.expr:
+        if node.id == "CONTEXT":
+            return self.item.context_expr
+        if node.id == "TARGET" and self.item.optional_vars is not None:
+            return self.item.optional_vars
+        node.id = self.names.get(node.id, node.id)
+        return node
+
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> ast.AST:
+        node.name = self.names["X"]
+        self.generic_visit(node)
+        return node
+
+    def visit_Expr(self, node: ast.Expr) -> Any:
+        if isinstance(node.value, ast.Name) and node.value.id == "BODY":
+            return self.body
+        self.generic_visit(node)
+        return node
+
+    def visit_Call(self, node: ast.Call) -> ast.expr:
+        self.generic_visit(node)
+        if isinstance(node.func, ast.Attribute):  # __enter__, __exit__
+            return self.site(node)
+        return node  # the _pilot_w_type(M) in a site's callee
+
+
 class _Weaver(ast.NodeTransformer):
-    """Rewrites every call to ``yield from _pilot_w_call(...)`` — or, with
-    ``cache`` set, to a cached call site — and every ``with`` block to
-    explicit woven ``__enter__``/``__exit__`` calls.
+    """Rewrites every call to a cached call site, and every ``with``
+    block to explicit ``__enter__``/``__exit__`` calls through sites.
 
     ``is_sync`` and ``plain`` name the nested defs and the call sites
     proven never to block; those stay plain Python.  ``sites`` counts
-    the cached call sites emitted (only with ``cache`` set): site ``n``
-    reads its cache from the free variable ``_pilot_w_s{n}``."""
+    the call sites emitted: site ``n`` reads its cache from the free
+    variable ``_pilot_w_s{n}``."""
 
     def __init__(self, is_sync: Callable[[ast.FunctionDef], bool]
                  | None = None,
-                 plain: Callable[[ast.Call], bool] | None = None,
-                 *, cache: bool = False) -> None:
+                 plain: Callable[[ast.Call], bool] | None = None) -> None:
         self._tmp = 0
         self._is_sync = is_sync
         self._plain = plain
-        self._cache = cache
         self.sites = 0
 
     def transform_body(self, body: list[ast.stmt]) -> list[ast.stmt]:
@@ -1187,47 +1222,43 @@ class _Weaver(ast.NodeTransformer):
         self.generic_visit(node)
         if self._plain is not None and self._plain(node):
             return node
-        if (self._cache
-                and not any(isinstance(a, ast.Starred) for a in node.args)
-                and all(k.arg is not None for k in node.keywords)):
-            return self._site(node)
-        call = ast.Call(
-            func=ast.Name(id="_pilot_w_call", ctx=ast.Load()),
-            args=[node.func, *node.args],
-            keywords=node.keywords,
-        )
-        new = ast.YieldFrom(value=call)
-        for n in (call, call.func, new):
-            ast.copy_location(n, node)
-        return new
+        return self._site(node)
 
     def _site(self, node: ast.Call) -> ast.expr:
         """A cached call site for ``node`` (its arguments already woven).
 
         The arguments appear once per branch.  When one of them holds a
         call, they are evaluated into temporaries first, callee first,
-        so a nested site is not emitted five times."""
+        so a nested site is not emitted five times.  A ``*args`` or
+        ``**kwargs`` temporary holds a copy, ``(*args,)`` or
+        ``{**kwargs}``, taken where the call would spread it (so an
+        iterator is drained before the arguments after it run), and
+        its loads spread the copy."""
         n = self.sites
         self.sites += 1
         names = {x: f"_pilot_w_{x.lower()}{n}" for x in "SFET"}
-        site = copy.deepcopy(_SITE_TEMPLATE)
+        site = _clone(_SITE_TEMPLATE)
         for x in ast.walk(site):
             ast.copy_location(x, node)
-        values = [*node.args, *(k.value for k in node.keywords)]
+        values = [
+            *(ast.Tuple(elts=[a], ctx=ast.Load())
+              if isinstance(a, ast.Starred) else a for a in node.args),
+            *(k.value if k.arg else ast.Dict(keys=[None], values=[k.value])
+              for k in node.keywords)]
         if not any(isinstance(x, (ast.Call, ast.YieldFrom, ast.NamedExpr))
                    for v in values for x in ast.walk(v)):
             return _FillSite(names, node.func, lambda: (
-                copy.deepcopy(node.args),
-                copy.deepcopy(node.keywords))).visit(site)
+                _clone(node.args), _clone(node.keywords))).visit(site)
 
         temps = [f"_pilot_w_a{n}_{i}" for i in range(len(values))]
 
         def loads() -> tuple[list[ast.expr], list[ast.keyword]]:
-            args = [ast.Name(id=t, ctx=ast.Load()) for t in temps]
-            kws = args[len(node.args):]
-            return (args[:len(node.args)],
-                    [ast.keyword(arg=k.arg, value=v)
-                     for k, v in zip(node.keywords, kws)])
+            vals = [ast.Name(id=t, ctx=ast.Load()) for t in temps]
+            return ([ast.Starred(value=v, ctx=ast.Load())
+                     if isinstance(a, ast.Starred) else v
+                     for a, v in zip(node.args, vals)],
+                    [ast.keyword(arg=k.arg, value=v) for k, v in
+                     zip(node.keywords, vals[len(node.args):])])
 
         first = ast.Tuple(elts=[
             ast.NamedExpr(target=ast.Name(id=name, ctx=ast.Store()),
@@ -1266,81 +1297,29 @@ class _Weaver(ast.NodeTransformer):
         self.generic_visit(node)
         body = node.body
         for item in reversed(node.items):
-            body = self._expand_with(item, body, node)
+            expanded = ast.Module(body=_clone(_WITH_TEMPLATE),
+                                  type_ignores=[])
+            for x in ast.walk(expanded):
+                ast.copy_location(x, node)
+            body = _FillWith(self._tmp, item, body, self._site).visit(
+                expanded).body
+            self._tmp += 1
         return body
-
-    def _expand_with(self, item: ast.withitem, body: list[ast.stmt],
-                     src: ast.AST) -> list[ast.stmt]:
-        n = self._tmp
-        self._tmp += 1
-        mgr = f"_pilot_w_mgr{n}"
-        ok = f"_pilot_w_ok{n}"
-        excname = f"_pilot_w_exc{n}"
-
-        def name(ident: str, ctx: ast.expr_context) -> ast.Name:
-            return ast.Name(id=ident, ctx=ctx)
-
-        def exit_call(exc_arg: ast.expr) -> ast.YieldFrom:
-            return ast.YieldFrom(value=ast.Call(
-                func=name("_pilot_w_exit", ast.Load()),
-                args=[name(mgr, ast.Load()), exc_arg], keywords=[]))
-
-        stmts: list[ast.stmt] = [
-            ast.Assign(targets=[name(mgr, ast.Store())],
-                       value=item.context_expr),
-        ]
-        enter = ast.YieldFrom(value=ast.Call(
-            func=name("_pilot_w_enter", ast.Load()),
-            args=[name(mgr, ast.Load())], keywords=[]))
-        if item.optional_vars is not None:
-            stmts.append(ast.Assign(targets=[item.optional_vars],
-                                    value=enter))
-        else:
-            stmts.append(ast.Expr(value=enter))
-        stmts.append(ast.Assign(targets=[name(ok, ast.Store())],
-                                value=ast.Constant(value=True)))
-        handler = ast.ExceptHandler(
-            type=name("BaseException", ast.Load()),
-            name=excname,
-            body=[
-                ast.Assign(targets=[name(ok, ast.Store())],
-                           value=ast.Constant(value=False)),
-                ast.If(
-                    test=ast.UnaryOp(
-                        op=ast.Not(),
-                        operand=exit_call(name(excname, ast.Load()))),
-                    body=[ast.Raise()],
-                    orelse=[]),
-            ])
-        inner = ast.Try(body=body, handlers=[handler], orelse=[],
-                        finalbody=[])
-        outer = ast.Try(
-            body=[inner], handlers=[], orelse=[],
-            finalbody=[ast.If(test=name(ok, ast.Load()),
-                              body=[ast.Expr(value=exit_call(
-                                  ast.Constant(value=None)))],
-                              orelse=[])])
-        stmts.append(outer)
-        for s in stmts:
-            ast.copy_location(s, src)
-        return stmts
 
 
 # ---------------------------------------------------------------------------
 # Compilation and caching.
 # ---------------------------------------------------------------------------
 
-_WOVEN_BY_CODE: dict[types.CodeType, Callable[..., Any]] = {}
 _FACTORY_BY_CODE: dict[types.CodeType, Callable[..., Any]] = {}
 
 
 def _install_helpers(g: dict[str, Any]) -> None:
-    g["_pilot_w_call"] = w_call
     g["_pilot_w_mark"] = _mark
-    g["_pilot_w_enter"] = _w_enter
-    g["_pilot_w_exit"] = _w_exit
     g["_pilot_w_miss"] = _site_miss
     g["_pilot_w_method"] = types.MethodType
+    g["_pilot_w_builtin"] = types.BuiltinFunctionType
+    g["_pilot_w_type"] = builtins.type
 
 
 _FACTORY_PREFIX = "__pilot_weave_factory__.<locals>."
@@ -1394,6 +1373,22 @@ def _compile_woven(fn: types.FunctionType) -> Callable[..., Any]:
             "closure copying cannot preserve; restructure to return the "
             "value or mutate a shared object instead")
     fndef.decorator_list = []
+    # Defaults are the original's (woven_twin copies them); evaluated
+    # here, in the factory, they could name what only it can see.
+    a = fndef.args
+    a.defaults = [ast.Constant(value=None) for _ in a.defaults]
+    a.kw_defaults = [None if d is None else ast.Constant(value=None)
+                     for d in a.kw_defaults]
+    params = [*a.posonlyargs, *a.args]
+    if "__class__" in code.co_freevars and params:
+        # Zero-argument super() reads its class and instance from the
+        # frame that calls it, which a site's slow path is not.
+        for node in _own_nodes(fndef):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "super"
+                    and not node.args and not node.keywords):
+                node.args = [ast.Name(id="__class__", ctx=ast.Load()),
+                             ast.Name(id=params[0].arg, ctx=ast.Load())]
     weaver = _Weaver()
     if _matches(fn.__module__ or "", ("repro",)):
         path = os.path.abspath(code.co_filename)
@@ -1411,22 +1406,22 @@ def _compile_woven(fn: types.FunctionType) -> Callable[..., Any]:
                     node.end_lineno + line,
                     node.end_col_offset + col) in sync_calls
 
-        weaver = _Weaver(is_sync, plain, cache=True)
+        weaver = _Weaver(is_sync, plain)
     fndef.body = weaver.transform_body(fndef.body)
     # A body with no call expressions gains no yields; this dead guard
-    # still marks the code object as a generator so w_call can always
+    # still marks the code object as a generator so a site can always
     # ``yield from`` the twin.
     fndef.body.append(ast.If(
         test=ast.Constant(value=False),
         body=[ast.Expr(value=ast.Yield(value=None))],
         orelse=[]))
     sites = [[_EMPTY_ENTRY, _EMPTY_ENTRY] for _ in range(weaver.sites)]
-    params = [f"_pilot_w_s{n}" for n in range(len(sites))]
     wrapper = ast.FunctionDef(
         name="__pilot_weave_factory__",
         args=ast.arguments(
             posonlyargs=[], args=[ast.arg(arg=v) for v in (
-                *params, *code.co_freevars)],
+                *(f"_pilot_w_s{n}" for n in range(len(sites))),
+                *code.co_freevars)],
             kwonlyargs=[], kw_defaults=[], defaults=[]),
         body=[fndef,
               ast.Return(value=ast.Name(id=fndef.name, ctx=ast.Load()))],
@@ -1444,30 +1439,24 @@ def _compile_woven(fn: types.FunctionType) -> Callable[..., Any]:
 
 
 def woven_twin(fn: types.FunctionType) -> Callable[..., Any]:
-    """Return (building and caching if needed) the woven generator twin."""
+    """Return (building and caching if needed) the woven generator twin
+    of ``fn``: one per function object, from one factory per code
+    object."""
     cached = getattr(fn, "__pilot_woven_twin__", None)
     if cached is not None:
         return cached
     code = fn.__code__
-    if code.co_freevars:
-        fac = _FACTORY_BY_CODE.get(code)
-        if fac is None:
-            fac = _FACTORY_BY_CODE[code] = _compile_woven(fn)
-        if fn.__closure__ is None or len(fn.__closure__) != len(code.co_freevars):
-            raise WeaveError(
-                f"cannot weave {fn.__qualname__}: closure unavailable")
-        try:
-            cells = [c.cell_contents for c in fn.__closure__]
-        except ValueError as exc:
-            raise WeaveError(
-                f"cannot weave {fn.__qualname__}: empty closure cell "
-                "(self-referential closure defined but not yet bound)"
-            ) from exc
-        twin = fac(*cells)
-    else:
-        twin = _WOVEN_BY_CODE.get(code)
-        if twin is None:
-            twin = _WOVEN_BY_CODE[code] = _compile_woven(fn)()
+    fac = _FACTORY_BY_CODE.get(code)
+    if fac is None:
+        fac = _FACTORY_BY_CODE[code] = _compile_woven(fn)
+    try:
+        cells = [c.cell_contents for c in fn.__closure__ or ()]
+    except ValueError as exc:
+        raise WeaveError(
+            f"cannot weave {fn.__qualname__}: empty closure cell "
+            "(self-referential closure defined but not yet bound)"
+        ) from exc
+    twin = fac(*cells)
     # The rewrite wraps every nested def via _pilot_w_mark; the top-level
     # twin itself must expose the original defaults and identity.
     twin.__defaults__ = fn.__defaults__

@@ -6,12 +6,16 @@ trampoline; ``repro.vmpi.weave`` rewrites task code so blocking calls
 contract down at the engine level: identical histories (results,
 finish times, event/switch counts) on both backends, identical
 deadlock diagnostics, loud errors — not silent deadlocks — when
-un-woven code blocks, and the comprehension desugaring that keeps the
-common ``xs = [blocking(i) for i in ...]`` idiom working.
+un-woven code blocks, the comprehension desugaring that keeps the
+common ``xs = [blocking(i) for i in ...]`` idiom working, and user
+programs that must run alike on both: defaults, one twin per function
+object, zero-argument ``super()``, ``with`` blocks, spread arguments
+and call sites whose callee changes.
 """
 
 import pytest
 
+from repro.vmpi import mpirun
 from repro.vmpi.engine import SCHEDULERS, Engine
 from repro.vmpi.errors import EngineError, SimulationDeadlock, TaskFailed
 
@@ -197,3 +201,173 @@ class TestComprehensionDesugaring:
 
         eng.spawn(fn, rank=0)
         assert eng.run().results[0] == ("outer", [0, 2, 4])
+
+
+def _results(main, scheduler):
+    res = mpirun(main, 2, scheduler=scheduler)
+    assert res.ok
+    return res.results
+
+
+def _make_delayed(delay):
+    # ``main`` closes over nothing: ``delay`` is read once, for the
+    # default, in this frame.
+    def main(comm, d=delay):
+        comm.engine.advance(d, "work")
+        return d
+    return main
+
+
+_DELAY = 0.1
+
+
+def _make_global_delayed():
+    # Every ``main`` shares one code object and no closure.
+    def main(comm, d=_DELAY):
+        comm.engine.advance(d, "work")
+        return d
+    return main
+
+
+class _Base:
+    def step(self, comm):
+        comm.engine.advance(1e-3, "work")
+        return comm.rank
+
+
+class _Child(_Base):
+    def step(self, comm):
+        return super().step(comm) + 10
+
+
+def _super_main(comm):
+    return _Child().step(comm)
+
+
+class _Traced:
+    """A context manager that blocks on entry and exit, and logs both."""
+
+    def __init__(self, comm, log, name, suppress=False):
+        self.comm, self.log, self.name = comm, log, name
+        self.suppress = suppress
+
+    def __enter__(self):
+        self.comm.engine.advance(1e-4, "enter")
+        self.log.append(f"enter {self.name}")
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.comm.engine.advance(1e-4, "exit")
+        self.log.append(f"exit {self.name} "
+                        f"{exc_type and exc_type.__name__}")
+        return self.suppress
+
+
+def _tick(comm, *xs, scale=1, **kw):
+    comm.engine.advance(1e-4 * scale, "tick")
+    return sum(xs) * scale, sorted(kw)
+
+
+def _add_one(comm, x):
+    comm.engine.advance(1e-4, "add")
+    return x + 1
+
+
+def _double(comm, x):
+    comm.engine.advance(2e-4, "double")
+    return x * 2
+
+
+class _Negate:
+    def apply(self, comm, x):
+        comm.engine.advance(3e-4, "negate")
+        return -x
+
+
+class _Unhashable:
+    """A callable object that defines ``__eq__`` and so has no hash."""
+
+    def __eq__(self, other):
+        return self is other
+
+    def __call__(self, comm, x):
+        return x * 3
+
+
+class TestWovenUserCode:
+    """User programs that run on threads run alike on coroutine."""
+
+    def test_default_names_the_enclosing_scope(self, scheduler):
+        assert _results(_make_delayed(0.5), scheduler) == {0: 0.5, 1: 0.5}
+
+    def test_one_twin_per_function_object(self, scheduler, monkeypatch):
+        first = _make_global_delayed()
+        monkeypatch.setitem(globals(), "_DELAY", 0.7)
+        second = _make_global_delayed()
+        assert _results(first, scheduler) == {0: 0.1, 1: 0.1}
+        assert _results(second, scheduler) == {0: 0.7, 1: 0.7}
+        assert _results(first, scheduler) == {0: 0.1, 1: 0.1}
+
+    def test_zero_argument_super(self, scheduler):
+        assert _results(_super_main, scheduler) == {0: 10, 1: 11}
+
+    def test_with_whose_exit_suppresses(self, scheduler):
+        def main(comm):
+            log = []
+            with _Traced(comm, log, "m", suppress=True):
+                comm.engine.advance(1e-4, "body")
+                raise ValueError("suppressed")
+            return log, round(comm.engine.now, 9)
+
+        expect = (["enter m", "exit m ValueError"], 3e-4)
+        assert _results(main, scheduler) == {0: expect, 1: expect}
+
+    def test_with_two_items_and_as_targets(self, scheduler):
+        def main(comm):
+            log = []
+            with _Traced(comm, log, "a") as a, _Traced(comm, log, "b") as b:
+                log.append(a.name + b.name)
+            return log, round(comm.engine.now, 9)
+
+        expect = (["enter a", "enter b", "ab", "exit b None",
+                   "exit a None"], 4e-4)
+        assert _results(main, scheduler) == {0: expect, 1: expect}
+
+    def test_spread_arguments(self, scheduler):
+        def main(comm):
+            log = []
+
+            def drain():
+                for i in (1, 2):
+                    log.append(i)
+                    yield i
+
+            args, kw = (1, 2), {"scale": 2, "tag": "t"}
+            spread = _tick(comm, *args, **kw)
+            nested = _tick(comm, *[_tick(comm, 3)[0]],
+                           **{"z": _tick(comm, 4)[0]})
+            # The iterator is drained where it is spread, between the
+            # arguments around it.
+            ordered = _tick(comm, log.append("g") or 0, *drain(),
+                            log.append("h") or 0)
+            return spread, nested, ordered, log, round(comm.engine.now, 9)
+
+        expect = ((6, ["tag"]), (3, ["z"]), (3, []), ["g", 1, 2, "h"], 6e-4)
+        assert _results(main, scheduler) == {0: expect, 1: expect}
+
+    def test_unhashable_callable_object(self, scheduler):
+        def main(comm):
+            comm.engine.advance(1e-4, "work")
+            return _Unhashable()(comm, comm.rank + 1)
+
+        assert _results(main, scheduler) == {0: 3, 1: 6}
+
+    def test_callee_changes_on_every_call(self, scheduler):
+        def main(comm):
+            x = comm.rank + 1
+            for op in (_add_one, _double, _Negate().apply) * 3:
+                x = op(comm, x)
+            return x, round(comm.engine.now, 9)
+
+        assert _results(main, scheduler) == {0: (-14, 1.8e-3),
+                                             1: (-22, 1.8e-3)}
