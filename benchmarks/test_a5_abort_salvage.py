@@ -37,7 +37,7 @@ def run_thumbnail(tmp_path, name, *, salvage, interval=512):
 
 
 def run_aborting_pipeline(tmp_path, name, *, salvage, interval=128,
-                          rounds=150, abort_at=120, mode="append"):
+                          rounds=150, abort_at=120):
     """A master/worker exchange that PI_Aborts mid-execution, long
     before any finalize could merge the log."""
     from repro.pilot.api import (
@@ -84,8 +84,7 @@ def run_aborting_pipeline(tmp_path, name, *, salvage, interval=128,
             PI_Write(chans[f"to{i}"], "%d", -1)
         PI_StopMain(0)
 
-    jopts = JumpshotOptions(salvage=salvage, salvage_interval=interval,
-                            salvage_mode=mode)
+    jopts = JumpshotOptions(salvage=salvage, salvage_interval=interval)
     res = run_pilot(main, 3, argv=("-pisvc=j",),
                     config=PilotConfig(mpe_log_path=base, mpe=jopts))
     return res, base
@@ -138,11 +137,10 @@ def test_a5_salvage_overhead(benchmark, comparison, tmp_path):
     times_thumb = {}
     times_comm = {}
 
-    def comm_heavy(tmp_path, name, salvage, interval, mode="append"):
+    def comm_heavy(tmp_path, name, salvage, interval):
         res, base = run_aborting_pipeline(tmp_path, name, salvage=salvage,
                                           interval=interval, rounds=400,
-                                          abort_at=10**9,  # never aborts
-                                          mode=mode)
+                                          abort_at=10**9)  # never aborts
         assert res.ok
         if salvage:
             assert find_partials(base) == []
@@ -161,8 +159,6 @@ def test_a5_salvage_overhead(benchmark, comparison, tmp_path):
         for interval in (512, 128, 32):
             times_comm[interval] = comm_heavy(tmp_path, f"c_{interval}",
                                               True, interval)
-            times_comm[("rw", interval)] = comm_heavy(
-                tmp_path, f"cr_{interval}", True, interval, mode="rewrite")
         return times_comm
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)
@@ -173,20 +169,12 @@ def test_a5_salvage_overhead(benchmark, comparison, tmp_path):
               "hides in compute slack", f"+{thumb_over:.3f}%")
     for interval in (512, 128, 32):
         over = (times_comm[interval] / times_comm["off"] - 1) * 100
-        rw_over = (times_comm[("rw", interval)] / times_comm["off"] - 1) * 100
         table.add(f"comm-bound app, every {interval} records",
-                  "append O(new) vs rewrite O(all)",
-                  f"append +{over:.2f}%  rewrite +{rw_over:.2f}%")
+                  "O(new records) per checkpoint", f"+{over:.2f}%")
 
     # Compute-bound: effectively free.  Comm-bound: costs grow as the
     # interval shrinks (the fixed open+fsync latency per checkpoint is
-    # the floor); append mode strictly beats the naive rewrite mode at
-    # every interval, and the gap widens as buffers grow.
+    # the floor).
     assert thumb_over < 1.0
     assert times_comm[32] >= times_comm[512]
     assert times_comm[512] / times_comm["off"] < 1.30
-    for interval in (512, 128, 32):
-        assert times_comm[("rw", interval)] > times_comm[interval]
-    gap32 = times_comm[("rw", 32)] - times_comm[32]
-    gap512 = times_comm[("rw", 512)] - times_comm[512]
-    assert gap32 > gap512

@@ -9,8 +9,6 @@ II.A).  Usage::
     python -m repro.mpe fsck run.clog2 [--repair OUT] [--quarantine OUT]
                                        [--json] [--perf]
 
-For compatibility with the original single-purpose CLI, a bare path
-still means ``print``: ``python -m repro.mpe run.clog2`` keeps working.
 ``fsck`` exits 0 on a clean file and 1 when damage was found (repaired
 or not), so scripts can gate on it.
 """
@@ -24,9 +22,6 @@ import sys
 from repro.mpe.clog2 import read_log
 from repro.mpe.fsck import fsck_path
 from repro.mpe.records import BareEvent, EventDef, MsgEvent, RankName, StateDef
-
-_COMMANDS = ("print", "fsck")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -106,14 +101,6 @@ def run_fsck(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    # Historical CLI compatibility: a bare path (or bare flags) means
-    # the original print command.
-    if not argv or argv[0] not in _COMMANDS:
-        if not (argv and argv[0] in ("-h", "--help")):
-            argv = ["print", *argv]
     args = build_parser().parse_args(argv)
     if args.command == "fsck":
         return run_fsck(args)

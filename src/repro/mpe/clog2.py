@@ -644,28 +644,26 @@ def _scan_blocks(data: bytes, pos: int, definitions: list, records: list,
         scan_items(data, body, stop, definitions, records, report, source)
 
 
-def read_image(data: bytes, base: int = 0,
-               report: RecoveryReport | None = None,
+def read_image(data: bytes, report: RecoveryReport | None = None,
                source: str = "") -> Clog2File:
-    """Read the CLOG2 image (header + items) at ``data[base:]``.
+    """Read the CLOG2 image (header + items) held in ``data``.
 
     Strict without a ``report``; with one, damage is accounted into it
-    at offsets within ``data`` (the rewrite-mode partials embed an image
-    after their own header) and whatever survives is returned.
+    and whatever survives is returned.
     """
     end = len(data)
     try:
-        header = read_header(io.BytesIO(data[base:base + _HDR.size]))
+        header = read_header(io.BytesIO(data[:_HDR.size]))
     except Clog2FormatError as exc:
         if report is None:
             raise
-        reason = (f"too short for a CLOG2 header ({end - base} bytes)"
-                  if end - base < _HDR.size else str(exc))
-        report.drop(source, base, end, reason)
+        reason = (f"too short for a CLOG2 header ({end} bytes)"
+                  if end < _HDR.size else str(exc))
+        report.drop(source, 0, end, reason)
         return Clog2File(1e-6, 0, [], [])
     definitions: list[Definition] = []
     records: list[LogRecord] = []
-    pos = base + _HDR.size
+    pos = _HDR.size
     if not header.checksummed:
         scan_items(data, pos, end, definitions, records, report, source)
     else:
@@ -717,7 +715,7 @@ def read_log(path: str, *, errors: str = "strict",
         report = RecoveryReport(source=os.path.basename(path))
         with open(path, "rb") as fh:
             data = fh.read()
-        return Clog2ReadResult(read_image(data, 0, report, report.source),
+        return Clog2ReadResult(read_image(data, report, report.source),
                                report)
     with perf.stage("clog2-read") as timer:
         with open(path, "rb") as fh:

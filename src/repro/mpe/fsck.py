@@ -164,7 +164,7 @@ def _sniff(path: str) -> tuple[str, int]:
             return "clog2", 1
         return ("clog2-checksummed" if header.checksummed else "clog2",
                 header.version)
-    if head[:8] in (b"CLOGPART", b"CLOGPARA"):
+    if head[:8] == b"CLOGPARA":
         return "partial", 0
     return "unknown", 0
 

@@ -21,39 +21,34 @@ The cost is the paper's trade-off in reverse: buffering stays cheap,
 but every checkpoint pays a disk write during the run (measured in
 benchmark A5).
 
-Two partial-file layouts exist:
-
-* **rewrite mode** (:func:`write_partial`) — the whole buffer is
-  re-serialised every checkpoint.  Simple and atomic, but O(buffer)
-  per checkpoint: benchmark A5b measures the quadratic blow-up on
-  communication-bound runs.
-* **append mode** (:class:`AppendPartialWriter`) — sync points and new
-  records are appended as framed chunks, O(new records) per
-  checkpoint.  A torn final chunk (the abort can land mid-write) is
-  detected by its length frame and dropped.
+A partial is append-only (:class:`AppendPartialWriter`): sync points
+and new records are appended as framed chunks, O(new records) per
+checkpoint.  A torn final chunk (the abort can land mid-write) is
+detected by its length frame and dropped.  :func:`write_partial`
+writes one whole :class:`~repro.mpe.api.RankLog` as a fresh partial
+of the same layout, atomically (``fsck`` repair uses it).
 
 Reading and merging go through two entry points, each taking
 ``errors="strict"`` (damage raises) or ``errors="salvage"`` (damage is
 skipped and accounted):
 
-* :func:`read_partial_log` parses one partial of either layout and
-  returns ``(Partial, RecoveryReport | None)``;
+* :func:`read_partial_log` parses one partial and returns
+  ``(Partial, RecoveryReport | None)``;
 * :func:`merge_partial_logs` collects every rank's partial into one
   CLOG2 via a heap-based k-way merge (see :mod:`repro.mpe.merge`) and
   returns ``(Clog2File, RecoveryReport | None)``.
 
-:func:`tail_partial` reads a growing append-mode partial incrementally
-for live following.  All three decode with the two loops of
+:func:`tail_partial` reads a growing partial incrementally for live
+following.  All three decode with the two loops of
 :mod:`repro.mpe.clog2`: the chunk walk is
 :func:`~repro.mpe.clog2.iter_frames` and every record chunk goes
-through :func:`~repro.mpe.clog2.decode_items`.  A strict read of an
-append partial is the tail read from offset 0.
+through :func:`~repro.mpe.clog2.decode_items`.  A strict read is the
+tail read from offset 0.
 
-Rewrite layout: magic ``CLOGPART``, sync section, one CLOG2 body.
-Append layout: magic ``CLOGPARA``, then framed chunks — each chunk is
-``u8 kind ('S' sync point | 'R' record block)``, ``u32 length``,
-payload (sync: packed floats; records: a headerless CLOG2 record
-stream).
+Layout: magic ``CLOGPARA``, rank, clock resolution, then framed
+chunks — each chunk is ``u8 kind ('S' sync point | 'R' record
+block)``, ``u32 length``, payload (sync: packed floats; records: a
+headerless CLOG2 record stream).
 """
 
 from __future__ import annotations
@@ -71,19 +66,18 @@ from repro.mpe.clog2 import (
     Clog2FormatError,
     check_errors_mode,
     iter_frames,
-    read_image,
     scan_items,
     write_clog2,
-    write_clog2_to,
 )
 from repro.mpe.merge import dedup_definitions, merged_records, rank_stream
 from repro.mpe.records import Definition, LogRecord
 from repro.mpe.recovery import RecoveryReport
 from repro.perf import NO_PERF, PerfRecorder
 
-PARTIAL_MAGIC = b"CLOGPART"
 APPEND_MAGIC = b"CLOGPARA"
-_PHDR = struct.Struct("<8sII")  # magic, rank, number of sync points
+#: Below this many bytes a file is reported as too short for any
+#: partial header, before its magic is looked at.
+_MIN_HEADER = 16
 _AHDR = struct.Struct("<8sIdI")  # magic, rank, clock resolution, reserved
 _CHUNK = struct.Struct("<BI")  # kind, payload length
 _SYNC = struct.Struct("<dd")
@@ -99,17 +93,10 @@ def partial_path(base_path: str, rank: int) -> str:
 
 def write_partial(path: str, rank: int, log: RankLog,
                   clock_resolution: float) -> None:
-    """Checkpoint one rank's buffer (atomic via rename)."""
+    """Write one rank's whole buffer as a fresh partial (atomic via
+    rename)."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_PHDR.pack(PARTIAL_MAGIC, rank, len(log.sync_points)))
-        for p in log.sync_points:
-            fh.write(_SYNC.pack(p.local_time, p.offset))
-        # The payload is a complete CLOG2 image, streamed straight after
-        # the partial header.
-        write_clog2_to(fh, Clog2File(clock_resolution, rank + 1,
-                                     list(log.definitions),
-                                     list(log.records)))
+    AppendPartialWriter(tmp, rank, clock_resolution).checkpoint(log)
     os.replace(tmp, path)
 
 
@@ -128,6 +115,7 @@ class AppendPartialWriter:
         self.rank = rank
         self._records_written = 0
         self._syncs_written = 0
+        self._defs_written = False
         with open(path, "wb") as fh:
             fh.write(_AHDR.pack(APPEND_MAGIC, rank, clock_resolution, 0))
 
@@ -139,21 +127,22 @@ class AppendPartialWriter:
 
         new_records = log.records[self._records_written:]
         new_syncs = log.sync_points[self._syncs_written:]
-        if not new_records and not new_syncs:
+        # Definitions ride in the first record chunk (they are complete
+        # before any event is logged).
+        defs = [] if self._defs_written else log.definitions
+        if not new_records and not new_syncs and not defs:
             return 0
         with open(self.path, "ab") as fh:
             for p in new_syncs:
                 fh.write(_CHUNK.pack(_K_SYNC, _SYNC.size))
                 fh.write(_SYNC.pack(p.local_time, p.offset))
-            if new_records or self._records_written == 0:
+            if new_records or not self._defs_written:
                 buf = io.BytesIO()
-                # Definitions ride in the first record chunk (they are
-                # complete before any event is logged).
-                defs = log.definitions if self._records_written == 0 else []
                 write_items(buf, defs, new_records)
                 payload = buf.getvalue()
                 fh.write(_CHUNK.pack(_K_RECORDS, len(payload)))
                 fh.write(payload)
+                self._defs_written = True
         self._records_written = len(log.records)
         self._syncs_written = len(log.sync_points)
         return len(new_records)
@@ -183,7 +172,7 @@ class MergeResult(NamedTuple):
 
 
 class PartialTail(NamedTuple):
-    """One poll of a growing append-mode partial (see
+    """One poll of a growing partial (see
     :func:`tail_partial`).  ``offset`` resumes the next poll at the
     first unconsumed byte; ``torn_bytes`` counts the held tail (a chunk
     the writer has not finished appending — re-examined next poll, not
@@ -199,27 +188,19 @@ class PartialTail(NamedTuple):
 
 
 def tail_partial(path: str, offset: int = 0) -> PartialTail | None:
-    """Incrementally read an append-mode partial that a rank may still
-    be checkpointing to.
+    """Incrementally read a partial that a rank may still be
+    checkpointing to.
 
     Pass ``offset=0`` on first attach, then the returned ``offset`` on
     every later poll — whole chunks between the two are parsed, a
     partial chunk at the tail is held (never emitted, never dropped).
     Returns ``None`` while the file is still shorter than its header.
-    Rewrite-mode partials (magic ``CLOGPART``) are atomically replaced
-    wholesale on every checkpoint, so byte offsets mean nothing across
-    polls there; this function refuses them — re-read those with
-    :func:`read_partial_log` instead.
     """
     with open(path, "rb") as fh:
         head = fh.read(_AHDR.size)
         if offset == 0:
             if len(head) < 8:
                 return None
-            if head[:8] == PARTIAL_MAGIC:
-                raise Clog2FormatError(
-                    f"{path}: rewrite-mode partials are replaced wholesale "
-                    "per checkpoint; tail_partial only supports append mode")
             if head[:8] != APPEND_MAGIC:
                 raise Clog2FormatError(f"bad partial magic {head[:8]!r}")
             if len(head) < _AHDR.size:
@@ -239,7 +220,7 @@ def tail_partial(path: str, offset: int = 0) -> PartialTail | None:
 def _read_chunks(data: bytes, pos: int, part: Partial,
                  report: RecoveryReport | None = None,
                  source: str = "") -> int:
-    """Read the append-partial chunks of ``data[pos:]`` into ``part``.
+    """Read the partial chunks of ``data[pos:]`` into ``part``.
 
     Strict and tail reads (no ``report``): a malformed whole chunk
     raises, and a torn final chunk — one the writer has not finished,
@@ -298,50 +279,32 @@ def _read_chunks(data: bytes, pos: int, part: Partial,
 
 def _read_partial(data: bytes, report: RecoveryReport | None = None,
                   source: str = "") -> Partial:
-    """Parse a partial of either layout held in memory: strict without
-    a ``report``; with one, damage is accounted and a file too damaged
-    to identify yields a ``Partial`` with ``rank == -1``."""
+    """Parse a partial held in memory: strict without a ``report``;
+    with one, damage is accounted and a file too damaged to identify
+    yields a ``Partial`` with ``rank == -1``."""
     end = len(data)
-
-    def lost(start: int, reason: str) -> None:
-        if report is None:
-            raise Clog2FormatError(reason)
-        report.drop(source, start, end, reason)
-
-    unidentified = Partial(-1, [], [], [], 1e-6)
-    if end < _PHDR.size:
-        lost(0, f"too short for a partial header ({end} bytes)")
-        return unidentified
-    magic, rank, nsync = _PHDR.unpack_from(data)
-    if magic == APPEND_MAGIC:
-        if end < _AHDR.size:
-            lost(0, f"too short for an append header ({end} bytes)")
-            return unidentified
+    if end < _MIN_HEADER:
+        reason = f"too short for a partial header ({end} bytes)"
+    elif data[:8] != APPEND_MAGIC:
+        reason = f"bad partial magic {data[:8]!r}"
+    elif end < _AHDR.size:
+        reason = f"too short for an append header ({end} bytes)"
+    else:
         _, rank, resolution, _ = _AHDR.unpack_from(data)
         part = Partial(rank, [], [], [], resolution)
         _read_chunks(data, _AHDR.size, part, report, source)
         if report is not None:
             report.records_kept += len(part.records)
         return part
-    if magic != PARTIAL_MAGIC:
-        lost(0, f"bad partial magic {magic!r}")
-        return unidentified
-    points: list[SyncPoint] = []
-    pos = _PHDR.size
-    for i in range(nsync):
-        if pos + _SYNC.size > end:
-            lost(pos, f"torn sync section ({nsync - i} points lost)")
-            return Partial(rank, points, [], [], 1e-6)
-        points.append(SyncPoint(*_SYNC.unpack_from(data, pos)))
-        pos += _SYNC.size
-    clog = read_image(data, pos, report, source)
-    return Partial(rank, points, clog.definitions, clog.records,
-                   clog.clock_resolution)
+    if report is None:
+        raise Clog2FormatError(reason)
+    report.drop(source, 0, end, reason)
+    return Partial(-1, [], [], [], 1e-6)
 
 
 def read_partial_log(path: str, *, errors: str = "strict"
                      ) -> PartialReadResult:
-    """Parse one partial of either layout — the one entry point.
+    """Parse one partial — the one entry point.
 
     ``errors="strict"`` raises on damage and returns
     ``(partial, None)``; ``errors="salvage"`` skips torn/corrupt spans

@@ -26,12 +26,16 @@ from repro.pilot.program import (
     set_current_run,
 )
 from repro.pilot.service import ServiceFeedHook
-from repro.vmpi.clock import ClockSkew
 from repro.vmpi.comm import NetworkModel
 from repro.vmpi.engine import RunResult
 from repro.vmpi.errors import SimulationDeadlock
-from repro.vmpi.faults import load_fault_plan, plan_from_dict
-from repro.vmpi.journal import Journal, JournalError, manifest_for_engine
+from repro.vmpi.faults import load_fault_plan
+from repro.vmpi.journal import (
+    Journal,
+    JournalError,
+    engine_from_manifest,
+    manifest_for_engine,
+)
 from repro.vmpi.world import World
 
 
@@ -428,9 +432,7 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
     costs = config.costs
     if costs is None and "costs" in manifest:
         costs = PilotCosts(**manifest["costs"])
-    plan = None
-    if "fault_plan" in manifest:
-        plan = plan_from_dict(manifest["fault_plan"])
+    recorded = engine_from_manifest(manifest)
     cfg = dataclasses.replace(
         config,
         services=pilot_meta.get("services", ""),
@@ -442,12 +444,9 @@ def resume_pilot(main: Callable[[list[str]], Any], journal_dir: str, *,
                                           defaults.mpe_available)),
         fault_plan_path=None,
         journal_dir=None,  # the replay journal is passed explicitly
-        seed=int(manifest.get("seed", 0)),
-        clock_resolution=float(manifest.get("clock_resolution", 1e-8)),
-        skews={int(rank): ClockSkew(offset=float(s.get("offset", 0.0)),
-                                    drift=float(s.get("drift", 0.0)))
-               for rank, s in manifest.get("skews", {}).items()},
-        faults=plan, network=network, costs=costs, **guarded)
+        seed=recorded.seed, clock_resolution=recorded.clock_resolution,
+        skews=recorded.skews, faults=recorded.fault_plan, network=network,
+        costs=costs, **guarded)
     app_argv = [str(arg) for arg in manifest.get("argv", [])]
     return _launch(main, nprocs, app_argv, cfg, extra_hooks=extra_hooks,
                    journal=journal, suppress_crashes=True)

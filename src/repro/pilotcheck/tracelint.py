@@ -405,7 +405,7 @@ def lint_path(path: str) -> list[Finding]:
         return lint_clog2(path)
     if magic == b"SLOG2PY1":
         return lint_slog2(path)
-    if magic in (b"CLOGPART", b"CLOGPARA"):
+    if magic == b"CLOGPARA":
         from repro.mpe.salvage import read_partial_log
 
         partial, report = read_partial_log(path, errors="salvage")

@@ -59,7 +59,6 @@ class JumpshotOptions:
     # rank's buffer to a per-rank partial file so the log survives
     # PI_Abort; see repro.mpe.salvage.  Off by default, like the paper.
     salvage: bool = False
-    salvage_mode: str = "append"  # "append" (O(new)) or "rewrite" (O(all))
     salvage_interval: int = 512  # records between checkpoints
     salvage_cost_per_record: float = 1e-7  # rank-local disk write time
     salvage_checkpoint_latency: float = 5e-4  # open+fsync per checkpoint
@@ -247,11 +246,7 @@ class JumpshotLoggerHook(PilotHooks):
         the abort hook writes whatever is pending, uncharged, since the
         world is over anyway.
         """
-        from repro.mpe.salvage import (
-            AppendPartialWriter,
-            partial_path,
-            write_partial,
-        )
+        from repro.mpe.salvage import AppendPartialWriter, partial_path
 
         log = task.locals.get("mpe")
         if log is None:
@@ -262,24 +257,18 @@ class JumpshotLoggerHook(PilotHooks):
             return
         if pending <= 0:
             return
-        path = partial_path(self.run.options.mpe_log_path, task.rank)
-        if self.options.salvage_mode == "append":
-            writer = task.locals.get("pilotlog_salvage_writer")
-            if writer is None:
-                writer = AppendPartialWriter(
-                    path, task.rank, self.run.engine.clock_resolution)
-                task.locals["pilotlog_salvage_writer"] = writer
-            writer.checkpoint(log)
-            charged = pending  # O(new records)
-        else:
-            write_partial(path, task.rank, log,
-                          self.run.engine.clock_resolution)
-            charged = len(log.records)  # O(whole buffer)
+        writer = task.locals.get("pilotlog_salvage_writer")
+        if writer is None:
+            writer = AppendPartialWriter(
+                partial_path(self.run.options.mpe_log_path, task.rank),
+                task.rank, self.run.engine.clock_resolution)
+            task.locals["pilotlog_salvage_writer"] = writer
+        writer.checkpoint(log)
         task.locals["pilotlog_salvaged"] = len(log.records)
         if not final:
             self.run.engine.advance(
                 self.options.salvage_checkpoint_latency
-                + self.options.salvage_cost_per_record * charged,
+                + self.options.salvage_cost_per_record * pending,
                 "salvage checkpoint")
 
     def _flush_all_at_abort(self, exc) -> None:

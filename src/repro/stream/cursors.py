@@ -2,7 +2,7 @@
 
 The follower persists, per rank, the byte offset of the last *clean*
 frontier it consumed (whole items in version-1 terms, whole CRC-valid
-chunks in the append-partial layout) plus how many records it has
+chunks in the partial layout) plus how many records it has
 already handed downstream.  The sidecar is written with the shared
 atomic-JSON discipline (:func:`repro._util.fsio.atomic_write_json`),
 so a service killed mid-save leaves either the old cursors or the new
@@ -33,8 +33,7 @@ class RankCursor:
     """Follow state for one rank's partial file."""
 
     path: str
-    mode: str = "append"  # "append" | "rewrite"
-    offset: int = 0  # first unconsumed byte (append mode)
+    offset: int = 0  # first unconsumed byte
     records: int = 0  # records handed downstream from this rank
     syncs: int = 0  # sync points handed downstream
     torn_bytes: int = 0  # bytes held at the tail on the last poll
@@ -88,7 +87,6 @@ class StreamCursors:
                 rank = int(key)
                 cursors.ranks[rank] = RankCursor(
                     path=str(raw["path"]),
-                    mode=str(raw.get("mode", "append")),
                     offset=int(raw.get("offset", 0)),
                     records=int(raw.get("records", 0)),
                     syncs=int(raw.get("syncs", 0)),

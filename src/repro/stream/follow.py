@@ -33,13 +33,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro._util.fsio import atomic_write_json
 from repro._util.retry import RetryPolicy
-from repro.mpe.salvage import (
-    APPEND_MAGIC,
-    PARTIAL_MAGIC,
-    find_partials,
-    read_partial_log,
-    tail_partial,
-)
+from repro.mpe.salvage import find_partials, tail_partial
 from repro.perf import NO_PERF, PerfRecorder
 from repro.stream.cursors import RankCursor, StreamCursors, cursors_path
 
@@ -146,8 +140,7 @@ class LogFollower:
         for path in self._discover():
             rank = _rank_of(path)
             if rank not in self.cursors.ranks:
-                self.cursors.ranks[rank] = RankCursor(
-                    path=os.path.basename(path), mode=self._sniff_mode(path))
+                self.cursors.ranks[rank] = RankCursor(os.path.basename(path))
                 update.new_ranks.append(rank)
             self._poll_rank(rank, path, update)
         if update.record_count or update.new_ranks:
@@ -179,25 +172,10 @@ class LogFollower:
         except OSError:
             return []  # transient: re-polled next pass
 
-    def _sniff_mode(self, path: str) -> str:
-        try:
-            with open(path, "rb") as fh:
-                magic = fh.read(8)
-        except OSError:
-            return "append"
-        if magic == PARTIAL_MAGIC:
-            return "rewrite"
-        if magic == APPEND_MAGIC:
-            return "append"
-        return "append"  # header not flushed yet: append is the default
-
     def _poll_rank(self, rank: int, path: str, update: FollowUpdate) -> None:
         cur = self.cursors.ranks[rank]
         try:
-            if cur.mode == "rewrite":
-                self._poll_rewrite(rank, path, cur, update)
-            else:
-                self._poll_append(rank, path, cur, update)
+            tail = tail_partial(path, cur.offset)
         except FileNotFoundError:
             # The rank's partial vanished mid-poll: a clean finalize
             # deletes partials after merging.  The exit sidecar check
@@ -205,10 +183,6 @@ class LogFollower:
             return
         except OSError:
             return  # transient I/O: back off and re-poll
-
-    def _poll_append(self, rank: int, path: str, cur: RankCursor,
-                     update: FollowUpdate) -> None:
-        tail = tail_partial(path, cur.offset)
         if tail is None:
             return  # header not flushed yet
         cur.offset = tail.offset
@@ -220,29 +194,6 @@ class LogFollower:
             cur.syncs += len(tail.sync_points)
         if tail.records:
             self._split_records(rank, cur, tail.records, update)
-
-    def _poll_rewrite(self, rank: int, path: str, cur: RankCursor,
-                      update: FollowUpdate) -> None:
-        # Rewrite-mode partials are atomically replaced wholesale each
-        # checkpoint; the record list is a growing prefix, so consumed
-        # counts (not byte offsets) are the resume point.
-        size = os.path.getsize(path)
-        if size == cur.offset:
-            return  # unchanged since the last poll
-        result = read_partial_log(path, errors="salvage")
-        part = result.partial
-        cur.offset = size
-        if part.definitions:
-            # The fold dedupes definitions by key, so re-emitting the
-            # whole (tiny) table on every rewrite re-read is harmless.
-            update.new_definitions.extend(part.definitions)
-        new_syncs = part.sync_points[cur.syncs:]
-        if new_syncs:
-            update.new_syncs.setdefault(rank, []).extend(new_syncs)
-            cur.syncs += len(new_syncs)
-        pending = part.records[cur.records:]
-        if pending:
-            self._split_records(rank, cur, pending, update)
 
     def _split_records(self, rank: int, cur: RankCursor,
                        records: list["LogRecord"],

@@ -386,7 +386,6 @@ class StreamService:
             out.append({
                 "rank": rank,
                 "name": names.get(rank, f"rank {rank}"),
-                "mode": cur.mode,
                 "offset": cur.offset,
                 "records": cur.records,
                 "torn_bytes": cur.torn_bytes,

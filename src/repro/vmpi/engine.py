@@ -749,21 +749,15 @@ class Engine:
         manifest does not record one because both backends re-emit the
         recorded history byte-for-byte.
         """
-        from repro.vmpi.faults import plan_from_dict
-        from repro.vmpi.journal import Journal
+        from repro.vmpi.journal import Journal, engine_from_manifest
 
         journal = Journal.replay(journal_dir, perf=perf)
-        manifest = journal.manifest
-        skews = {int(rank): ClockSkew(offset=float(s.get("offset", 0.0)),
-                                      drift=float(s.get("drift", 0.0)))
-                 for rank, s in manifest.get("skews", {}).items()}
-        engine = cls(seed=int(manifest.get("seed", 0)),
-                     clock_resolution=float(
-                         manifest.get("clock_resolution", 1e-8)),
-                     skews=skews, scheduler=scheduler)
-        plan_data = manifest.get("fault_plan")
-        if plan_data is not None:
-            plan_from_dict(plan_data).install(engine, suppress_crashes=True)
+        recorded = engine_from_manifest(journal.manifest)
+        engine = cls(seed=recorded.seed,
+                     clock_resolution=recorded.clock_resolution,
+                     skews=recorded.skews, scheduler=scheduler)
+        if recorded.fault_plan is not None:
+            recorded.fault_plan.install(engine, suppress_crashes=True)
         journal.attach(engine)
         return engine
 

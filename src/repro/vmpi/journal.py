@@ -58,16 +58,18 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro._util.fsio import atomic_write_json as _atomic_write_json_impl
 from repro._util.retry import RetryError, RetryPolicy
 from repro.perf import NO_PERF, PerfRecorder
+from repro.vmpi.clock import ClockSkew
 from repro.vmpi.errors import VmpiError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vmpi.comm import Message
     from repro.vmpi.engine import Engine, Task
+    from repro.vmpi.faults import FaultPlan
 
 MANIFEST_NAME = "manifest.json"
 WORLD_WAL = "world.wal"
@@ -248,6 +250,32 @@ def manifest_for_engine(engine: "Engine", *, nprocs: int | None = None,
     if extra:
         manifest.update(extra)
     return manifest
+
+
+class RecordedEngine(NamedTuple):
+    """The engine settings a manifest records (see
+    :func:`engine_from_manifest`)."""
+
+    seed: int
+    clock_resolution: float
+    skews: dict[int, ClockSkew]
+    fault_plan: "FaultPlan | None"
+
+
+def engine_from_manifest(manifest: dict) -> RecordedEngine:
+    """Decode what :func:`manifest_for_engine` recorded: seed, clock
+    resolution, per-rank skews and the fault plan (``None`` when the
+    run had none)."""
+    from repro.vmpi.faults import plan_from_dict
+
+    plan = manifest.get("fault_plan")
+    return RecordedEngine(
+        seed=int(manifest.get("seed", 0)),
+        clock_resolution=float(manifest.get("clock_resolution", 1e-8)),
+        skews={int(rank): ClockSkew(offset=float(s.get("offset", 0.0)),
+                                    drift=float(s.get("drift", 0.0)))
+               for rank, s in manifest.get("skews", {}).items()},
+        fault_plan=None if plan is None else plan_from_dict(plan))
 
 
 class Journal:

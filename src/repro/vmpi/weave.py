@@ -104,9 +104,10 @@ the cache.  Any other callee takes the slow path (:func:`_site_miss`):
 it fills the cache from :func:`_site_entry` and dispatches through
 :func:`w_call`, which runs what the same resolver names.  The
 arguments are evaluated once, after the callee, in the branch that
-runs.  A ``with`` block calls ``type(mgr).__enter__(mgr)`` and
-``type(mgr).__exit__(...)`` through two such sites (three with the
-exception path).  Two rules keep a cache from running a stale target:
+runs.  A ``with`` block looks up ``type(mgr).__enter__`` and
+``__exit__`` first, as Python does, then calls them through two such
+sites (three with the exception path).  Two rules keep a cache from
+running a stale target:
 
 * an entry is one ``(key, target)`` tuple, stored in one step and read
   once per call, so two coroutine engines on two threads that share a
@@ -966,31 +967,47 @@ class _FillSite(ast.NodeTransformer):
 
 
 #: A ``with`` item ``with CONTEXT as TARGET: BODY``, expanded.  ``M``
-#: holds the manager; ``K`` is true from ``__enter__``'s return until
-#: the body raises; ``X`` is the exception.  ``_pilot_w_type`` is
-#: ``builtins.type``, whatever the code calls ``type``.  No argument of
-#: ``__exit__`` holds a call: a site would keep them in temporaries,
-#: and a traceback held there keeps its frame alive.
+#: holds the manager, ``N`` and ``Q`` its type's ``__enter__`` and
+#: ``__exit__`` (both looked up before ``__enter__`` runs, as ``with``
+#: does); ``K`` is true from ``__enter__``'s return until the body
+#: raises; ``X`` is the exception.  No argument of ``__exit__`` holds a
+#: call: a site would keep them in temporaries, and a traceback held
+#: there keeps its frame alive.
 _WITH_TEMPLATE = ast.parse("""
 M = CONTEXT
-TARGET = _pilot_w_type(M).__enter__(M)
+N, Q = _pilot_w_cm(M)
+TARGET = N(M)
 K = True
 try:
     try:
         BODY
     except BaseException as X:
         K = False
-        if not _pilot_w_type(M).__exit__(M, X.__class__, X, X.__traceback__):
+        if not Q(M, X.__class__, X, X.__traceback__):
             raise
 finally:
     if K:
-        _pilot_w_type(M).__exit__(M, None, None, None)
+        Q(M, None, None, None)
 """).body
+
+
+def _cm_methods(mgr: Any) -> tuple[Any, Any]:
+    """``type(mgr).__enter__`` and ``type(mgr).__exit__``.  A manager
+    that lacks either fails with the interpreter's own error, raised
+    by a real ``with`` before anything is entered."""
+    t = type(mgr)
+    try:
+        return t.__enter__, t.__exit__
+    except AttributeError:
+        pass
+    with mgr:
+        pass
+    raise AssertionError(f"{t!r} entered without __enter__/__exit__")
 
 
 class _FillWith(ast.NodeTransformer):
     """Instantiates :data:`_WITH_TEMPLATE` for one ``with`` item: renames
-    ``M``, ``K`` and ``X``, makes each ``__enter__``/``__exit__`` call a
+    its temporaries, makes each ``__enter__``/``__exit__`` call a
     site, and puts in the item's context, target and the body (all
     already woven).  Without a target the ``__enter__`` result goes to
     ``K``, which the next statement sets."""
@@ -999,7 +1016,8 @@ class _FillWith(ast.NodeTransformer):
                  site: Callable[[ast.Call], ast.expr]) -> None:
         ok = f"_pilot_w_ok{n}"
         self.names = {"M": f"_pilot_w_mgr{n}", "K": ok, "TARGET": ok,
-                      "X": f"_pilot_w_exc{n}"}
+                      "X": f"_pilot_w_exc{n}", "N": f"_pilot_w_enter{n}",
+                      "Q": f"_pilot_w_exit{n}"}
         self.item = item
         self.body = body
         self.site = site
@@ -1025,9 +1043,9 @@ class _FillWith(ast.NodeTransformer):
 
     def visit_Call(self, node: ast.Call) -> ast.expr:
         self.generic_visit(node)
-        if isinstance(node.func, ast.Attribute):  # __enter__, __exit__
-            return self.site(node)
-        return node  # the _pilot_w_type(M) in a site's callee
+        if isinstance(node.func, ast.Name) and node.func.id == "_pilot_w_cm":
+            return node
+        return self.site(node)  # __enter__, __exit__
 
 
 class _Weaver(ast.NodeTransformer):
@@ -1319,7 +1337,7 @@ def _install_helpers(g: dict[str, Any]) -> None:
     g["_pilot_w_miss"] = _site_miss
     g["_pilot_w_method"] = types.MethodType
     g["_pilot_w_builtin"] = types.BuiltinFunctionType
-    g["_pilot_w_type"] = builtins.type
+    g["_pilot_w_cm"] = _cm_methods
 
 
 _FACTORY_PREFIX = "__pilot_weave_factory__.<locals>."

@@ -18,7 +18,6 @@ from repro.vmpi.engine import Engine, RunResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vmpi.faults import FaultPlan
-    from repro.vmpi.journal import Journal
 
 
 class World:
@@ -29,7 +28,6 @@ class World:
                  skews: dict[int, ClockSkew] | None = None,
                  faults: "FaultPlan | None" = None,
                  suppress_crashes: bool = False,
-                 journal: "Journal | None" = None,
                  scheduler: str = "threads") -> None:
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
@@ -40,8 +38,6 @@ class World:
         self.comm = Communicator(self.engine, nprocs, network)
         if faults is not None:
             faults.install(self.engine, suppress_crashes=suppress_crashes)
-        if journal is not None:
-            journal.attach(self.engine)
 
     def run(self, main: Callable[..., Any], *args: Any) -> RunResult:
         """Spawn ``main(comm, *args)`` on every rank and run to the end."""

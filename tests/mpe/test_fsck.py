@@ -176,9 +176,3 @@ class TestCli:
         with open(path + ".fsck.perf.json") as fh:
             snap = json.load(fh)
         assert "fsck-scan" in snap["stages"]
-
-    def test_bare_path_still_prints(self, tmp_path, capsys):
-        path = str(tmp_path / "ok.clog2")
-        write_clog2(path, solo_log(5, num_ranks=1))
-        assert mpe_main([path]) == 0
-        assert "5 records" in capsys.readouterr().out

@@ -9,8 +9,8 @@ either salvage to a valid prefix/subset or raise a clean
 parse.  Unframed version-1 logs (the ``-pisvc=j`` default) cannot
 detect every flip, so the bar there is the readers' contract alone:
 strict parses or raises :class:`Clog2FormatError`, salvage always
-returns.  The per-rank salvage partials of both layouts are held to the
-same contract, and the live tail reader with them.  Seeds are fixed so
+returns.  The per-rank salvage partials are held to the same contract,
+and the live tail reader with them.  Seeds are fixed so
 every run fuzzes the same corpus.
 """
 
@@ -37,7 +37,6 @@ from repro.mpe.salvage import (
     AppendPartialWriter,
     read_partial_log,
     tail_partial,
-    write_partial,
 )
 
 SEEDS = (101, 202, 303)
@@ -237,25 +236,22 @@ class TestUnframedByteFlips:
 PARTIAL_RECORDS = 40
 
 
-def write_fuzz_partial(tmp_path, seed, layout):
-    """One rank's partial of ``layout`` ("rewrite" or "append") built
-    from the seed's fuzz log, checkpointed every 8 records with a sync
-    point midway; returns ``(path, bytes, rng)``."""
+def write_fuzz_partial(tmp_path, seed):
+    """One rank's partial built from the seed's fuzz log, checkpointed
+    every 8 records with a sync point midway; returns
+    ``(path, bytes, rng)``."""
     rng = random.Random(seed)
     base = fuzz_log(rng)
-    path = str(tmp_path / f"{layout}{seed}.part")
+    path = str(tmp_path / f"fuzz{seed}.part")
     log = RankLog(definitions=list(base.definitions),
                   sync_points=[SyncPoint(0.0, 0.0)])
-    writer = (AppendPartialWriter(path, 0, base.clock_resolution)
-              if layout == "append" else None)
+    writer = AppendPartialWriter(path, 0, base.clock_resolution)
     for i, rec in enumerate(base.records[:PARTIAL_RECORDS]):
         log.records.append(rec)
         if i == PARTIAL_RECORDS // 2:
             log.sync_points.append(SyncPoint(rec.timestamp, 1e-6))
-        if writer is not None and i % 8 == 7:
+        if i % 8 == 7:
             writer.checkpoint(log)
-    if writer is None:
-        write_partial(path, 0, log, base.clock_resolution)
     with open(path, "rb") as fh:
         return path, fh.read(), rng
 
@@ -275,11 +271,10 @@ def partial_readers_survive(path):
     return parsed
 
 
-@pytest.mark.parametrize("layout", ["rewrite", "append"])
 @pytest.mark.parametrize("seed", SEEDS)
-class TestPartialLayouts:
-    def test_every_truncation(self, tmp_path, seed, layout):
-        path, data, _ = write_fuzz_partial(tmp_path, seed, layout)
+class TestPartials:
+    def test_every_truncation(self, tmp_path, seed):
+        path, data, _ = write_fuzz_partial(tmp_path, seed)
         full = read_partial_log(path).partial
         target = str(tmp_path / "cut.part")
         for cut in range(len(data)):
@@ -291,8 +286,8 @@ class TestPartialLayouts:
                 if part is not None:
                     assert part.records == full.records[:len(part.records)]
 
-    def test_random_body_flips(self, tmp_path, seed, layout):
-        path, data, rng = write_fuzz_partial(tmp_path, seed, layout)
+    def test_random_body_flips(self, tmp_path, seed):
+        path, data, rng = write_fuzz_partial(tmp_path, seed)
         target = str(tmp_path / "flipped.part")
         for _ in range(FLIPS_PER_SEED):
             pos = rng.randrange(len(data))

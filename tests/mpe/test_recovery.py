@@ -21,7 +21,6 @@ from repro.mpe.salvage import (
     merge_partial_logs,
     partial_path,
     read_partial_log,
-    write_partial,
 )
 
 
@@ -182,14 +181,6 @@ class TestTolerantPartials:
         part, rep = read_partial_log(path, errors="salvage")
         assert part.rank == -1
         assert not rep.clean
-
-    def test_rewrite_mode_partial_reads_tolerantly(self, tmp_path):
-        path = str(tmp_path / "r.part")
-        write_partial(path, 1, fresh_log(rank=1, n=5), 1e-8)
-        part, rep = read_partial_log(path, errors="salvage")
-        assert rep.clean
-        assert part.rank == 1
-        assert len(part.records) == 5
 
 
 class TestTolerantMerge:

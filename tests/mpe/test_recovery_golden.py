@@ -5,8 +5,8 @@ the digest of ``repr((log, report))`` for one salvage read:
 
 * ``read_log(errors="salvage")`` over the seeded fuzz corpus (version 1
   and version 2 logs, truncated and byte-flipped);
-* ``read_partial_log(errors="salvage")`` over torn and flipped partials
-  of both layouts (rewrite ``CLOGPART`` and append ``CLOGPARA``);
+* ``read_partial_log(errors="salvage")`` over torn and flipped
+  partials;
 * ``merge_partial_logs(errors="salvage")`` over a crashed salvage run,
   intact and with one partial torn.
 
@@ -35,7 +35,6 @@ from repro.mpe.salvage import (
     find_partials,
     merge_partial_logs,
     read_partial_log,
-    write_partial,
 )
 from repro.pilot import PilotConfig, run_pilot
 from repro.pilotlog.integration import JumpshotOptions
@@ -97,21 +96,19 @@ def rank_log() -> RankLog:
     return log
 
 
-def partial_bytes(tmp, layout: str) -> bytes:
-    path = os.path.join(tmp, f"{layout}.part")
+def partial_bytes(tmp) -> bytes:
+    path = os.path.join(tmp, "append.part")
     log = rank_log()
     rng = random.Random(7)
-    writer = AppendPartialWriter(path, 1, 1e-8) if layout == "append" else None
+    writer = AppendPartialWriter(path, 1, 1e-8)
     for i in range(60):
         t = i * 1e-3
         log.records.append(BareEvent(t, 1, 3, f"r{i}") if i % 3
                            else MsgEvent(t, 1, i % 2, 0, 5, rng.randrange(99)))
         if i == 30:
             log.sync_points.append(SyncPoint(t, 2e-6))
-        if writer is not None and i % 10 == 9:
+        if i % 10 == 9:
             writer.checkpoint(log)
-    if writer is None:
-        write_partial(path, 1, log, 1e-8)
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -126,48 +123,43 @@ def chunk_starts(data: bytes) -> list[int]:
     return starts
 
 
-def targeted(data: bytes, layout: str):
-    """Damage seeded flips rarely hit: a bad magic, and (append layout)
-    an unknown chunk kind, whole and torn."""
+def targeted(data: bytes):
+    """Damage seeded flips rarely hit: a bad magic, and an unknown
+    chunk kind, whole and torn."""
     yield "magic", b"X" + data[1:]
-    if layout == "append":
-        pos = chunk_starts(data)[2]
-        unknown = data[:pos] + b"X" + data[pos + 1:]
-        yield "kind", unknown
-        yield "kind-torn", unknown[:pos + 9]
+    pos = chunk_starts(data)[2]
+    unknown = data[:pos] + b"X" + data[pos + 1:]
+    yield "kind", unknown
+    yield "kind-torn", unknown[:pos + 9]
 
 
 def partial_cases(tmp):
     path = os.path.join(tmp, "torn.part")
-    for layout in ("rewrite", "append"):
-        data = partial_bytes(tmp, layout)
-        rng = random.Random(len(data))
-        for tag, body in itertools.chain(
-                damaged(data, rng, 0, cuts=range(0, 64, 3)),
-                targeted(data, layout)):
-            with open(path, "wb") as fh:
-                fh.write(body)
-            yield (f"read_partial_log/{layout}/{tag}",
-                   digest(read_partial_log(path, errors="salvage")))
+    data = partial_bytes(tmp)
+    rng = random.Random(len(data))
+    for tag, body in itertools.chain(
+            damaged(data, rng, 0, cuts=range(0, 64, 3)), targeted(data)):
+        with open(path, "wb") as fh:
+            fh.write(body)
+        yield (f"read_partial_log/append/{tag}",
+               digest(read_partial_log(path, errors="salvage")))
 
 
 def merge_cases(tmp):
-    for mode in ("append", "rewrite"):
-        base = os.path.join(tmp, f"crashed-{mode}.clog2")
-        plan = FaultPlan(seed=7, rules=(CrashFault(rank=1, at=4e-3),))
-        run_pilot(pipeline_app(2, 20), 3, config=PilotConfig(
-            services="j", mpe_log_path=base, faults=plan,
-            mpe=JumpshotOptions(salvage=True, salvage_interval=8,
-                                salvage_mode=mode)))
-        kwargs = dict(errors="salvage", expected_ranks=3,
-                      crashed_ranks=plan.crashed_ranks())
-        yield (f"merge_partial_logs/{mode}/intact",
-               digest(merge_partial_logs(base, **kwargs)))
-        first = find_partials(base)[0]
-        with open(first, "r+b") as fh:
-            fh.truncate(os.path.getsize(first) - 5)
-        yield (f"merge_partial_logs/{mode}/torn",
-               digest(merge_partial_logs(base, **kwargs)))
+    base = os.path.join(tmp, "crashed-append.clog2")
+    plan = FaultPlan(seed=7, rules=(CrashFault(rank=1, at=4e-3),))
+    run_pilot(pipeline_app(2, 20), 3, config=PilotConfig(
+        services="j", mpe_log_path=base, faults=plan,
+        mpe=JumpshotOptions(salvage=True, salvage_interval=8)))
+    kwargs = dict(errors="salvage", expected_ranks=3,
+                  crashed_ranks=plan.crashed_ranks())
+    yield ("merge_partial_logs/append/intact",
+           digest(merge_partial_logs(base, **kwargs)))
+    first = find_partials(base)[0]
+    with open(first, "r+b") as fh:
+        fh.truncate(os.path.getsize(first) - 5)
+    yield ("merge_partial_logs/append/torn",
+           digest(merge_partial_logs(base, **kwargs)))
 
 
 PRODUCERS = {"read_log": read_log_cases, "read_partial_log": partial_cases,

@@ -1,5 +1,5 @@
-"""Append-mode salvage partials: O(new records) checkpoints, torn-chunk
-recovery, and parity with rewrite mode."""
+"""Salvage partials: O(new records) checkpoints and torn-chunk
+recovery."""
 
 import os
 import struct
@@ -12,13 +12,9 @@ from repro.mpe.clog2 import Clog2FormatError
 from repro.mpe.records import BareEvent, EventDef, StateDef
 from repro.mpe.salvage import (
     AppendPartialWriter,
-    merge_partial_logs,
-    partial_path,
     read_partial_log,
     tail_partial,
-    write_partial,
 )
-from repro.pilotlog import JumpshotOptions
 
 
 def fresh_log():
@@ -57,6 +53,21 @@ class TestAppendWriter:
         assert writer.checkpoint(log) == 0
         assert os.path.getsize(path) == size1
 
+    def test_definitions_written_once_even_without_records(self, tmp_path):
+        path = str(tmp_path / "f.part")
+        log = RankLog(definitions=fresh_log().definitions)
+        writer = AppendPartialWriter(path, 0, 1e-8)
+        # What ``fsck --repair`` writes when no record survived.
+        writer.checkpoint(log)
+        assert read_partial_log(path).partial.definitions == log.definitions
+        log.sync_points.append(SyncPoint(0.0, 0.0))
+        writer.checkpoint(log)
+        log.records.append(BareEvent(0.0, 0, 3, ""))
+        writer.checkpoint(log)
+        part = read_partial_log(path).partial
+        assert part.definitions == log.definitions
+        assert len(part.records) == 1
+
     def test_appends_grow_linearly_not_quadratically(self, tmp_path):
         path = str(tmp_path / "c.part")
         log = fresh_log()
@@ -68,8 +79,8 @@ class TestAppendWriter:
             writer.checkpoint(log)
             sizes.append(os.path.getsize(path))
         deltas = [b - a for a, b in zip(sizes, sizes[1:])]
-        # Each batch appends ~the same number of bytes (rewrite mode
-        # would grow each delta by a whole buffer).
+        # Each batch appends ~the same number of bytes (re-serialising
+        # the buffer would grow each delta by a whole buffer).
         assert max(deltas) - min(deltas) <= 4
 
     def test_torn_final_chunk_dropped(self, tmp_path):
@@ -103,31 +114,12 @@ class TestAppendWriter:
         assert part.sync_points[1].offset == 0.5
 
 
-class TestModeParity:
-    def test_merge_accepts_mixed_modes(self, tmp_path):
-        base = str(tmp_path / "run.clog2")
-        log0 = fresh_log()
-        log0.records.append(BareEvent(0.5, 0, 3, "rewrite-mode"))
-        write_partial(partial_path(base, 0), 0, log0, 1e-8)
-        log1 = fresh_log()
-        writer = AppendPartialWriter(partial_path(base, 1), 1, 1e-8)
-        log1.records.append(BareEvent(0.25, 1, 3, "append-mode"))
-        writer.checkpoint(log1)
-        merged = merge_partial_logs(base).log
-        texts = [r.text for r in merged.records]
-        assert texts == ["append-mode", "rewrite-mode"]  # time order
-
-    def test_option_flag_exists(self):
-        assert JumpshotOptions().salvage_mode == "append"
-        assert JumpshotOptions(salvage_mode="rewrite").salvage_mode == "rewrite"
-
-
 class TestMalformedPartials:
     """Short or inconsistent partials raise Clog2FormatError, never a
     raw ``struct.error`` from an unpack running off the end."""
 
     CASES = {
-        # header promises 3 sync points, only 20 bytes of them follow
+        # the retired rewrite layout's magic: refused, not parsed
         "rewrite-torn-sync-section":
             struct.pack("<8sII", b"CLOGPART", 0, 3) + bytes(20),
         # header torn 10 bytes after the magic

@@ -7,16 +7,27 @@ service restart that replays from cursors with zero duplicate records.
 
 from __future__ import annotations
 
+import io
 import os
+import struct
 from types import SimpleNamespace
+
+import pytest
 
 from repro._util.fsio import atomic_write_json
 from repro._util.retry import RetryPolicy
 from repro.mpe.clocksync import SyncPoint
+from repro.mpe.clog2 import Clog2File, Clog2FormatError, write_clog2_to
+from repro.mpe.fsck import fsck_path
 from repro.mpe.records import BareEvent, EventDef, RankName
-from repro.mpe.salvage import AppendPartialWriter, partial_path, write_partial
+from repro.mpe.salvage import (
+    AppendPartialWriter,
+    partial_path,
+    read_partial_log,
+)
 from repro.stream.cursors import cursors_path
 from repro.stream.follow import LogFollower, exit_path
+from repro.stream.service import StreamService
 
 POLICY = RetryPolicy(deadline=0.5, initial=0.001, max_delay=0.01, jitter=0.0)
 
@@ -191,21 +202,33 @@ def test_corrupt_cursors_sidecar_means_fresh_attach(tmp_path):
     assert not follower.resumed
 
 
-def test_rewrite_mode_partial_resumes_by_record_count(tmp_path):
-    follower, base = make_follower(tmp_path)
-    path = partial_path(base, 0)
+def test_retired_rewrite_partial_is_refused(tmp_path):
+    # The retired rewrite layout: magic, rank, sync count, the sync
+    # points, then a whole CLOG2 image.
     log = rank_log(0, 4)
-    write_partial(path, 0, log, 1e-6)
-    update = follower.poll()
-    assert follower.cursors.ranks[0].mode == "rewrite"
-    assert len(update.new_records[0]) == 4
+    image = io.BytesIO()
+    write_clog2_to(image, Clog2File(1e-6, 1, log.definitions, log.records))
+    base = str(tmp_path / "run.clog2")
+    path = partial_path(base, 0)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<8sII", b"CLOGPART", 0, 1)
+                 + struct.pack("<dd", 0.0, 0.0) + image.getvalue())
 
-    # Rewrite checkpoints replace the file wholesale; the record list
-    # is a growing prefix, so only the suffix is new.
-    log.records.extend(BareEvent(5.0 + i, 0, 9, f"n{i}") for i in range(3))
-    write_partial(path, 0, log, 1e-6)
-    update = follower.poll()
-    assert [r.text for r in update.new_records[0]] == ["n0", "n1", "n2"]
+    with pytest.raises(Clog2FormatError, match="bad partial magic"):
+        read_partial_log(path)
+    part, report = read_partial_log(path, errors="salvage")
+    assert part.rank == -1
+    assert [r.reason for r in report.dropped_ranges] == [
+        "bad partial magic b'CLOGPART'"]
+    assert not fsck_path(path).clean
+
+    service = StreamService(base, policy=POLICY, expected_ranks=1).start()
+    try:
+        assert service.wait_finalized(30.0)
+        assert service.degraded
+        assert "bad partial magic" in service.reason
+    finally:
+        service.stop()
 
 
 def test_exit_sidecar_clean_finish(tmp_path):

@@ -116,7 +116,6 @@ def test_ranks_carry_names_and_cursors(service):
     assert [r["rank"] for r in ranks] == [0, 1]
     assert [r["name"] for r in ranks] == ["P0", "P1"]
     for r in ranks:
-        assert r["mode"] == "append"
         assert r["records"] == 7
         assert r["torn_bytes"] == 0
         assert not r["crashed"]

@@ -71,7 +71,7 @@ class TestClog2Print:
     def test_full_dump(self, clog, capsys):
         from repro.mpe.__main__ import main
 
-        assert main([clog]) == 0
+        assert main(["print", clog]) == 0
         out = capsys.readouterr().out
         assert "definitions (" in out
         assert "statedef" in out and "eventdef" in out and "rankname" in out
@@ -80,7 +80,7 @@ class TestClog2Print:
     def test_limit_and_rank_filter(self, clog, capsys):
         from repro.mpe.__main__ import main
 
-        assert main([clog, "--limit", "5", "--rank", "0"]) == 0
+        assert main(["print", clog, "--limit", "5", "--rank", "0"]) == 0
         out = capsys.readouterr().out
         body = [l for l in out.splitlines()
                 if l and l[0].isdigit()]
@@ -91,7 +91,7 @@ class TestClog2Print:
     def test_defs_only(self, clog, capsys):
         from repro.mpe.__main__ import main
 
-        assert main([clog, "--defs-only"]) == 0
+        assert main(["print", clog, "--defs-only"]) == 0
         out = capsys.readouterr().out
         assert "statedef" in out
         assert not any(l and l[0].isdigit() for l in out.splitlines()[2:])

@@ -187,7 +187,7 @@ INVENTORY: dict[str, dict[str, dict[str, int]]] = {
     "merge-strict": _MERGE,
     "merge-salvage": _MERGE,
     "fsck": {"fsck-repair": {"calls": 1},
-             "fsck-scan": {"bytes": 7417, "calls": 2, "records": 160}},
+             "fsck-scan": {"bytes": 7409, "calls": 2, "records": 160}},
     "diff": {"diff-align": {"calls": 1, "records": 248},
              "diff-load": {"bytes": 22827, "calls": 2, "records": 536},
              "diff-score": {"calls": 1}},

@@ -263,6 +263,18 @@ class _Traced:
         return self.suppress
 
 
+class _NoExit:
+    """A manager without ``__exit__``: ``with`` must refuse it before
+    ``__enter__`` runs."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __enter__(self):
+        self.log.append("enter")
+        return self
+
+
 def _tick(comm, *xs, scale=1, **kw):
     comm.engine.advance(1e-4 * scale, "tick")
     return sum(xs) * scale, sorted(kw)
@@ -331,6 +343,22 @@ class TestWovenUserCode:
 
         expect = (["enter a", "enter b", "ab", "exit b None",
                    "exit a None"], 4e-4)
+        assert _results(main, scheduler) == {0: expect, 1: expect}
+
+    def test_with_whose_manager_has_no_exit(self, scheduler):
+        def main(comm):
+            log = []
+            try:
+                with _NoExit(log):
+                    log.append("body")
+            except Exception as exc:  # noqa: BLE001 - the type is the point
+                log.append(type(exc).__name__)
+            return log
+
+        with pytest.raises(Exception) as plain:
+            with _NoExit([]):
+                pass
+        expect = [type(plain.value).__name__]
         assert _results(main, scheduler) == {0: expect, 1: expect}
 
     def test_spread_arguments(self, scheduler):
