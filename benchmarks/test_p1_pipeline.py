@@ -39,7 +39,7 @@ from benchmarks._legacy import (
 )
 from repro.apps import GOOD, CollisionConfig, ThumbnailConfig, collisions_main, thumbnail_main
 from repro.mpe import read_log
-from repro.mpe.clog2 import Clog2Writer, write_clog2
+from repro.mpe.clog2 import write_clog2, write_clog2_to
 from repro.mpe.clocksync import SyncPoint
 from repro.mpe.merge import dedup_definitions, merge_rank_streams, rank_stream
 from repro.mpe.salvage import Partial
@@ -145,10 +145,9 @@ def _measure_scale(name, main, nprocs, tmp_path):
         streams = [rank_stream(p.rank, p.records, p.sync_points)
                    for p in partials]
         defs = dedup_definitions(p.definitions for p in partials)
-        with Clog2Writer(new_clog, log.clock_resolution,
-                         len(partials)) as writer:
-            writer.write_definitions(defs)
-            writer.write_retimed_records(merge_rank_streams(streams))
+        with open(new_clog, "wb") as fh:
+            write_clog2_to(fh, log.clock_resolution, len(partials), defs,
+                           merge_rank_streams(streams))
 
     t_ml = _best(merge_legacy)
     t_mn = _best(merge_streaming)
@@ -206,10 +205,10 @@ def _merge_peak_alloc(partials, log) -> dict:
     def streaming():
         streams = [rank_stream(p.rank, p.records, p.sync_points)
                    for p in partials]
-        with Clog2Writer(sink, log.clock_resolution, len(partials)) as writer:
-            writer.write_definitions(
-                dedup_definitions(p.definitions for p in partials))
-            writer.write_retimed_records(merge_rank_streams(streams))
+        with open(sink, "wb") as fh:
+            write_clog2_to(fh, log.clock_resolution, len(partials),
+                           dedup_definitions(p.definitions for p in partials),
+                           merge_rank_streams(streams))
 
     for key, fn in (("legacy", legacy), ("streaming", streaming)):
         tracemalloc.start()
@@ -286,10 +285,9 @@ def test_p1_pipeline_with_crc_framing(comparison, tmp_path, artifacts_dir):
         streams = [rank_stream(p.rank, p.records, p.sync_points)
                    for p in partials]
         defs = dedup_definitions(p.definitions for p in partials)
-        with Clog2Writer(crc_clog, log.clock_resolution, len(partials),
-                         checksum=True) as writer:
-            writer.write_definitions(defs)
-            writer.write_retimed_records(merge_rank_streams(streams))
+        with open(crc_clog, "wb") as fh:
+            write_clog2_to(fh, log.clock_resolution, len(partials), defs,
+                           merge_rank_streams(streams), checksum=True)
 
     t_ml = _best(merge_legacy)
     t_mn = _best(merge_streaming_crc)

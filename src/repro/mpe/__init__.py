@@ -15,7 +15,6 @@ from repro.mpe.clog2 import (
     Clog2File,
     Clog2ReadResult,
     Clog2FormatError,
-    Clog2Writer,
     read_log,
     write_clog2,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Clog2File",
     "Clog2FormatError",
     "Clog2ReadResult",
-    "Clog2Writer",
     "CorrectionModel",
     "DroppedRange",
     "EventDef",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro._util.ids import IdAllocator
 from repro.mpe import clocksync, merge
-from repro.mpe.clog2 import Clog2Writer
+from repro.mpe.clog2 import write_clog2_to
 from repro.mpe.records import (
     RECV,
     SEND,
@@ -220,16 +220,16 @@ class MpeLogger:
     def _write_merged(self, path: str, definitions: list[Definition],
                       streams, *,
                       perf: PerfRecorder = NO_PERF) -> int:
-        """Fused merge→write: the k-way merge is consumed directly by
-        the CLOG2 writer, which packs corrected timestamps in place of
-        the originals — no merged record list, no rebuilt record
-        objects.  (The heap merge therefore runs lazily inside the
-        write loop; the ``merge`` perf stage covers stream correction,
-        ``clog2-write`` the merge-consume-and-pack pass.)  Returns the
-        number of records written."""
-        with Clog2Writer(path, self.comm.engine.clock_resolution,
-                         self.comm.size, perf=perf,
-                         checksum=self.options.checksum) as writer:
-            writer.write_definitions(definitions)
-            writer.write_retimed_records(merge.merge_rank_streams(streams))
-        return writer.records_written
+        """Fused merge→write: the k-way merge's ``(corrected time,
+        rank, record)`` items go straight into
+        :func:`~repro.mpe.clog2.write_clog2_to`, which packs each
+        corrected time in place of the record's own — no merged record
+        list, no rebuilt record objects.  (The heap merge therefore runs
+        lazily inside the write loop; the ``merge`` perf stage covers
+        stream correction, ``clog2-write`` the merge-consume-and-pack
+        pass.)  Returns the number of records written."""
+        with open(path, "wb") as fh:
+            return write_clog2_to(fh, self.comm.engine.clock_resolution,
+                                  self.comm.size, definitions,
+                                  merge.merge_rank_streams(streams),
+                                  checksum=self.options.checksum, perf=perf)

@@ -9,10 +9,10 @@ we.  Layout:
 rank count i32, record count u32.
 
 Version 1 stores the item stream raw after the header.  Version 2
-(``checksum=True`` on the writers) frames the same item stream into
-CRC32-checked blocks: each block is ``length u32, crc32 u32`` followed
-by ``length`` bytes holding whole items (a block boundary never splits
-an item — blocks are exactly the writer's flush slabs).  The framing
+(``checksum=True``) frames the same item stream into CRC32-checked
+blocks: each block is ``length u32, crc32 u32`` followed by ``length``
+bytes holding whole items (a block boundary never splits an item —
+blocks are exactly the writer's flush slabs).  The framing
 makes silent corruption detectable: a flipped byte anywhere in a block
 fails that block's checksum instead of decoding into a plausible but
 wrong record, and the salvage reader drops *exactly* the damaged block
@@ -39,10 +39,13 @@ batched:
 * every ``struct`` format is precompiled at import time, and the type
   byte is fused into the record pack (one C call per record instead of
   two-to-four Python-level writes);
-* :func:`write_items` packs into an in-memory batch and flushes in
-  ~256 KiB slabs; :class:`Clog2Writer` streams records to disk without
-  ever holding the whole log (the header's record count is patched on
-  close);
+* :func:`write_items` is the one record packer: it packs
+  ``(timestamp, rank, record)`` items (the k-way merge's own tuples,
+  or :func:`timed` over plain records) into an in-memory batch and
+  flushes in ~256 KiB slabs;
+* :func:`write_clog2_to` is the one header writer: it streams
+  :func:`write_items` to disk without ever holding the whole log, and
+  patches the header's record count at the end;
 * reading is two loops: :func:`decode_items` decodes item bytes with
   one fused ``unpack_from`` per record, and :func:`iter_frames` steps
   over length-prefixed frames (the version-2 CRC blocks here, the
@@ -97,11 +100,11 @@ _HDR = struct.Struct("<8sHdiI")
 #: Version-2 block frame: payload length u32, crc32-of-payload u32.
 _BLOCK = struct.Struct("<II")
 _U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 # Fused type-byte + payload formats ("<" means no padding, so packing
 # the type byte together with the fields yields exactly the same bytes
 # as writing them separately — the equivalence tests hold us to it).
-_BARE_FULL = struct.Struct("<Bdii")
 _MSG_FULL = struct.Struct("<BdiBiiq")
 _STATEDEF_FULL = struct.Struct("<Bii")
 _IDONLY_FULL = struct.Struct("<Bi")  # EventDef / RankName heads
@@ -124,9 +127,9 @@ class Clog2ChecksumError(Clog2FormatError):
 class _BlockWriter:
     """File-like adapter that frames every ``write`` as one CRC block.
 
-    The batched writers already call ``write`` only at item boundaries
-    (a flush slab always ends on a whole item), so one write = one
-    valid version-2 block.  Empty writes emit nothing.
+    :func:`write_items` calls ``write`` only at item boundaries (a
+    flush slab always ends on a whole item), so one write = one valid
+    version-2 block.  Empty writes emit nothing.
     """
 
     __slots__ = ("_out",)
@@ -196,12 +199,24 @@ def _pack_definition(d: Definition) -> bytes:
     return _IDONLY_FULL.pack(_T_RANKNAME, d.rank) + _str_bytes(d.name)
 
 
-def write_items(fh, definitions: Iterable[Definition],
-                records: Iterable[LogRecord]) -> int:
-    """Serialise a headerless definition+record stream (shared by the
-    file writer and the salvage partials).
+def timed(records: Iterable[LogRecord]
+          ) -> "Iterator[tuple[float, int, LogRecord]]":
+    """``records`` as the ``(timestamp, rank, record)`` items
+    :func:`write_items` packs, each record at its own timestamp."""
+    return ((r.timestamp, r.rank, r) for r in records)
 
-    Accepts any iterables; packs into an in-memory batch flushed in
+
+def write_items(fh, definitions: Iterable[Definition],
+                items: "Iterable[tuple[float, int, LogRecord]]") -> int:
+    """The one CLOG2 record packer: serialise a headerless
+    definition+record stream (shared by the file writer and the salvage
+    partials).
+
+    ``items`` are ``(timestamp, rank, record)`` tuples — the k-way
+    merge's own items (:mod:`repro.mpe.merge`), or :func:`timed` over
+    plain records — and each record is packed at its item's timestamp,
+    so the fused merge→write never rebuilds a record just to serialise
+    it.  Accepts any iterables; packs into an in-memory batch flushed in
     slabs so the caller pays one ``write`` per ~256 KiB instead of per
     field.  Returns the number of records written.
     """
@@ -220,10 +235,10 @@ def write_items(fh, definitions: Iterable[Definition],
         piece = _pack_definition(d)
         append(piece)
         pending += len(piece)
-    for r in records:
+    for t, _rank, r in items:
         nrecords += 1
         if type(r) is MsgEvent:
-            append(msg_pack(_T_MSG, r.timestamp, r.rank, r.kind,
+            append(msg_pack(_T_MSG, t, r.rank, r.kind,
                             r.other_rank, r.tag, r.size))
             pending += msg_size
         elif type(r) is BareEvent:
@@ -232,7 +247,7 @@ def write_items(fh, definitions: Iterable[Definition],
             if n > 0xFFFF:
                 raise Clog2FormatError(
                     f"string too long for CLOG2 ({n} bytes)")
-            append(bare_pack(_T_BARE, r.timestamp, r.rank, r.event_id, n))
+            append(bare_pack(_T_BARE, t, r.rank, r.event_id, n))
             append(raw)
             pending += bare_head + n
         else:
@@ -246,152 +261,32 @@ def write_items(fh, definitions: Iterable[Definition],
     return nrecords
 
 
-class Clog2Writer:
-    """Stream a CLOG2 file to disk without holding the whole log.
+def write_clog2_to(fh, clock_resolution: float, num_ranks: int,
+                   definitions: Iterable[Definition],
+                   items: "Iterable[tuple[float, int, LogRecord]]", *,
+                   checksum: bool = False,
+                   perf: PerfRecorder = NO_PERF) -> int:
+    """Stream a whole CLOG2 image (header + items) to an open, seekable
+    binary stream without ever holding the whole log; returns the
+    number of records written.
 
-    The header's record count is not known until the stream ends, so a
-    placeholder is written up front and patched in :meth:`close` — the
-    finished file is byte-identical to an eager :func:`write_clog2` of
-    the same items.
-
-    Usable as a context manager::
-
-        with Clog2Writer(path, resolution, num_ranks) as w:
-            w.write_definitions(defs)
-            for rec in stream:
-                w.write_record(rec)
+    The header's record count is not known until ``items`` runs out, so
+    a placeholder goes in first and is patched at the end.  The header
+    is never block-framed, so the patch goes straight to ``fh`` in both
+    versions.  ``checksum=True`` writes version 2: every slab
+    :func:`write_items` flushes becomes one CRC32 block.
     """
-
-    def __init__(self, path: str, clock_resolution: float, num_ranks: int, *,
-                 checksum: bool = False,
-                 perf: PerfRecorder = NO_PERF) -> None:
-        self.path = path
-        self.checksum = checksum
-        self.records_written = 0
-        self._perf = perf
-        self._raw = open(path, "wb")
-        version = CHECKSUM_VERSION if checksum else VERSION
-        self._raw.write(_HDR.pack(MAGIC, version, clock_resolution,
-                                  num_ranks, 0))
-        self._fh = _BlockWriter(self._raw) if checksum else self._raw
-        self._parts: list[bytes] = []
-        self._pending = 0
-
-    def _push(self, piece: bytes) -> None:
-        self._parts.append(piece)
-        self._pending += len(piece)
-        if self._pending >= _WRITE_BATCH:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self._parts:
-            self._fh.write(b"".join(self._parts))
-            self._parts.clear()
-            self._pending = 0
-
-    def write_definition(self, d: Definition) -> None:
-        self._push(_pack_definition(d))
-
-    def write_definitions(self, definitions: Iterable[Definition]) -> None:
-        for d in definitions:
-            self._push(_pack_definition(d))
-
-    def write_record(self, r: LogRecord) -> None:
-        if type(r) is MsgEvent:
-            piece = _MSG_FULL.pack(_T_MSG, r.timestamp, r.rank, r.kind,
-                                   r.other_rank, r.tag, r.size)
-        elif type(r) is BareEvent:
-            piece = (_BARE_FULL.pack(_T_BARE, r.timestamp, r.rank, r.event_id)
-                     + _str_bytes(r.text))
-        else:
-            raise Clog2FormatError(f"unknown record {r!r}")
-        self._push(piece)
-        self.records_written += 1
-
-    def write_records(self, records: Iterable[LogRecord]) -> None:
-        for r in records:
-            self.write_record(r)
-
-    def write_retimed_records(
-            self, items: "Iterable[tuple[float, int, LogRecord]]") -> None:
-        """Serialise merge tuples ``(corrected time, rank, record)``
-        directly, packing the corrected time in place of the record's
-        own timestamp.
-
-        This is the fused merge→write hot path: the k-way merge
-        (:mod:`repro.mpe.merge`) hands over original record objects
-        plus corrected times, and nothing is ever rebuilt just to be
-        serialised — the bytes are identical to writing the corrected
-        records one by one.
-        """
-        parts = self._parts
-        append = parts.append
-        pending = self._pending
-        nrecords = 0
-        bare_pack = _BARE_FULL_U16.pack
-        msg_pack = _MSG_FULL.pack
-        msg_size = _MSG_FULL.size
-        bare_head = _BARE_FULL_U16.size
-        batch = _WRITE_BATCH
-        write = self._fh.write
-        join = b"".join
-        for t, _rank, r in items:
-            nrecords += 1
-            if type(r) is MsgEvent:
-                append(msg_pack(_T_MSG, t, r.rank, r.kind,
-                                r.other_rank, r.tag, r.size))
-                pending += msg_size
-            elif type(r) is BareEvent:
-                raw = r.text.encode("utf-8")
-                n = len(raw)
-                if n > 0xFFFF:
-                    raise Clog2FormatError(
-                        f"string too long for CLOG2 ({n} bytes)")
-                append(bare_pack(_T_BARE, t, r.rank, r.event_id, n))
-                append(raw)
-                pending += bare_head + n
-            else:
-                raise Clog2FormatError(f"unknown record {r!r}")
-            if pending >= batch:
-                write(join(parts))
-                parts.clear()
-                pending = 0
-        self._pending = pending
-        self.records_written += nrecords
-
-    def close(self) -> None:
-        if self._raw.closed:
-            return
-        self._flush()
-        size = self._raw.tell()
-        # Patch the record count into the header (offset of the trailing
-        # u32 in "<8sHdiI").  The header is never block-framed, so the
-        # patch goes straight to the file in both versions.
-        self._raw.seek(_HDR.size - 4)
-        self._raw.write(struct.pack("<I", self.records_written))
-        self._raw.close()
-        self._perf.count("clog2-write", records=self.records_written,
-                         bytes=size)
-
-    def __enter__(self) -> "Clog2Writer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def write_clog2_to(fh, log: Clog2File, *, checksum: bool = False,
-                   perf: PerfRecorder = NO_PERF) -> None:
-    """Serialise a whole CLOG2 image (header + items) to an open binary
-    stream — the same bytes :func:`write_clog2` puts in a file.  The
-    salvage partials embed CLOG2 bodies this way."""
     version = CHECKSUM_VERSION if checksum else VERSION
     start = fh.tell()
-    fh.write(_HDR.pack(MAGIC, version, log.clock_resolution,
-                       log.num_ranks, len(log.records)))
-    body = _BlockWriter(fh) if checksum else fh
-    nrecords = write_items(body, log.definitions, log.records)
-    perf.count("clog2-write", records=nrecords, bytes=fh.tell() - start)
+    fh.write(_HDR.pack(MAGIC, version, clock_resolution, num_ranks, 0))
+    nrecords = write_items(_BlockWriter(fh) if checksum else fh,
+                           definitions, items)
+    end = fh.tell()
+    fh.seek(start + _HDR.size - 4)  # the trailing u32 of "<8sHdiI"
+    fh.write(_U32.pack(nrecords))
+    fh.seek(end)
+    perf.count("clog2-write", records=nrecords, bytes=end - start)
+    return nrecords
 
 
 def write_clog2(path: str, log: Clog2File, *, checksum: bool = False,
@@ -403,7 +298,9 @@ def write_clog2(path: str, log: Clog2File, *, checksum: bool = False,
     golden hashes are bit-stable.
     """
     with perf.stage("clog2-write"), open(path, "wb") as fh:
-        write_clog2_to(fh, log, checksum=checksum, perf=perf)
+        write_clog2_to(fh, log.clock_resolution, log.num_ranks,
+                       log.definitions, timed(log.records),
+                       checksum=checksum, perf=perf)
 
 
 # ---------------------------------------------------------------------------
@@ -686,12 +583,6 @@ def read_image(data: bytes, report: RecoveryReport | None = None,
                      definitions, records)
 
 
-def parse_clog2_bytes(data: bytes) -> Clog2File:
-    """Strictly parse a complete CLOG2 image (header + items) held in
-    memory.  Raises :class:`Clog2FormatError` on any damage."""
-    return read_image(data)
-
-
 def check_errors_mode(errors: str) -> None:
     if errors not in ("strict", "salvage"):
         raise ValueError(
@@ -720,6 +611,6 @@ def read_log(path: str, *, errors: str = "strict",
     with perf.stage("clog2-read") as timer:
         with open(path, "rb") as fh:
             data = fh.read()
-        log = parse_clog2_bytes(data)
+        log = read_image(data)
     timer.count(records=len(log.records), bytes=len(data))
     return Clog2ReadResult(log, None)

@@ -22,8 +22,8 @@ Merge tuples carry the *original* record object next to its corrected
 timestamp; no record is rebuilt inside the merge itself.  Consumers
 that only need field values — above all the CLOG2 writer, which packs
 the corrected time straight into the output file
-(:meth:`repro.mpe.clog2.Clog2Writer.write_retimed_records`) — never
-pay for new objects at all.  Consumers that need real corrected
+(:func:`repro.mpe.clog2.write_items` takes merge tuples as its items) —
+never pay for new objects at all.  Consumers that need real corrected
 record objects go through :func:`merged_records`, which rebuilds one
 only when the correction actually moved its timestamp.
 

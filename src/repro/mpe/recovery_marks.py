@@ -27,7 +27,7 @@ from __future__ import annotations
 import io
 from typing import TYPE_CHECKING, Any
 
-from repro.mpe.clog2 import Clog2File, read_log, write_clog2_to
+from repro.mpe.clog2 import Clog2File, read_log, timed, write_clog2_to
 from repro.mpe.records import BareEvent, Definition, EventDef, StateDef
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -167,7 +167,8 @@ def canonical_stripped_bytes(path: str) -> bytes:
     """Read a CLOG2, strip recovery drawables, and re-serialise to a
     canonical byte string.  Run *both* sides of a comparison through
     this, so the equality is between canonical forms."""
-    log = read_log(path).log
+    log = strip_recovery(read_log(path).log)
     buf = io.BytesIO()
-    write_clog2_to(buf, strip_recovery(log))
+    write_clog2_to(buf, log.clock_resolution, log.num_ranks,
+                   log.definitions, timed(log.records))
     return buf.getvalue()

@@ -54,6 +54,7 @@ headerless CLOG2 record stream).
 from __future__ import annotations
 
 import glob
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -67,7 +68,9 @@ from repro.mpe.clog2 import (
     check_errors_mode,
     iter_frames,
     scan_items,
+    timed,
     write_clog2,
+    write_items,
 )
 from repro.mpe.merge import dedup_definitions, merged_records, rank_stream
 from repro.mpe.records import Definition, LogRecord
@@ -121,10 +124,6 @@ class AppendPartialWriter:
 
     def checkpoint(self, log: RankLog) -> int:
         """Append new sync points and records; returns records appended."""
-        import io
-
-        from repro.mpe.clog2 import write_items
-
         new_records = log.records[self._records_written:]
         new_syncs = log.sync_points[self._syncs_written:]
         # Definitions ride in the first record chunk (they are complete
@@ -138,7 +137,7 @@ class AppendPartialWriter:
                 fh.write(_SYNC.pack(p.local_time, p.offset))
             if new_records or not self._defs_written:
                 buf = io.BytesIO()
-                write_items(buf, defs, new_records)
+                write_items(buf, defs, timed(new_records))
                 payload = buf.getvalue()
                 fh.write(_CHUNK.pack(_K_RECORDS, len(payload)))
                 fh.write(payload)

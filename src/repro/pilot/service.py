@@ -116,7 +116,7 @@ class DeadlockDetector:
         # rank -> (waiting_for_ranks, op name, object name, callsite str)
         self.waits: dict[int, tuple[tuple[int, ...], str, str, str]] = {}
 
-    def feed(self, record: tuple) -> None:
+    def track(self, record: tuple) -> None:
         kind = record[0]
         if kind == "block":
             _, rank, waitranks, name, obj, callsite = record
@@ -207,7 +207,7 @@ def run_service(run: PilotRun) -> None:
                 if writer is not None and kind == "call":
                     writer.write(record, run.comm.wtime())
                 if detector is not None:
-                    detector.feed(record)
+                    detector.track(record)
     finally:
         if writer is not None:
             writer.close()

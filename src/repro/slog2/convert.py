@@ -19,10 +19,10 @@ rather than raising: a "non well-behaved" program should still convert,
 as Jumpshot's own converter does.
 
 The engine is :class:`StreamConverter`: records are :meth:`fed
-<StreamConverter.feed>` one at a time and drawables can be handed to a
-``sink`` callback the moment they complete, so the conversion composes
-with the incremental frame tree without a drawables-in-flight list
-between stages.  :func:`convert` is the eager wrapper over a parsed
+<StreamConverter.feed_all>` in as many batches as they arrive and
+drawables can be handed to a ``sink`` callback the moment they
+complete, so the conversion composes with the incremental frame tree
+without a drawables-in-flight list between stages.  :func:`convert` is the eager wrapper over a parsed
 :class:`~repro.mpe.clog2.Clog2File`; :func:`convert_with_tree` is the
 fused convert-plus-frame-tree used by the viewers' pipeline.
 """
@@ -101,11 +101,12 @@ class StreamConverter:
     """Incremental CLOG2-to-SLOG2 conversion.
 
     Feed definitions first, then records in time order (exactly the
-    order a CLOG2 file stores them); call :meth:`finish` once.  Each
-    drawable is appended to the document lists the moment it completes
-    — and handed to ``sink`` at the same moment, which is how the
-    frame tree is built without a second pass (states complete at
-    their end event, arrows at the pairing, bubbles immediately).
+    order a CLOG2 file stores them) through :meth:`feed_all`; call
+    :meth:`finish` once.  Each drawable is appended to the document
+    lists the moment it completes — and handed to ``sink`` at the same
+    moment, which is how the frame tree is built without a second pass
+    (states complete at their end event, arrows at the pairing, bubbles
+    immediately).
 
     The output document is identical, element for element, to what the
     one-shot :func:`convert` of the same items produces: category
@@ -147,28 +148,13 @@ class StreamConverter:
 
     # -- feeding -----------------------------------------------------------
 
-    def feed(self, item: Definition | LogRecord) -> None:
-        """Accept the next definition or record, in stream order."""
-        kind = type(item)
-        if kind is BareEvent:
-            self._feed_bare(item)
-        elif kind is MsgEvent:
-            self._feed_msg(item)
-        elif kind is StateDef:
-            self._state_defs.append(item)
-        elif kind is EventDef:
-            self._event_defs.append(item)
-        elif kind is RankName:
-            self._file_rank_names[item.rank] = item.name
-        else:
-            raise TypeError(f"cannot convert {item!r}")
-
     def feed_all(self, items: Iterable[Definition | LogRecord]) -> None:
-        """Feed a whole stream; same semantics as :meth:`feed` per item,
-        with the dispatch and the two hot helpers inlined (this loop
-        converts every record of every log, so locals instead of
-        attribute walks matter).  Rare paths — improper nesting,
-        unknown items — fall back to the shared methods."""
+        """Accept the next definitions and records, in stream order —
+        the one way in; a stream may arrive in any number of calls.
+
+        This loop converts every record of every log, so it works on
+        locals instead of attribute walks.  The one rare path, improper
+        nesting, goes to :meth:`_close_state`."""
         report = self.report
         sink = self._sink
         start_of, end_of = self._start_of, self._end_of
@@ -297,41 +283,6 @@ class StreamConverter:
                                        ARROW_COLOR, "arrow"))
         self._categories = categories
 
-    def _feed_bare(self, rec: BareEvent) -> None:
-        if self._categories is None:
-            self._build_categories()
-        if rec.event_id in self._start_of:
-            self._stacks[rec.rank].append(
-                (self._start_of[rec.event_id], rec.timestamp, rec.text))
-        elif rec.event_id in self._end_of:
-            self._close_state(rec, self._end_of[rec.event_id])
-        elif rec.event_id in self._event_cat:
-            event = Event(self._event_cat[rec.event_id], rec.rank,
-                          rec.timestamp, rec.text)
-            self._events.append(event)
-            if self._sink is not None:
-                self._sink(event)
-        else:
-            self.report.unknown_event_ids += 1
-
-    def _feed_msg(self, rec: MsgEvent) -> None:
-        if self._categories is None:
-            self._build_categories()
-        if rec.kind == SEND:
-            key = (rec.rank, rec.other_rank, rec.tag)
-            waiting = self._pending_recvs[key]
-            if waiting:
-                self._emit_arrow(rec, waiting.popleft())
-            else:
-                self._pending_sends[key].append(rec)
-        elif rec.kind == RECV:
-            key = (rec.other_rank, rec.rank, rec.tag)
-            waiting = self._pending_sends[key]
-            if waiting:
-                self._emit_arrow(waiting.popleft(), rec)
-            else:
-                self._pending_recvs[key].append(rec)
-
     def _close_state(self, rec: BareEvent, cat: int) -> None:
         """Pop the matching start; tolerate (and count) improper nesting."""
         stack = self._stacks[rec.rank]
@@ -349,17 +300,6 @@ class StreamConverter:
                 return
         # End without a start: count as improper nesting, drop the record.
         self.report.improper_nesting += 1
-
-    def _emit_arrow(self, send: MsgEvent, recv: MsgEvent) -> None:
-        arrow = Arrow(self._arrow_idx, send.rank, recv.rank, send.timestamp,
-                      recv.timestamp, send.tag, send.size)
-        if recv.timestamp < send.timestamp:
-            self.report.causality_violations.append(
-                f"arrow {send.rank}->{recv.rank} tag={send.tag} received at "
-                f"{recv.timestamp:.9f} before sent at {send.timestamp:.9f}")
-        self._arrows.append(arrow)
-        if self._sink is not None:
-            self._sink(arrow)
 
     # -- finishing ---------------------------------------------------------
 

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro._util.fsio import atomic_write_json
 from repro._util.retry import RetryPolicy
+from repro.mpe.clog2 import Clog2FormatError
 from repro.mpe.salvage import find_partials, tail_partial
 from repro.perf import NO_PERF, PerfRecorder
 from repro.stream.cursors import RankCursor, StreamCursors, cursors_path
@@ -73,6 +74,7 @@ class FollowUpdate:
     new_definitions: list["Definition"] = field(default_factory=list)
     new_syncs: dict[int, list["SyncPoint"]] = field(default_factory=dict)
     new_ranks: list[int] = field(default_factory=list)
+    refused_ranks: list[int] = field(default_factory=list)
     grew: bool = False
     finished: bool = False
     degraded: bool = False
@@ -107,6 +109,8 @@ class LogFollower:
         self.resumed = False
         self._last_growth = clock()
         self._replay_skip: dict[int, int] = {}
+        #: rank -> why its partial cannot be tailed; never polled again.
+        self._refused: dict[int, str] = {}
         self._saved: dict | None = None  # sidecar contents last written
         loaded = StreamCursors.load(self.cursors_file, base_path)
         if loaded is not None and loaded.ranks:
@@ -142,7 +146,8 @@ class LogFollower:
             if rank not in self.cursors.ranks:
                 self.cursors.ranks[rank] = RankCursor(os.path.basename(path))
                 update.new_ranks.append(rank)
-            self._poll_rank(rank, path, update)
+            if rank not in self._refused:
+                self._poll_rank(rank, path, update)
         if update.record_count or update.new_ranks:
             self._last_growth = self._clock()
             update.grew = True
@@ -183,6 +188,17 @@ class LogFollower:
             return
         except OSError:
             return  # transient I/O: back off and re-poll
+        except Clog2FormatError as exc:
+            # No poll can read this partial (a bad magic, an unknown
+            # chunk kind).  Stop tailing it — it counts as finished for
+            # the watermark — and keep following the other ranks; the
+            # batch finalize's salvage merge decides what survives.
+            self._refused[rank] = (f"unreadable partial "
+                                   f"{os.path.basename(path)}: {exc}")
+            update.refused_ranks.append(rank)
+            self.degraded = True
+            self.reason = "; ".join(self._refused.values())
+            return
         if tail is None:
             return  # header not flushed yet
         cur.offset = tail.offset
@@ -225,34 +241,34 @@ class LogFollower:
             exit_info = read_json(exit_path(self.base_path))
         except ValueError:
             exit_info = None
+        death: str | None = None  # "" for a clean finish
         if exit_info is not None and exit_info.get("finished"):
-            self.finished = True
             if exit_info.get("ok", False):
-                self.degraded = False
-                self.reason = "clean"
+                death = ""
             else:
-                self.degraded = True
-                self.reason = (f"writer aborted "
-                               f"({exit_info.get('reason') or 'no reason'})")
+                death = (f"writer aborted "
+                         f"({exit_info.get('reason') or 'no reason'})")
                 for key, at in (exit_info.get("crashed_ranks")
                                 or {}).items():
                     self.crashed_ranks[int(key)] = at
         elif (abort := self._journal_abort()) is not None:
-            self.finished = True
-            self.degraded = True
-            self.reason = (f"journal abort record: rank "
-                           f"{abort.get('origin')} errorcode "
-                           f"{abort.get('errorcode')}")
+            death = (f"journal abort record: rank "
+                     f"{abort.get('origin')} errorcode "
+                     f"{abort.get('errorcode')}")
             origin = abort.get("origin")
             if origin is not None:
                 self.crashed_ranks[int(origin)] = abort.get("t")
         elif self._stalled():
-            self.finished = True
-            self.degraded = True
             held = sum(c.torn_bytes for c in self.cursors.ranks.values())
-            self.reason = (f"writer silent for more than "
-                           f"{self.policy.deadline}s "
-                           f"({held} byte(s) held at torn tails)")
+            death = (f"writer silent for more than "
+                     f"{self.policy.deadline}s "
+                     f"({held} byte(s) held at torn tails)")
+        if death is not None:
+            # A refused partial degrades even a clean finish.
+            reasons = [*self._refused.values(), *([death] if death else [])]
+            self.finished = True
+            self.degraded = bool(reasons)
+            self.reason = "; ".join(reasons) or "clean"
         update.finished = self.finished
         update.degraded = self.degraded
         update.reason = self.reason

@@ -178,6 +178,8 @@ class StreamService:
         with perf.stage("stream-tail"):
             update = self.follower.poll()
         self.fold.absorb(update)
+        for rank in update.refused_ranks:
+            self.fold.mark_rank_finished(rank)
         if update.finished:
             for rank in self.follower.cursors.ranks:
                 self.fold.mark_rank_finished(rank)

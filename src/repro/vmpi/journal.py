@@ -58,7 +58,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro._util.fsio import atomic_write_json as _atomic_write_json_impl
 from repro._util.retry import RetryError, RetryPolicy
@@ -289,22 +289,15 @@ class Journal:
 
     def __init__(self, path: str, mode: str, manifest: dict, *,
                  checkpoint_interval: float = 0.0,
-                 sync: str = "checkpoint",
                  perf: PerfRecorder = NO_PERF) -> None:
         if mode not in ("record", "replay"):
             raise JournalError(f"mode must be 'record' or 'replay', "
                                f"got {mode!r}")
-        if sync not in ("checkpoint", "always"):
-            raise JournalError(f"sync must be 'checkpoint' or 'always', "
-                               f"got {sync!r}")
         self.path = path
         self.mode = mode
         self.manifest = manifest
         self.checkpoint_interval = checkpoint_interval
-        self.sync = sync
         self.perf = perf
-        self.checkpoint_probe: Callable[["Task"], dict | None] = \
-            default_checkpoint_probe
         self.divergences: list[str] = []
         self._engine: "Engine | None" = None
         self._writers: dict[str, _WalWriter] = {}
@@ -329,7 +322,6 @@ class Journal:
     @classmethod
     def record(cls, path: str, manifest: dict, *,
                checkpoint_interval: float = 0.01,
-               sync: str = "checkpoint",
                perf: PerfRecorder = NO_PERF) -> "Journal":
         """Create/overwrite a journal directory and start recording."""
         os.makedirs(path, exist_ok=True)
@@ -337,8 +329,7 @@ class Journal:
             if name.endswith((".wal", ".json", ".tmp")):
                 os.unlink(os.path.join(path, name))
         journal = cls(path, "record", dict(manifest),
-                      checkpoint_interval=checkpoint_interval, sync=sync,
-                      perf=perf)
+                      checkpoint_interval=checkpoint_interval, perf=perf)
         stored = dict(manifest)
         stored["checkpoint_interval"] = checkpoint_interval
         _atomic_write_json(os.path.join(path, MANIFEST_NAME), stored)
@@ -347,16 +338,14 @@ class Journal:
 
     @classmethod
     def replay(cls, path: str, *,
-               retry: RetryPolicy | None = None,
                perf: PerfRecorder = NO_PERF) -> "Journal":
         """Open an existing journal read-only, for verified replay.
 
-        The manifest load runs under ``retry`` (default
-        :data:`MANIFEST_RETRY`): a manifest caught mid-atomic-replace
-        or behind a slow filesystem gets a few backed-off re-reads
-        before the directory is declared unusable.  A manifest that is
-        *still* missing or corrupt at the deadline raises
-        :class:`JournalError` exactly as before.
+        The manifest load runs under :data:`MANIFEST_RETRY`: a manifest
+        caught mid-atomic-replace or behind a slow filesystem gets a few
+        backed-off re-reads before the directory is declared unusable.
+        A manifest that is *still* missing or corrupt at the deadline
+        raises :class:`JournalError` exactly as before.
         """
         manifest_path = os.path.join(path, MANIFEST_NAME)
 
@@ -365,7 +354,7 @@ class Journal:
                 return json.load(fh)
 
         try:
-            manifest = (retry or MANIFEST_RETRY).call(
+            manifest = MANIFEST_RETRY.call(
                 load, retry_on=(FileNotFoundError, ValueError),
                 describe=f"loading {manifest_path}")
         except RetryError as exc:
@@ -444,8 +433,6 @@ class Journal:
     def _append(self, writer: _WalWriter, kind: int, data: dict) -> None:
         with self.perf.stage("journal-append") as timer:
             n = writer.append(kind, data)
-            if self.sync == "always":
-                writer.sync()
         timer.count(records=1, bytes=n)
 
     def on_deliver(self, msg: "Message", now: float,
@@ -522,7 +509,7 @@ class Journal:
         index = self._ckpt_index
         ranks: dict[str, dict | None] = {}
         for rank, task in sorted(engine.tasks.items()):
-            ranks[str(rank)] = self.checkpoint_probe(task)
+            ranks[str(rank)] = default_checkpoint_probe(task)
         data = {"index": index, "t": engine.now, "ranks": ranks}
         if forced:
             data["forced"] = True

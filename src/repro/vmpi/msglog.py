@@ -147,20 +147,14 @@ class MessageLogger:
     Construction installs it as ``engine.msglog``;
     :meth:`~repro.vmpi.comm.Communicator.isend` and ``_deliver`` route
     through it from then on.  ``journal_dir`` (optional) makes the
-    determinant stream durable; ``sync`` follows the journal's policy
-    names (``"checkpoint"`` syncs at GC barriers, ``"always"`` per
-    entry).
+    determinant stream durable; it is synced at each GC barrier, like
+    the journal's WALs at each checkpoint.
     """
 
     def __init__(self, engine: "Engine", *, journal_dir: str | None = None,
-                 sync: str = "checkpoint",
                  perf: PerfRecorder = NO_PERF) -> None:
-        if sync not in ("checkpoint", "always"):
-            raise MsglogError(f"sync must be 'checkpoint' or 'always', "
-                              f"got {sync!r}")
         self.engine = engine
         self.perf = perf
-        self.sync = sync
         # (context, seq) -> retained message.  Duplicate-fault copies
         # share the original's seq, so both deliveries replay from one
         # entry; corrupt faults mutate the logged message in place, so
@@ -229,8 +223,6 @@ class MessageLogger:
         self.stats["determinants"] += 1
         if self._wal is not None:
             n = self._wal.append(K_DET, det.to_dict())
-            if self.sync == "always":
-                self._wal.sync()
             self.perf.count("msglog-append", bytes=n)
 
     # -- recovery ---------------------------------------------------------

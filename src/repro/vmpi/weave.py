@@ -94,11 +94,12 @@ Every call site of a woven function (apart from the ``repro`` call
 sites the proof emits as plain calls) remembers its last callee in a
 one-entry cache.  The site evaluates its callee once, first.  If the
 callee is the cached key — a bound method's ``__func__``, or a
-function, class or woven nested def itself — the site runs the cached
-target directly: ``yield from`` the generator twin (the target gets the
-bound ``self`` first), or a plain call for a callee with no twin (so an
-event no hook overrides, ``HookSet``'s ``_ignore``, or a
-``nullcontext``'s ``__exit__`` costs one plain call).  A builtin
+function, class, woven nested def or unbound C-type method itself —
+the site runs the cached target directly: ``yield from`` the generator
+twin (the target gets the bound ``self`` first), or a plain call for a
+callee with no twin (so an event no hook overrides, ``HookSet``'s
+``_ignore``, a ``nullcontext``'s ``__exit__``, or a file's or a lock's
+``__enter__`` costs one plain call).  A builtin
 (``len``, a bound ``list.append``) is called plainly without touching
 the cache.  Any other callee takes the slow path (:func:`_site_miss`):
 it fills the cache from :func:`_site_entry` and dispatches through
@@ -833,6 +834,10 @@ def _target(fn: Any) -> Callable[..., Any] | None:
     return woven_twin(fn) if weavable(fn) else None
 
 
+#: Unbound methods of C types: never woven, never twins.
+_C_METHODS = (types.MethodDescriptorType, types.WrapperDescriptorType)
+
+
 def _site_entry(fn: Any) -> tuple[int, tuple[Any, Any]] | None:
     """The one callee resolver: the cache slot and ``(key, target)``
     entry for callee ``fn``, or None for a callee no site caches (a
@@ -842,14 +847,16 @@ def _site_entry(fn: Any) -> tuple[int, tuple[Any, Any]] | None:
     The target is the generator twin (:func:`_target`), or None for a
     plain call.  A bound method goes in slot 0, keyed by its
     ``__func__`` (its target takes ``self`` first); a function, a woven
-    nested def or a class in slot 1, keyed by itself."""
+    nested def, a class or an unbound method of a C type (the
+    ``__enter__``/``__exit__`` a ``with`` over a file or a lock looks
+    up) in slot 1, keyed by itself."""
     t = fn.__class__
     if t is types.MethodType:
         func = fn.__func__
         return 0, (func, _target(func))
     if t is types.FunctionType or t is WovenCallable:
         return 1, (fn, _target(fn))
-    if isinstance(fn, type):
+    if t in _C_METHODS or isinstance(fn, type):
         return 1, (fn, None)
     return None
 

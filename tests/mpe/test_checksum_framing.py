@@ -12,10 +12,11 @@ from repro.mpe.clog2 import (
     Clog2ChecksumError,
     Clog2File,
     Clog2FormatError,
-    Clog2Writer,
     read_header,
     read_log,
+    timed,
     write_clog2,
+    write_clog2_to,
 )
 from repro.mpe.records import BareEvent, EventDef, MsgEvent, StateDef
 from repro.pilotcheck import lint_clog2
@@ -74,11 +75,12 @@ class TestRoundTrip:
         streamed = str(tmp_path / "streamed.clog2")
         log = big_log()
         write_clog2(eager, log, checksum=True)
-        with Clog2Writer(streamed, log.clock_resolution, log.num_ranks,
-                         checksum=True) as w:
-            w.write_definitions(log.definitions)
-            for rec in log.records:
-                w.write_record(rec)
+        # One-shot iterators: blocks are flushed and the header's record
+        # count patched without the writer ever seeing the whole log.
+        with open(streamed, "wb") as fh:
+            write_clog2_to(fh, log.clock_resolution, log.num_ranks,
+                           iter(log.definitions), timed(iter(log.records)),
+                           checksum=True)
         with open(eager, "rb") as fa, open(streamed, "rb") as fb:
             assert fa.read() == fb.read()
 

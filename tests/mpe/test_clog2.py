@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.mpe.clog2 import (
     Clog2File,
     Clog2FormatError,
-    parse_clog2_bytes,
+    read_image,
     read_log,
     write_clog2,
 )
@@ -136,7 +136,7 @@ class TestStrictFastPath:
         long_text = ("a" + "é" * 30).encode("utf-8")
         exact = ("b" * TEXT_LIMIT).encode("utf-8")
         over = ("c" * (TEXT_LIMIT + 1)).encode("utf-8")
-        log = parse_clog2_bytes(foreign_image([long_text, exact, over]))
+        log = read_image(foreign_image([long_text, exact, over]))
         texts = [r.text for r in log.records]
         assert texts[0] == "a" + "é" * 19
         assert len(texts[0].encode("utf-8")) == TEXT_LIMIT - 1

@@ -26,8 +26,9 @@ from repro.mpe.clog2 import (
     _HDR,
     Clog2File,
     Clog2FormatError,
-    parse_clog2_bytes,
+    read_image,
     read_log,
+    timed,
     write_clog2,
     write_items,
 )
@@ -72,14 +73,14 @@ def write_fuzz_base(tmp_path, seed, *, checksum=True):
 
 def encoded_size(definitions, records):
     buf = io.BytesIO()
-    write_items(buf, definitions, records)
+    write_items(buf, definitions, timed(records))
     return len(buf.getvalue())
 
 
 def text_offsets(data):
     """Offsets of every BareEvent text byte in an unframed image (its
     items sit back to back, so re-encoding each one locates it)."""
-    log = parse_clog2_bytes(data)
+    log = read_image(data)
     offsets = []
     pos = _HDR.size + encoded_size(log.definitions, [])
     for rec in log.records:

@@ -23,10 +23,11 @@ from benchmarks._legacy import (
 from repro.mpe.clocksync import SyncPoint
 from repro.mpe.clog2 import (
     Clog2File,
-    Clog2Writer,
     read_header,
     read_log,
+    timed,
     write_clog2,
+    write_clog2_to,
 )
 from repro.mpe.records import (
     RECV,
@@ -129,13 +130,12 @@ def test_incremental_clog2writer_byte_identical(tmp_path):
     log = _synthetic_log()
     old, new = str(tmp_path / "old.clog2"), str(tmp_path / "new.clog2")
     legacy_write_clog2(old, log)
-    # One item per call: the header record count is patched on close.
-    with Clog2Writer(new, num_ranks=log.num_ranks,
-                     clock_resolution=log.clock_resolution) as w:
-        for d in log.definitions:
-            w.write_definition(d)
-        for r in log.records:
-            w.write_record(r)
+    # One-shot iterators, so the record count is known only once they
+    # run out: the header's count is patched at the end.
+    with open(new, "wb") as fh:
+        n = write_clog2_to(fh, log.clock_resolution, log.num_ranks,
+                           iter(log.definitions), timed(iter(log.records)))
+    assert n == len(log.records)
     assert open(old, "rb").read() == open(new, "rb").read()
 
 
@@ -216,9 +216,10 @@ def test_kway_merge_matches_global_sort_no_sync_points():
 
 
 def test_fused_merge_write_byte_identical(tmp_path):
-    """The merge-consuming writer (write_retimed_records) produces the
-    same file as merging into objects and writing those — the in-run
-    finish_log path versus the legacy materialise-then-write one."""
+    """Writing the k-way merge's items straight (each record packed at
+    its corrected time) produces the same file as merging into objects
+    and writing those — the in-run finish_log path versus the legacy
+    materialise-then-write one."""
     from repro.mpe.merge import merge_rank_streams, rank_stream
 
     partials = _synthetic_partials()
@@ -227,10 +228,9 @@ def test_fused_merge_write_byte_identical(tmp_path):
     legacy_write_clog2(old, merged)
     streams = [rank_stream(p.rank, p.records, p.sync_points)
                for p in partials]
-    with Clog2Writer(new, num_ranks=merged.num_ranks,
-                     clock_resolution=merged.clock_resolution) as w:
-        w.write_definitions(merged.definitions)
-        w.write_retimed_records(merge_rank_streams(streams))
+    with open(new, "wb") as fh:
+        write_clog2_to(fh, merged.clock_resolution, merged.num_ranks,
+                       merged.definitions, merge_rank_streams(streams))
     assert open(old, "rb").read() == open(new, "rb").read()
 
 
@@ -308,10 +308,8 @@ def test_stream_converter_one_record_at_a_time(real_clog2):
     log = read_log(real_clog2).log
     conv = StreamConverter(num_ranks=log.num_ranks,
                            clock_resolution=log.clock_resolution)
-    for d in log.definitions:
-        conv.feed(d)
-    for r in log.records:
-        conv.feed(r)
+    for item in [*log.definitions, *log.records]:
+        conv.feed_all([item])
     doc, report = conv.finish()
     old_doc, old_report = legacy_convert(log)
     assert _docs_equal(old_doc, doc)

@@ -17,7 +17,7 @@ import pytest
 from repro._util.fsio import atomic_write_json
 from repro._util.retry import RetryPolicy
 from repro.mpe.clocksync import SyncPoint
-from repro.mpe.clog2 import Clog2File, Clog2FormatError, write_clog2_to
+from repro.mpe.clog2 import Clog2FormatError, timed, write_clog2_to
 from repro.mpe.fsck import fsck_path
 from repro.mpe.records import BareEvent, EventDef, RankName
 from repro.mpe.salvage import (
@@ -207,7 +207,7 @@ def test_retired_rewrite_partial_is_refused(tmp_path):
     # points, then a whole CLOG2 image.
     log = rank_log(0, 4)
     image = io.BytesIO()
-    write_clog2_to(image, Clog2File(1e-6, 1, log.definitions, log.records))
+    write_clog2_to(image, 1e-6, 1, log.definitions, timed(log.records))
     base = str(tmp_path / "run.clog2")
     path = partial_path(base, 0)
     with open(path, "wb") as fh:
@@ -227,6 +227,40 @@ def test_retired_rewrite_partial_is_refused(tmp_path):
         assert service.wait_finalized(30.0)
         assert service.degraded
         assert "bad partial magic" in service.reason
+    finally:
+        service.stop()
+
+
+def test_unreadable_partial_leaves_the_other_ranks_followed(tmp_path):
+    """A bad-magic rank 0 beside a valid rank 1: the follower stops
+    polling rank 0, names it in the reason, and keeps following rank 1,
+    whose records the final view holds."""
+    base = str(tmp_path / "run.clog2")
+    with open(partial_path(base, 0), "wb") as fh:
+        fh.write(b"NOTAPART" + bytes(24))
+    AppendPartialWriter(partial_path(base, 1), 1, 1e-6).checkpoint(
+        rank_log(1, 5))
+
+    follower = LogFollower(base, policy=POLICY)
+    update = follower.poll()
+    assert update.refused_ranks == [0]
+    assert update.degraded and not update.finished
+    assert "run.clog2.rank0000.part" in update.reason
+    assert "bad partial magic" in update.reason
+    assert len(update.new_records[1]) == 5
+    assert follower.poll().refused_ranks == []  # never polled again
+
+    service = StreamService(base, policy=POLICY, expected_ranks=2).start()
+    try:
+        assert service.wait_finalized(30.0)
+        status = service.status()
+        assert status["final"]
+        assert status["degraded"]
+        assert "run.clog2.rank0000.part" in status["reason"]
+        assert "bad partial magic" in status["reason"]
+        assert "internal error" not in status["reason"]
+        assert [(e.rank, e.text) for e in service._doc.events] == [
+            (1, f"r1.{i}") for i in range(5)]
     finally:
         service.stop()
 

@@ -231,11 +231,9 @@ class TestRecordReplayRoundTrip:
         with pytest.raises(JournalError):
             Journal.replay(str(tmp_path / "nope"))
 
-    def test_mode_and_sync_validated(self, tmp_path):
+    def test_mode_validated(self, tmp_path):
         with pytest.raises(JournalError):
             Journal(str(tmp_path), "append", {})
-        with pytest.raises(JournalError):
-            Journal(str(tmp_path), "record", {}, sync="sometimes")
 
 
 class TestSerialization:

@@ -205,11 +205,6 @@ class TestDurability:
                           t=1.25e-3, nbytes=64)
         assert Determinant.from_dict(det.to_dict()) == det
 
-    def test_sync_policy_validated(self):
-        world = World(2)
-        with pytest.raises(MsglogError, match="sync"):
-            MessageLogger(world.engine, sync="sometimes")
-
 
 class TestGc:
     def test_gc_reclaims_unprotected_entries(self):

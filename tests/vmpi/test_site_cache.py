@@ -14,6 +14,7 @@ next: the scheduler notifies the resumed task's own condition, and a
 task that yields notifies only the scheduler's.
 """
 
+import io
 import sys
 import threading
 import time
@@ -114,6 +115,38 @@ def test_twin_registered_after_the_site_filled_is_honoured(monkeypatch):
     weave.register_twin(shim, shim_twin)
     assert _pingpong().ok
     assert formats == ["%d", "%d"]
+
+
+def test_with_over_c_type_managers_hits_the_cache(monkeypatch):
+    """``type(mgr).__enter__``/``__exit__`` of a lock or a ``BytesIO``
+    is an unbound C method; the sites cache it as a plain call, so a
+    loop of 100 such ``with`` blocks per manager fills each site once
+    (403 dispatches when C methods were never cached)."""
+    slow = []
+    real_w_call = weave.w_call
+
+    def counting_w_call(fn, /, *args, **kwargs):
+        slow.append(getattr(fn, "__name__", fn))
+        return (yield from real_w_call(fn, *args, **kwargs))
+
+    monkeypatch.setattr(weave, "w_call", counting_w_call)
+    weave._empty_sites()
+    lock = threading.Lock()
+
+    def main(comm):
+        for _ in range(100):
+            with lock:
+                pass
+            with io.BytesIO() as buf:
+                buf.write(b"x")
+        return comm.rank
+
+    res = vmpi.mpirun(main, 1, scheduler="coroutine")
+    assert res.ok
+    # One miss per site: two ``__enter__`` and two ``__exit__`` sites.
+    assert slow.count("__enter__") == 2, slow
+    assert slow.count("__exit__") == 2, slow
+    assert len(slow) <= 7, slow
 
 
 def _plus(a, b):
