@@ -6,7 +6,9 @@ scripted writer appending batches to per-rank partials while a real
 :class:`~repro.stream.service.StreamService` follows them, and
 measures, per batch, the **tail-to-tile latency**: the wall time from
 the append landing on disk to a freshly rendered tile reflecting the
-fold that consumed it.  While the stream runs, ``CLIENTS`` concurrent
+fold that consumed it.  The service runs as shipped: the follower's
+``DEFAULT_POLICY`` backoff, woken by each checkpoint since the writer
+shares its process.  While the stream runs, ``CLIENTS`` concurrent
 HTTP clients hammer ``/status`` and the level-0 tile, so the p50/p95
 include lock contention from a realistically busy server, and
 steady-state RSS is recorded under that same load.
@@ -29,7 +31,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro._util.fsio import atomic_write_json
-from repro._util.retry import RetryPolicy
 from repro.mpe.clocksync import SyncPoint
 from repro.mpe.records import BareEvent, EventDef
 from repro.mpe.salvage import (
@@ -51,9 +52,6 @@ CLIENT_REQUESTS = 4
 MAX_P50_MS = float(os.environ.get("STREAM_MAX_P50_MS", "250"))
 MAX_P95_MS = float(os.environ.get("STREAM_MAX_P95_MS", "1500"))
 MAX_RSS_MB = float(os.environ.get("STREAM_MAX_RSS_MB", "2048"))
-
-POLICY = RetryPolicy(deadline=30.0, initial=0.002, max_delay=0.01,
-                     jitter=0.0)
 
 
 def _percentiles(samples: list[float]) -> tuple[float, float]:
@@ -92,8 +90,9 @@ def test_stream_tail_to_tile_latency(comparison, tmp_path, artifacts_dir):
                                             rank, 1e-6)
 
     perf = PerfRecorder()
-    service = StreamService(base, policy=POLICY, expected_ranks=RANKS,
-                            perf=perf).start()
+    # The shipped follower: DEFAULT_POLICY's backoff, woken by each
+    # checkpoint below (the writer shares this process).
+    service = StreamService(base, expected_ranks=RANKS, perf=perf).start()
     stop = threading.Event()
     client_errors: list[str] = []
     clients = [threading.Thread(target=_client_load,

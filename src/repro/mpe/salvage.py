@@ -24,7 +24,9 @@ benchmark A5).
 A partial is append-only (:class:`AppendPartialWriter`): sync points
 and new records are appended as framed chunks, O(new records) per
 checkpoint.  A torn final chunk (the abort can land mid-write) is
-detected by its length frame and dropped.  :func:`write_partial`
+detected by its length frame and dropped.  Each checkpoint that wrote
+raises :func:`repro._util.fsio.notify_written`, which wakes a live
+follower in the same process at once.  :func:`write_partial`
 writes one whole :class:`~repro.mpe.api.RankLog` as a fresh partial
 of the same layout, atomically (``fsck`` repair uses it).
 
@@ -60,6 +62,7 @@ import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from repro._util.fsio import notify_written
 from repro.mpe.api import RankLog
 from repro.mpe.clocksync import SyncPoint
 from repro.mpe.clog2 import (
@@ -142,6 +145,7 @@ class AppendPartialWriter:
                 fh.write(_CHUNK.pack(_K_RECORDS, len(payload)))
                 fh.write(payload)
                 self._defs_written = True
+        notify_written(self.path)
         self._records_written = len(log.records)
         self._syncs_written = len(log.sync_points)
         return len(new_records)

@@ -9,8 +9,10 @@ distinguished here:
 
 * **writer hasn't flushed yet** — the growing reader
   (:func:`repro.mpe.salvage.tail_partial`) holds a torn tail and
-  returns a resumable offset; the service backs off under its
-  :class:`~repro._util.retry.RetryPolicy` and re-polls;
+  returns a resumable offset; the service polls again when the
+  writer's next checkpoint wakes it (a writer in the same process) or
+  when its :class:`~repro._util.retry.RetryPolicy` backoff runs out
+  (any writer);
 * **torn chunk frame at tail** — same holding behaviour: the partial
   frame is *never* emitted downstream; it is re-examined once the file
   grows past it;

@@ -11,11 +11,17 @@ the watermark fold (:mod:`repro.stream.fold`) and the tile renderer
 * ``GET /events``  — Server-Sent Events: ``watermark`` / ``ranks`` /
   ``degraded`` / ``finalized``.
 
-The follower thread polls under the service's
-:class:`~repro._util.retry.RetryPolicy` (backing off while the writer
-is quiet, snapping back on growth), folds eligible records into a
-*provisional* frame tree, and persists resume cursors after every
-pass that moved them.  It is the only thread that touches the follower
+The follower thread runs one pass whenever it is woken: at once when
+a writer in the same process (a ``-pisvc=v`` run's salvage checkpoints
+and its exit sidecar) writes one of the exact files the follower
+reads (:func:`repro._util.fsio.notify_written`), and otherwise on a
+timer under the service's :class:`~repro._util.retry.RetryPolicy`,
+which backs off while the files are quiet and snaps back when a timed
+pass finds growth.  A writer in another process raises no signal, so
+it is followed by the timed polls alone, as is every change the
+signal does not cover.  Each pass folds eligible records into a
+*provisional* frame tree and persists resume cursors if it moved
+them.  It is the only thread that touches the follower
 and the fold: after each pass that changed something it publishes an
 immutable ``/status`` + ``/ranks`` snapshot, and the handlers serve
 copies of that, never the live state.  When the writer ends — cleanly
@@ -43,12 +49,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 
+from repro._util.fsio import unwatch_writes, watch_writes
 from repro._util.retry import RetryPolicy
 from repro.jumpshot.markers import rank_markers
-from repro.mpe.salvage import find_partials, merge_partial_logs
+from repro.mpe.salvage import find_partials, merge_partial_logs, partial_path
 from repro.perf import NO_PERF, PerfRecorder
 from repro.slog2.convert import convert_with_tree
-from repro.stream.follow import DEFAULT_POLICY, LogFollower
+from repro.stream.follow import DEFAULT_POLICY, LogFollower, exit_path
 from repro.stream.tiles import (
     DEFAULT_CACHE_TILES,
     MAX_TILE_LEVEL,
@@ -111,9 +118,10 @@ class StreamService:
         self._clients: list[queue.Queue] = []
         self._clients_lock = threading.Lock()
         self._stop = threading.Event()
+        # Set by an in-process write to a followed file, and by stop().
+        self._wake = threading.Event()
         self._finalized = threading.Event()
-        self._httpd = ThreadingHTTPServer((host, port), _make_handler(self))
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), _make_handler(self))
         self._http_thread: threading.Thread | None = None
         self._follow_thread: threading.Thread | None = None
 
@@ -139,6 +147,7 @@ class StreamService:
 
     def stop(self) -> None:
         self._stop.set()
+        self._wake.set()
         self._broadcast("shutdown", {})
         self._httpd.shutdown()
         self._httpd.server_close()
@@ -154,29 +163,46 @@ class StreamService:
 
     def _follow_loop(self) -> None:
         delays = self.policy.delays(random.Random(0))
+        base = self.base_path
+        # The exact files the follower reads; the cursor sidecar is not
+        # one of them, so the follower's own saves never wake it.
+        watch_writes(self._wake, [
+            exit_path(base),
+            *(partial_path(base, r)
+              for r in range(self.expected_ranks or 0))])
+        woken = False
         try:
             while not self._stop.is_set():
                 grew = self._poll_once()
                 if self.follower.finished:
                     self._finalize()
                     return
-                if grew:
-                    # Growth resets the backoff schedule: a live writer
-                    # is re-polled eagerly, a quiet one ever more lazily
-                    # (bounded by the policy's max_delay).
+                if grew and not woken:
+                    # Timed growth resets the backoff schedule: a
+                    # foreign writer is re-polled eagerly, a quiet one
+                    # ever more lazily (bounded by the policy's
+                    # max_delay).  Passes an in-process writer woke
+                    # leave it alone, so the timer drifts to max_delay
+                    # while that writer drives the polls.
                     delays = self.policy.delays(random.Random(0))
-                self._stop.wait(next(delays))
+                woken = self._wake.wait(next(delays))
+                self._wake.clear()
         except Exception as exc:  # pragma: no cover - last-resort guard
             self.degraded = True
             self.reason = f"stream service internal error: {exc!r}"
             self._publish()
             self._broadcast("degraded", {"reason": self.reason})
             self._finalized.set()
+        finally:
+            unwatch_writes(self._wake)
 
     def _poll_once(self) -> bool:
         perf = self.perf
         with perf.stage("stream-tail"):
             update = self.follower.poll()
+        if update.new_ranks:
+            watch_writes(self._wake, [partial_path(self.base_path, r)
+                                      for r in update.new_ranks])
         self.fold.absorb(update)
         for rank in update.refused_ranks:
             self.fold.mark_rank_finished(rank)
@@ -420,6 +446,14 @@ class StreamService:
                 q.put_nowait(payload)
             except queue.Full:
                 pass  # slow client: it resyncs from /status
+
+
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+    # socketserver listens with a backlog of 5.  A burst of clients
+    # connecting at once overflows it, and the kernel retries each
+    # dropped connect only after 1, 3, 7, 15... s.
+    request_queue_size = 128
 
 
 class _ProvisionalMarker:

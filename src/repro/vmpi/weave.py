@@ -1254,7 +1254,8 @@ class _Weaver(ast.NodeTransformer):
 
         The arguments appear once per branch.  When one of them holds a
         call, they are evaluated into temporaries first, callee first,
-        so a nested site is not emitted five times.  A ``*args`` or
+        so a nested site is not emitted five times; the temporaries are
+        cleared once the call returns.  A ``*args`` or
         ``**kwargs`` temporary holds a copy, ``(*args,)`` or
         ``{**kwargs}``, taken where the call would spread it (so an
         iterator is drained before the arguments after it run), and
@@ -1285,18 +1286,26 @@ class _Weaver(ast.NodeTransformer):
                     [ast.keyword(arg=k.arg, value=v) for k, v in
                      zip(node.keywords, vals[len(node.args):])])
 
-        first = ast.Tuple(elts=[
-            ast.NamedExpr(target=ast.Name(id=name, ctx=ast.Store()),
-                          value=value)
-            for name, value in zip([names["F"], *temps],
-                                   [node.func, *values])], ctx=ast.Load())
+        held = [names["F"], *temps]
+
+        def store(name: str, value: ast.expr) -> ast.NamedExpr:
+            return ast.NamedExpr(target=ast.Name(id=name, ctx=ast.Store()),
+                                 value=value)
+
+        # (F := CALLEE, A0 := ..., SITE, F := None, A0 := None, ...)[k]:
+        # once the call returns, the temporaries let go of the callee
+        # and the arguments, which would otherwise stay alive until the
+        # woven function returns.
         callee = ast.Name(id=names["F"], ctx=ast.Load())
-        new = ast.BoolOp(op=ast.And(), values=[
-            first, _FillSite(names, callee, loads).visit(site)])
-        for x in (new, first, callee, *first.elts,
-                  *(e.target for e in first.elts)):
-            ast.copy_location(x, node)
-        return ast.fix_missing_locations(new)
+        elts = [*(store(name, value)
+                  for name, value in zip(held, [node.func, *values])),
+                _FillSite(names, callee, loads).visit(site),
+                *(store(name, ast.Constant(value=None)) for name in held)]
+        new = ast.Subscript(
+            value=ast.Tuple(elts=elts, ctx=ast.Load()),
+            slice=ast.Constant(value=len(held)), ctx=ast.Load())
+        # The new nodes take the call's location from ``new``.
+        return ast.fix_missing_locations(ast.copy_location(new, node))
 
     def visit_FunctionDef(self, node: ast.FunctionDef):
         # A genuine generator function: leave it (and its body) alone.

@@ -9,9 +9,13 @@ deadlock diagnostics, loud errors — not silent deadlocks — when
 un-woven code blocks, the comprehension desugaring that keeps the
 common ``xs = [blocking(i) for i in ...]`` idiom working, and user
 programs that must run alike on both: defaults, one twin per function
-object, zero-argument ``super()``, ``with`` blocks, spread arguments
-and call sites whose callee changes.
+object, zero-argument ``super()``, ``with`` blocks, spread arguments,
+call sites whose callee changes and call sites that let go of their
+arguments once the call returns.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -306,6 +310,10 @@ class _Unhashable:
         return x * 3
 
 
+class _Buffer:
+    """A payload a weak reference can follow."""
+
+
 class TestWovenUserCode:
     """User programs that run on threads run alike on coroutine."""
 
@@ -399,3 +407,27 @@ class TestWovenUserCode:
 
         assert _results(main, scheduler) == {0: (-14, 1.8e-3),
                                              1: (-22, 1.8e-3)}
+
+    def test_site_lets_go_of_its_arguments_once_the_call_returns(
+            self, scheduler):
+        refs = []
+
+        def make():
+            buf = _Buffer()
+            refs.append(weakref.ref(buf))
+            return buf
+
+        def send(comm, buf):
+            comm.send(buf, dest=1)
+
+        def main(comm):
+            if comm.rank == 1:
+                comm.recv(source=0)
+                comm.send(None, dest=0)
+                return None
+            send(comm, make())
+            comm.recv(source=1)
+            gc.collect()
+            return refs[0]() is None
+
+        assert _results(main, scheduler) == {0: True, 1: None}
