@@ -179,8 +179,7 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
     if cfg.recover == "msglog":
         from repro.vmpi.msglog import MessageLogger
 
-        msglog = MessageLogger(world.engine, journal_dir=cfg.journal_dir,
-                               perf=perf)
+        msglog = MessageLogger(world.engine, perf=perf)
         if cfg.mpe_enabled:
             from repro.mpe.recovery_marks import install_recovery_marks
 
@@ -277,8 +276,6 @@ def _launch(main: Callable[[list[str]], Any], nprocs: int,
         set_current_run(None)
         if journal is not None:
             journal.close()
-        if msglog is not None:
-            msglog.close()
         if stream_service is not None:
             # The exit sidecar is the follower's "writer is done"
             # signal; write it even when the launch raised, so a live

@@ -10,7 +10,8 @@ and Jumpshot shows it *after*; this module adds *before*):
   unreachable processes).
 * :func:`lint_path` / :func:`lint_clog2` / :func:`lint_slog2` — verify
   CLOG2/SLOG2 invariants (TR001-TR007) so chaos-harness output is
-  checkable mechanically.
+  checkable mechanically; :func:`lint_journal` checks a journal
+  directory's delivery log (TR009).
 
 CLI: ``python -m repro.pilotcheck analyze pkg.module:main`` and
 ``python -m repro.pilotcheck lint-trace file.clog2 ...``.  Runtime
@@ -41,7 +42,7 @@ from repro.pilotcheck.tracelint import (
     lint_clog2,
     lint_clog2_records,
     lint_determinants,
-    lint_msglog,
+    lint_journal,
     lint_path,
     lint_recovery,
     lint_slog2,
@@ -63,7 +64,7 @@ __all__ = [
     "lint_clog2",
     "lint_clog2_records",
     "lint_determinants",
-    "lint_msglog",
+    "lint_journal",
     "lint_path",
     "lint_recovery",
     "lint_slog2",

@@ -253,7 +253,8 @@ def main(argv: list[str] | None = None) -> int:
     p_an.set_defaults(func=_cmd_analyze)
 
     p_lt = sub.add_parser("lint-trace",
-                          help="validate CLOG2/SLOG2 trace invariants")
+                          help="validate CLOG2/SLOG2 trace invariants, or "
+                          "a journal directory's delivery log")
     p_lt.add_argument("files", nargs="+", metavar="FILE")
     p_lt.add_argument("--strict", action="store_true",
                       help="non-zero exit on warnings too")

@@ -73,7 +73,7 @@ REGISTRY: dict[str, CodeInfo] = _table({
     "TR009": ("message-log delivery anomaly: duplicate delivery of a "
               "logged sequence number, an out-of-order sequence on a "
               "lane, or a recovery episode whose replay accounting "
-              "disagrees with the determinant log", "error"),
+              "disagrees with the journal's delivery log", "error"),
     "DF001": ("traces diverge structurally; the listed rank is the one "
               "most likely at fault (first divergence + blame "
               "propagation)", "error"),

@@ -10,14 +10,13 @@ that survived (TR006).  The pairing rules
 mirror :mod:`repro.slog2.convert` exactly, so a log that lints clean
 converts clean.
 
-Message-logging runs add TR009: the determinant stream a
-:class:`repro.vmpi.msglog.MessageLogger` journals must never show the
-same sequence number delivered twice on a lane (a replay
-double-delivery or a failed duplicate-send suppression), sequence
-regressions are flagged (legitimate only under fault-injected
-reordering), and each :class:`RecoveryReport` episode's replay
-accounting is cross-checked against the determinants that actually
-exist before its crash time.
+Journal directories add TR009 over their delivery log (the rank WALs,
+which are also message-logging recovery's determinants): no lane may
+show the same sequence number delivered twice (a replay double-delivery
+or a failed duplicate-send suppression), sequence regressions are
+flagged (legitimate only under fault-injected reordering), and each
+:class:`RecoveryReport` episode's replay accounting is cross-checked
+against the deliveries that actually exist before its crash time.
 """
 
 from __future__ import annotations
@@ -248,15 +247,16 @@ def lint_clog2(path: str) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# msglog determinants (TR009)
+# journal delivery log (TR009)
 # ---------------------------------------------------------------------------
 
 
-def lint_determinants(dets, report=None) -> list[Finding]:
-    """TR009: sanity of a message-logging run's delivery stream.
+def lint_determinants(deliveries, report=None) -> list[Finding]:
+    """TR009: sanity of a run's delivery stream.
 
-    ``dets`` is the determinant list (delivery order) from
-    :func:`repro.vmpi.msglog.read_determinants`.  Three checks:
+    ``deliveries`` are the journal's ``K_DELIVER`` records (dicts with
+    world-rank ``src``/``dest``, ``ctx``, ``seq``, ``t``), each rank's
+    in delivery order.  Three checks:
 
     * *duplicate delivery* — the same ``(src, dest, ctx, seq)``
       delivered twice.  Never legitimate: replayed routings bypass
@@ -267,61 +267,75 @@ def lint_determinants(dets, report=None) -> list[Finding]:
       reordering, so it is a warning (an excusing note is added when
       the run recovered ranks in between).
     * *episode accounting* — a :class:`RecoveryReport` episode must not
-      claim more replayed deliveries than the determinant log actually
-      holds for that rank before its crash time.  Error.
+      claim more replayed deliveries than the journal actually holds
+      for that rank before its crash time.  Error.
     """
     findings: list[Finding] = []
     episodes = list(getattr(report, "recoveries", []) or [])
     recovered = {int(ep["rank"]) for ep in episodes}
     seen: dict[tuple[int, int, int], set[int]] = defaultdict(set)
     high: dict[tuple[int, int, int], int] = {}
-    for d in dets:
-        lane = (d.src, d.dest, d.ctx)
-        if d.seq in seen[lane]:
-            msg = (f"lane {d.src}->{d.dest} ctx {d.ctx}: seq {d.seq} "
-                   f"delivered twice (t={d.t:.9f})")
-            if d.dest in recovered:
-                msg += (f" — rank {d.dest} was recovered in-run; replay "
+    for d in deliveries:
+        src, dest, ctx, seq = d["src"], d["dest"], d["ctx"], d["seq"]
+        lane = (src, dest, ctx)
+        if seq in seen[lane]:
+            msg = (f"lane {src}->{dest} ctx {ctx}: seq {seq} "
+                   f"delivered twice (t={d['t']:.9f})")
+            if dest in recovered:
+                msg += (f" — rank {dest} was recovered in-run; replay "
                         "double-delivery or failed send suppression")
             findings.append(Finding("TR009", msg))
         else:
-            seen[lane].add(d.seq)
+            seen[lane].add(seq)
         h = high.get(lane)
-        if h is not None and d.seq < h:
+        if h is not None and seq < h:
             findings.append(Finding(
                 "TR009",
-                f"lane {d.src}->{d.dest} ctx {d.ctx}: seq {d.seq} "
+                f"lane {src}->{dest} ctx {ctx}: seq {seq} "
                 f"delivered after seq {h} (out of order; fault-injected "
                 "reordering, or replay misordering)", severity="warning"))
-        high[lane] = d.seq if h is None else max(h, d.seq)
+        high[lane] = seq if h is None else max(h, seq)
     for ep in episodes:
         rank = int(ep["rank"])
         crash = float(ep["crash_time"])
         claimed = int(ep.get("determinants_replayed", 0))
-        avail = sum(1 for d in dets
-                    if d.dest == rank and d.t <= crash + 1e-12)
+        avail = sum(1 for d in deliveries
+                    if d["dest"] == rank and d["t"] <= crash + 1e-12)
         if claimed > avail:
             findings.append(Finding(
                 "TR009",
                 f"recovery episode for rank {rank} claims {claimed} "
-                f"replayed deliveries but the determinant log holds only "
+                f"replayed deliveries but the journal holds only "
                 f"{avail} before its crash at {crash:.6f}"))
     return _capped(findings)
 
 
-def lint_msglog(path: str, report=None) -> list[Finding]:
-    """Lint a ``msglog.wal`` determinant journal on disk."""
-    from repro.vmpi.msglog import read_determinants
+def lint_journal(journal_dir: str, report=None) -> list[Finding]:
+    """Lint a journal directory's delivery log on disk.
 
-    if not os.path.exists(path):
-        return [Finding("TR005", f"{path}: no such file")]
-    dets, torn = read_determinants(path)
+    Each ``rankNNNN.wal`` loads through
+    :func:`repro.vmpi.journal.read_wal`; a torn tail is a TR005
+    warning (the valid prefix still counts), and TR009 runs over the
+    ``K_DELIVER`` records of every rank.
+    """
+    from repro.vmpi.journal import K_DELIVER, MANIFEST_NAME, read_wal
+
+    if not os.path.exists(os.path.join(journal_dir, MANIFEST_NAME)):
+        return [Finding("TR005", f"{journal_dir}: no {MANIFEST_NAME}; "
+                        "not a journal directory")]
     findings: list[Finding] = []
-    if torn:
-        findings.append(Finding(
-            "TR005", f"{path}: {torn} torn byte(s) at the tail",
-            severity="warning"))
-    findings.extend(lint_determinants(dets, report))
+    deliveries: list[dict] = []
+    for name in sorted(os.listdir(journal_dir)):
+        if not (name.startswith("rank") and name.endswith(".wal")):
+            continue
+        path = os.path.join(journal_dir, name)
+        entries, torn = read_wal(path)
+        if torn:
+            findings.append(Finding(
+                "TR005", f"{path}: {torn} torn byte(s) at the tail",
+                severity="warning"))
+        deliveries.extend(e.data for e in entries if e.kind == K_DELIVER)
+    findings.extend(lint_determinants(deliveries, report))
     return findings
 
 
@@ -392,13 +406,12 @@ def lint_slog2(path: str) -> list[Finding]:
 
 
 def lint_path(path: str) -> list[Finding]:
-    """Lint any supported trace file, sniffing the format by magic."""
+    """Lint any supported trace file, sniffing the format by magic, or
+    a journal directory (one holding ``manifest.json``)."""
     if not os.path.exists(path):
         return [Finding("TR005", f"{path}: no such file")]
-    # The determinant WAL carries no magic of its own (journal frames
-    # start straight away); recognise it by its fixed name.
-    if os.path.basename(path) == "msglog.wal":
-        return lint_msglog(path)
+    if os.path.isdir(path):
+        return lint_journal(path)
     with open(path, "rb") as fh:
         magic = fh.read(8)
     if magic == b"CLOG2PY1":

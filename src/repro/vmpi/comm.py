@@ -301,9 +301,9 @@ class Communicator:
         dest_task = self._task_for(msg.dest)
         if self.engine.journal is not None:
             # Journal (or, on replay, verify) the delivery before any
-            # receiver can observe it; keyed by *world* rank so
-            # sub-communicator traffic files correctly.
+            # receiver can observe it, in *world* ranks.
             self.engine.journal.on_deliver(msg, self.engine.now,
+                                           self.group[msg.src],
                                            dest_task.rank)
         if self.engine.msglog is not None:
             # Determinant logging: the receive order every delivery

@@ -3,7 +3,7 @@
 PR 1 made crashes *survivable* (salvage partials, tolerant readers) but
 salvage is lossy by design: whatever was buffered past the last
 checkpoint dies with the run.  This module closes the gap with the
-message-logging insight (Bouteiller et al., arXiv:1905.03184): in a
+message-logging insight (Dichev & Nikolopoulos, arXiv:1905.03184): in a
 message-passing program the only nondeterminism a restart has to agree
 on is the *event* history — which messages were delivered, which faults
 fired.  Since :class:`repro.vmpi.engine.Engine` is already deterministic
@@ -21,7 +21,9 @@ On disk, a journal directory holds:
     (tmp + fsync + rename).
 ``rankNNNN.wal``
     one append-only write-ahead log per rank, holding that rank's
-    *delivered* messages.  Each entry is framed ``kind u8, length u32,
+    *delivered* messages with world-rank ``src``/``dest`` — the one
+    durable delivery log, which message-logging recovery and the TR009
+    lint read too.  Each entry is framed ``kind u8, length u32,
     crc32 u32`` + JSON payload, so a kill at any byte leaves a loadable
     prefix: the reader stops at the first torn or checksum-failing
     frame.
@@ -73,6 +75,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 MANIFEST_NAME = "manifest.json"
 WORLD_WAL = "world.wal"
+
+#: On-disk format version.  2: delivery records carry world ranks.
+JOURNAL_VERSION = 2
 
 #: WAL frame: entry kind u8, payload length u32, crc32 u32.  The CRC
 #: covers the kind byte *and* the payload — a flipped kind must fail
@@ -236,7 +241,7 @@ def manifest_for_engine(engine: "Engine", *, nprocs: int | None = None,
     from repro.vmpi.faults import plan_to_dict
 
     manifest: dict[str, Any] = {
-        "journal_version": 1,
+        "journal_version": JOURNAL_VERSION,
         "seed": engine.seed,
         "clock_resolution": engine.clock_resolution,
         "skews": {str(rank): {"offset": skew.offset, "drift": skew.drift}
@@ -364,6 +369,11 @@ class Journal:
                                    "journal directory") from None
             raise JournalError(
                 f"{manifest_path}: corrupt manifest ({cause})") from None
+        version = manifest.get("journal_version")
+        if version != JOURNAL_VERSION:
+            raise JournalError(
+                f"{manifest_path}: journal_version {version!r}, but this "
+                f"build reads only version {JOURNAL_VERSION}")
         journal = cls(path, "replay", manifest,
                       checkpoint_interval=float(
                           manifest.get("checkpoint_interval", 0.0)),
@@ -435,12 +445,12 @@ class Journal:
             n = writer.append(kind, data)
         timer.count(records=1, bytes=n)
 
-    def on_deliver(self, msg: "Message", now: float,
-                   world_dest: int | None = None) -> None:
-        # src/dest are communicator-local; world_dest keys the WAL so
-        # sub-communicator traffic lands in the right rank's file.
-        dest = msg.dest if world_dest is None else world_dest
-        entry = {"seq": msg.seq, "src": msg.src, "dest": msg.dest,
+    def on_deliver(self, msg: "Message", now: float, src: int,
+                   dest: int) -> None:
+        # src/dest are world ranks (msg's are communicator-local), so
+        # sub-communicator traffic lands in the right rank's file and
+        # (ctx, src, seq) names one send.
+        entry = {"seq": msg.seq, "src": src, "dest": dest,
                  "ctx": msg.context, "tag": msg.tag, "t": now,
                  "nbytes": msg.nbytes,
                  "payload": payload_digest(msg.payload)}

@@ -1,8 +1,9 @@
 """Sender-based message logging with in-run localized recovery.
 
-PR 4's journal made whole-run crash recovery possible: record every
-delivery, restart the world, verify the re-execution.  That is the
-right tool after the process died — but it restarts *everyone*.  This
+The journal (:mod:`repro.vmpi.journal`) made whole-run crash recovery
+possible: record every delivery, restart the world, verify the
+re-execution.  That is the right tool after the process died — but it
+restarts *everyone*.  This
 module implements the complementary protocol from Dichev &
 Nikolopoulos ("Implementing Efficient Message Logging Protocols as MPI
 Application Extensions"): pessimistic **sender-based payload logging**
@@ -14,17 +15,19 @@ The protocol, mapped onto the virtual cluster:
 
 * **Send logging.**  Every ``isend`` retains its :class:`Message`
   (payload included) in the sender-side log, keyed by
-  ``(context, seq)`` — the communicator-global sequence number that
-  already uniquely identifies a message.  Per-lane *call counts*
-  (``(src, dest, context) -> n``) are kept alongside; they are the
-  suppression baseline during replay.
+  ``(context, world src, seq)``.  Each member of a split communicator
+  holds its own :class:`Communicator` that numbers its sends from 0,
+  so ``(context, seq)`` alone is not unique; the sender's world rank
+  makes it so.  Per-lane *call counts* (``(src, dest, context) -> n``)
+  are kept alongside; they are the suppression baseline during replay.
 * **Determinant logging.**  Every delivery appends a
   :class:`Determinant` (src, dest, context, tag, seq, arrival time,
-  size) to the destination rank's determinant list — the receive order
-  is the only nondeterminism a deterministic engine leaves.  With a
-  journal directory available the determinants also go to a CRC-framed
-  ``msglog.wal`` (same frame format as :mod:`repro.vmpi.journal`), so
-  a host-level kill leaves a loadable prefix.
+  size) to the destination rank's in-memory determinant list — the
+  receive order is the only nondeterminism a deterministic engine
+  leaves.  The durable copy is the journal's: with a journal directory
+  armed, ``Journal.on_deliver`` writes the same delivery, in world
+  ranks, to ``rankNNNN.wal``, so a host-level kill leaves a loadable
+  prefix and :func:`repro.pilotcheck.lint_journal` checks it (TR009).
 * **Recovery.**  When a :class:`~repro.vmpi.faults.CrashFault` fires
   with recovery enabled, :meth:`MessageLogger.recover_rank` retires the
   crashed incarnation (``TaskKilled``), respawns the rank's program,
@@ -46,7 +49,6 @@ localized recovery (see docs/robustness.md, "Recovery matrix").
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -54,18 +56,11 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.perf import NO_PERF, PerfRecorder
 from repro.vmpi.engine import Task, TaskState
 from repro.vmpi.errors import VmpiError
-from repro.vmpi.journal import _WalWriter, read_wal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vmpi.comm import Communicator, Message
     from repro.vmpi.engine import Engine
     from repro.vmpi.faults import CrashFault
-
-#: WAL frame kind for a determinant entry (journal kinds stop at 4).
-K_DET = 5
-
-MSGLOG_WAL = "msglog.wal"
-
 
 class MsglogError(VmpiError):
     """Message-logging recovery hit an unrecoverable situation."""
@@ -82,18 +77,6 @@ class Determinant:
     seq: int  # communicator-global message sequence number
     t: float  # true virtual arrival time
     nbytes: int
-
-    def to_dict(self) -> dict:
-        return {"src": self.src, "dest": self.dest, "ctx": self.ctx,
-                "tag": self.tag, "seq": self.seq, "t": self.t,
-                "nbytes": self.nbytes}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Determinant":
-        return cls(src=int(data["src"]), dest=int(data["dest"]),
-                   ctx=int(data["ctx"]), tag=int(data["tag"]),
-                   seq=int(data["seq"]), t=float(data["t"]),
-                   nbytes=int(data["nbytes"]))
 
 
 @dataclass
@@ -146,20 +129,19 @@ class MessageLogger:
 
     Construction installs it as ``engine.msglog``;
     :meth:`~repro.vmpi.comm.Communicator.isend` and ``_deliver`` route
-    through it from then on.  ``journal_dir`` (optional) makes the
-    determinant stream durable; it is synced at each GC barrier, like
-    the journal's WALs at each checkpoint.
+    through it from then on.
     """
 
-    def __init__(self, engine: "Engine", *, journal_dir: str | None = None,
+    def __init__(self, engine: "Engine", *,
                  perf: PerfRecorder = NO_PERF) -> None:
         self.engine = engine
         self.perf = perf
-        # (context, seq) -> retained message.  Duplicate-fault copies
-        # share the original's seq, so both deliveries replay from one
-        # entry; corrupt faults mutate the logged message in place, so
-        # the entry reflects what actually travelled.
-        self.send_log: dict[tuple[int, int], _SendEntry] = {}
+        # (context, src world, seq) -> retained message.  Duplicate-
+        # fault copies share the original's seq, so both deliveries
+        # replay from one entry; corrupt faults mutate the logged
+        # message in place, so the entry reflects what actually
+        # travelled.
+        self.send_log: dict[tuple[int, int, int], _SendEntry] = {}
         # (src world, dest world, context) -> isend calls made (the
         # replay suppression baseline; counts *calls*, not deliveries,
         # so dropped messages stay symmetric).
@@ -175,10 +157,6 @@ class MessageLogger:
         self.stats = {"logged": 0, "logged_bytes": 0, "determinants": 0,
                       "replayed": 0, "suppressed": 0,
                       "gc_reclaimed": 0, "gc_bytes": 0}
-        self._wal: _WalWriter | None = None
-        if journal_dir is not None:
-            os.makedirs(journal_dir, exist_ok=True)
-            self._wal = _WalWriter(os.path.join(journal_dir, MSGLOG_WAL))
         engine.msglog = self
 
     # -- logging hooks (called by Communicator) ---------------------------
@@ -203,7 +181,7 @@ class MessageLogger:
             # Beyond the pre-crash count: a genuinely new send at the
             # replay boundary — log it and let it go live.
         with self.perf.stage("msglog-append") as timer:
-            self.send_log[(msg.context, msg.seq)] = _SendEntry(
+            self.send_log[(msg.context, src, msg.seq)] = _SendEntry(
                 msg, src, dest, msg.nbytes)
         timer.count(records=1, bytes=msg.nbytes)
         self.lane_sent[lane] = self.lane_sent.get(lane, 0) + 1
@@ -221,9 +199,6 @@ class MessageLogger:
                           t=self.engine.now, nbytes=msg.nbytes)
         self.determinants.setdefault(dest_world, []).append(det)
         self.stats["determinants"] += 1
-        if self._wal is not None:
-            n = self._wal.append(K_DET, det.to_dict())
-            self.perf.count("msglog-append", bytes=n)
 
     # -- recovery ---------------------------------------------------------
 
@@ -348,11 +323,11 @@ class MessageLogger:
         replayed message.  Returns True when it readied the task."""
         from repro.vmpi.comm import Mailbox, _matches
 
-        entry = self.send_log.get((det.ctx, det.seq))
+        entry = self.send_log.get((det.ctx, det.src, det.seq))
         if entry is None:
             raise MsglogError(
-                f"send-log entry ctx={det.ctx} seq={det.seq} for rank "
-                f"{task.rank} was garbage-collected; cannot replay")
+                f"send-log entry ctx={det.ctx} src={det.src} seq={det.seq} "
+                f"for rank {task.rank} was garbage-collected; cannot replay")
         msg = entry.msg
         msg.arrive_time = det.t
         mbox = task.locals.get("mailbox")
@@ -412,8 +387,6 @@ class MessageLogger:
         timer.count(records=reclaimed, bytes=reclaimed_bytes)
         self.stats["gc_reclaimed"] += reclaimed
         self.stats["gc_bytes"] += reclaimed_bytes
-        if self._wal is not None:
-            self._wal.sync()
         return reclaimed
 
     def _sweep(self, protected: set[int]) -> tuple[int, int]:
@@ -429,28 +402,7 @@ class MessageLogger:
                 reclaimed_bytes += entry.nbytes
         return reclaimed, reclaimed_bytes
 
-    # -- lifecycle / inspection -------------------------------------------
-
-    def close(self) -> None:
-        if self._wal is not None:
-            self._wal.close()
+    # -- inspection ---------------------------------------------------------
 
     def retained_bytes(self) -> int:
         return sum(e.nbytes for e in self.send_log.values())
-
-    def __enter__(self) -> "MessageLogger":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def read_determinants(path: str) -> tuple[list[Determinant], int]:
-    """Load the longest valid prefix of a ``msglog.wal``.
-
-    Returns ``(determinants, torn_bytes)`` — same torn-tail semantics
-    as :func:`repro.vmpi.journal.read_wal`.
-    """
-    entries, torn = read_wal(path)
-    return [Determinant.from_dict(e.data) for e in entries
-            if e.kind == K_DET], torn

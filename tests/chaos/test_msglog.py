@@ -14,8 +14,6 @@ and the replay summary.
 Run with ``make chaos-recover`` or ``pytest tests/chaos/test_msglog.py``.
 """
 
-import os
-
 import pytest
 
 from repro.jumpshot.ascii import render_ascii
@@ -30,7 +28,7 @@ from repro.jumpshot.viewer import View
 from repro.mpe.clog2 import read_log
 from repro.mpe.recovery_marks import canonical_stripped_bytes, strip_recovery
 from repro.pilot import PilotConfig, run_pilot
-from repro.pilotcheck import lint_clog2_records, lint_msglog
+from repro.pilotcheck import lint_clog2_records, lint_journal
 from repro.pilotlog.integration import JumpshotOptions
 from repro.slog2.convert import convert
 from repro.slog2.file import write_slog2
@@ -60,14 +58,15 @@ def msglog_plan(seed, rank, at):
 
 
 def recovery_run(tmp_path, seed, rank, at, *, name="recover"):
-    """Crash + recover in one run; returns (clog path, wal path, result)."""
+    """Crash + recover in one run; returns (clog path, journal dir,
+    result)."""
     log = str(tmp_path / f"{name}.clog2")
     jdir = str(tmp_path / f"{name}.journal")
     opts = PilotConfig(services="j", mpe_log_path=log, journal_dir=jdir,
                        recover="msglog", mpe=JumpshotOptions(), seed=RUN_SEED,
                        faults=msglog_plan(seed, rank, at))
     res = run_pilot(pipeline_app(WORKERS, ROUNDS), NPROCS, config=opts)
-    return log, os.path.join(jdir, "msglog.wal"), res
+    return log, jdir, res
 
 
 def reference_run(tmp_path, seed, rank, at, *, name="reference"):
@@ -96,7 +95,7 @@ class TestRecoveryMatrix:
     @pytest.mark.parametrize("rank,at", CRASH_SITES)
     def test_stripped_artifacts_byte_identical(self, tmp_path, seed,
                                                rank, at):
-        log, wal, res = recovery_run(tmp_path, seed, rank, at)
+        log, jdir, res = recovery_run(tmp_path, seed, rank, at)
         assert res.aborted is None and res.ok
         report = res.recovery_report
         assert [int(ep["rank"]) for ep in report.recoveries] == [rank]
@@ -122,8 +121,9 @@ class TestRecoveryMatrix:
             pair.append(read_bytes(slog))
         assert pair[0] == pair[1]
 
-        # The determinant WAL lints clean against the episode record.
-        assert lint_msglog(wal, report) == []
+        # The journal's delivery log lints clean against the episode
+        # record.
+        assert lint_journal(jdir, report) == []
 
     @pytest.mark.parametrize("seed", PLAN_SEEDS[:1])
     def test_survivors_and_finish_time_unaffected(self, tmp_path, seed):
@@ -144,7 +144,7 @@ class TestRecoveryRendering:
     def rendered(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("render")
         rank, at = CRASH_SITES[0]
-        log, wal, res = recovery_run(tmp, PLAN_SEEDS[0], rank, at)
+        log, _, res = recovery_run(tmp, PLAN_SEEDS[0], rank, at)
         doc, _ = convert(read_log(log).log, recovery=res.recovery_report)
         view = View(doc)
         return (doc, render_svg(view), render_ascii(view, width=100),

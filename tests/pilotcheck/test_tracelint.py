@@ -1,6 +1,8 @@
 """The trace linter: TR codes on synthetic logs, real pipeline output,
-golden files, and a deliberately truncated CLOG2."""
+golden files, a deliberately truncated CLOG2, and hand-written journal
+directories."""
 
+import json
 import os
 
 import pytest
@@ -11,9 +13,17 @@ from repro.mpe.recovery import RecoveryReport
 from repro.pilotcheck import (
     lint_clog2,
     lint_clog2_records,
+    lint_journal,
     lint_path,
     lint_recovery,
     lint_slog2_doc,
+)
+from repro.vmpi.journal import (
+    JOURNAL_VERSION,
+    K_DELIVER,
+    MANIFEST_NAME,
+    _WalWriter,
+    rank_wal_name,
 )
 
 STATE = StateDef(1, 2, "PI_Read", "#ff0000")
@@ -214,6 +224,119 @@ class TestOnDiskDispatch:
 
     def test_missing_file(self, tmp_path):
         assert codes(lint_path(str(tmp_path / "absent.clog2"))) == ["TR005"]
+
+
+def delivery(src, dest, seq, t, ctx=0):
+    """One journal delivery record (world ranks)."""
+    return {"seq": seq, "src": src, "dest": dest, "ctx": ctx, "tag": 1,
+            "t": t, "nbytes": 8, "payload": "d"}
+
+
+def write_journal(jdir, deliveries):
+    """A journal directory: a manifest plus one rank WAL per dest."""
+    os.makedirs(jdir)
+    with open(os.path.join(jdir, MANIFEST_NAME), "w") as fh:
+        json.dump({"journal_version": JOURNAL_VERSION}, fh)
+    writers = {}
+    for d in deliveries:
+        dest = d["dest"]
+        if dest not in writers:
+            writers[dest] = _WalWriter(
+                os.path.join(jdir, rank_wal_name(dest)))
+        writers[dest].append(K_DELIVER, d)
+    for writer in writers.values():
+        writer.close()
+    return str(jdir)
+
+
+def episode(rank, crash_time, replayed):
+    return RecoveryReport(recoveries=[{
+        "rank": rank, "crash_time": crash_time,
+        "determinants_replayed": replayed}])
+
+
+def errors(findings):
+    return [f for f in findings if f.severity == "error"]
+
+
+class TestJournalLint:
+    """TR009 (and TR005 for torn WALs) over a journal's delivery log."""
+
+    def test_clean_journal(self, tmp_path):
+        jdir = write_journal(tmp_path / "j", [
+            delivery(0, 1, 0, 1e-3), delivery(0, 1, 1, 2e-3),
+            delivery(1, 0, 0, 3e-3)])
+        assert lint_journal(jdir) == []
+        assert lint_path(jdir) == []
+
+    def test_duplicate_delivery_is_an_error(self, tmp_path):
+        jdir = write_journal(tmp_path / "j", [
+            delivery(0, 1, 0, 1e-3), delivery(0, 1, 1, 2e-3),
+            delivery(0, 1, 1, 3e-3)])
+        findings = lint_journal(jdir)
+        assert [f.code for f in errors(findings)] == ["TR009"]
+        assert "seq 1 delivered twice" in findings[0].message
+
+    def test_same_seq_from_two_senders_is_not_a_duplicate(self, tmp_path):
+        # Split-communicator members number their sends independently:
+        # (ctx, seq) repeats across world senders on one destination.
+        jdir = write_journal(tmp_path / "j", [
+            delivery(0, 1, 0, 1e-3, ctx=4), delivery(2, 1, 0, 2e-3, ctx=4),
+            delivery(0, 1, 0, 3e-3, ctx=5)])
+        assert lint_journal(jdir) == []
+
+    def test_sequence_regression_is_a_warning(self, tmp_path):
+        jdir = write_journal(tmp_path / "j", [
+            delivery(0, 1, 0, 1e-3), delivery(0, 1, 2, 2e-3),
+            delivery(0, 1, 1, 3e-3)])
+        findings = lint_journal(jdir)
+        assert [(f.code, f.severity) for f in findings] == \
+            [("TR009", "warning")]
+        assert "seq 1 delivered after seq 2" in findings[0].message
+
+    def test_sequence_gaps_are_not_a_regression(self, tmp_path):
+        # Dropped messages leave gaps; only going backwards is flagged.
+        jdir = write_journal(tmp_path / "j", [
+            delivery(0, 1, 0, 1e-3), delivery(0, 1, 2, 2e-3),
+            delivery(0, 1, 5, 3e-3)])
+        assert lint_journal(jdir) == []
+
+    def test_episode_claiming_too_many_replays_is_an_error(self, tmp_path):
+        # Two deliveries to rank 1 precede its crash; the third is later.
+        jdir = write_journal(tmp_path / "j", [
+            delivery(0, 1, 0, 1e-3), delivery(0, 1, 1, 1.5e-3),
+            delivery(0, 1, 2, 3e-3)])
+        findings = lint_journal(jdir, episode(1, 2e-3, 3))
+        assert [f.code for f in errors(findings)] == ["TR009"]
+        assert "claims 3 replayed deliveries" in findings[0].message
+        assert "holds only 2" in findings[0].message
+
+    def test_episode_claiming_what_the_journal_holds_is_clean(
+            self, tmp_path):
+        jdir = write_journal(tmp_path / "j", [
+            delivery(0, 1, 0, 1e-3), delivery(0, 1, 1, 1.5e-3),
+            delivery(0, 1, 2, 3e-3)])
+        assert lint_journal(jdir, episode(1, 2e-3, 2)) == []
+
+    def test_torn_rank_wal_warns_and_loads_the_prefix(self, tmp_path):
+        jdir = write_journal(tmp_path / "j", [
+            delivery(0, 1, 0, 1e-3), delivery(0, 1, 1, 1.5e-3),
+            delivery(0, 1, 2, 1.8e-3)])
+        wal = os.path.join(jdir, rank_wal_name(1))
+        os.truncate(wal, os.path.getsize(wal) - 3)  # tear the last frame
+        # The two surviving deliveries back an episode claiming two
+        # replays, but not one claiming all three.
+        findings = lint_journal(jdir, episode(1, 2e-3, 2))
+        assert [(f.code, f.severity) for f in findings] == \
+            [("TR005", "warning")]
+        assert "torn byte(s)" in findings[0].message
+        assert [f.code for f in errors(
+            lint_journal(jdir, episode(1, 2e-3, 3)))] == ["TR009"]
+
+    def test_directory_without_manifest_is_not_a_journal(self, tmp_path):
+        findings = lint_path(str(tmp_path))
+        assert [f.code for f in findings] == ["TR005"]
+        assert "not a journal directory" in findings[0].message
 
 
 class TestRealPipeline:

@@ -24,6 +24,7 @@ from repro.vmpi.faults import (
     plan_to_dict,
 )
 from repro.vmpi.journal import (
+    JOURNAL_VERSION,
     K_CKPT,
     K_DELIVER,
     K_INJECT,
@@ -152,6 +153,29 @@ class TestWalDurability:
         entries, _ = read_wal(str(jdir / "world.wal"))
         assert K_INJECT not in {e.kind for e in entries}
 
+    def test_delivery_records_carry_world_ranks(self, tmp_path):
+        def halves(comm):
+            # Parity split of 4 ranks: sub-rank 0 -> 1 is world 0 -> 2
+            # in one half and world 1 -> 3 in the other.
+            sub = comm.split(comm.rank % 2)
+            if sub.rank == 0:
+                sub.send("hi", dest=1, tag=5)
+            else:
+                sub.recv(source=0, tag=5)
+
+        jdir = tmp_path / "j"
+        world = World(4, seed=1)
+        Journal.record(str(jdir), manifest_for_engine(world.engine,
+                                                      nprocs=4),
+                       checkpoint_interval=0.0).attach(world.engine)
+        assert world.run(halves).ok
+        world.engine.journal.close()
+        for src, dest in ((0, 2), (1, 3)):
+            entries, _ = read_wal(str(jdir / rank_wal_name(dest)))
+            sub = [e.data for e in entries if e.data["ctx"] != 0]
+            assert [(d["src"], d["dest"], d["tag"]) for d in sub] == \
+                [(src, dest, 5)]
+
 
 class TestRecordReplayRoundTrip:
     def test_crash_resume_matches_uninterrupted_run(self, tmp_path):
@@ -231,6 +255,19 @@ class TestRecordReplayRoundTrip:
         with pytest.raises(JournalError):
             Journal.replay(str(tmp_path / "nope"))
 
+    def test_replay_refuses_another_journal_version(self, tmp_path):
+        # Version 1 delivery records held communicator-local ranks;
+        # replaying them against world-rank records would diverge.
+        jdir = tmp_path / "j"
+        run_recorded(jdir, plan=delay_plan())
+        path = jdir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["journal_version"] = 1
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(JournalError,
+                           match=r"journal_version 1\b.*version 2\b"):
+            Journal.replay(str(jdir))
+
     def test_mode_validated(self, tmp_path):
         with pytest.raises(JournalError):
             Journal(str(tmp_path), "append", {})
@@ -271,7 +308,7 @@ class TestSerialization:
         world = World(NPROCS, seed=7, faults=plan)
         manifest = manifest_for_engine(world.engine, nprocs=NPROCS,
                                        extra={"argv": ["x"]})
-        assert manifest["journal_version"] == 1
+        assert manifest["journal_version"] == JOURNAL_VERSION == 2
         assert manifest["seed"] == 7
         assert manifest["nprocs"] == NPROCS
         assert manifest["argv"] == ["x"]

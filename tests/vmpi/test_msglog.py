@@ -20,12 +20,14 @@ from repro.vmpi.faults import (
     plan_from_dict,
     plan_to_dict,
 )
-from repro.vmpi.msglog import (
-    Determinant,
-    MessageLogger,
-    MsglogError,
-    read_determinants,
+from repro.vmpi.journal import (
+    K_DELIVER,
+    Journal,
+    manifest_for_engine,
+    rank_wal_name,
+    read_wal,
 )
+from repro.vmpi.msglog import Determinant, MessageLogger, MsglogError
 from repro.vmpi.world import World
 
 WORKERS = 2
@@ -58,16 +60,60 @@ def pipeline(comm, trace, starts, rounds=ROUNDS):
     return f"worker{rank}"
 
 
+def split_pipeline(comm, rounds=ROUNDS):
+    """The pipeline inside each half of a parity split.
+
+    Every member holds its own sub-communicator, and each one numbers
+    its sends from seq 0, so a half's master and workers reuse the
+    same ``(context, seq)`` pairs.  Each master returns its arrival
+    record (rather than appending to a closure list), so crashing a
+    sub-communicator root stays observable without double counting.
+    """
+    sub = comm.split(comm.rank % 2)
+    if sub.rank == 0:
+        arrivals = []
+        for r in range(rounds):
+            for w in range(1, sub.size):
+                sub.send(("work", r), dest=w, tag=1)
+            for _ in range(1, sub.size):
+                v = sub.recv(tag=2)
+                arrivals.append((v, round(comm.engine.wtime(), 9)))
+        return arrivals
+    for _ in range(rounds):
+        v = sub.recv(source=0, tag=1)
+        comm.engine.advance(2e-4, "compute")
+        sub.send((comm.rank, v[1]), dest=0, tag=2)
+    return comm.rank
+
+
 def run_once(plan, *, recover, seed=3, journal_dir=None, rounds=ROUNDS):
-    """One run; returns (result, trace, starts, msglog-or-None)."""
+    """One run; returns (result, trace, starts, msglog-or-None).
+
+    ``journal_dir`` records a journal beside the message logger."""
     trace, starts = [], {}
     world = World(WORKERS + 1, seed=seed, faults=plan,
                   suppress_crashes=not recover)
+    journal = None
+    if journal_dir is not None:
+        journal = Journal.record(
+            journal_dir, manifest_for_engine(world.engine,
+                                             nprocs=WORKERS + 1),
+            checkpoint_interval=5e-4).attach(world.engine)
     msglog = None
     if recover:
-        msglog = MessageLogger(world.engine, journal_dir=journal_dir)
+        msglog = MessageLogger(world.engine)
     res = world.run(pipeline, trace, starts, rounds)
+    if journal is not None:
+        journal.close()
     return res, trace, starts, msglog
+
+
+def journal_deliveries(jdir, rank):
+    """The ``K_DELIVER`` records of one rank's WAL, as determinants."""
+    entries, torn = read_wal(os.path.join(jdir, rank_wal_name(rank)))
+    fields = ("src", "dest", "ctx", "tag", "seq", "t", "nbytes")
+    return [Determinant(**{k: e.data[k] for k in fields})
+            for e in entries if e.kind == K_DELIVER], torn
 
 
 def crash_plan(rank=1, at=1.2e-3, extra=()):
@@ -175,35 +221,49 @@ class TestRecovery:
             world.run(locker, [], {}, 0)
 
 
+class TestSplitCommunicator:
+    """Sends on a sub-communicator are told apart by their world sender:
+    each member's communicator numbers its own sends from seq 0."""
+
+    @pytest.mark.parametrize("rank", [3, 1], ids=["member", "root"])
+    def test_recovered_run_matches_reference(self, rank):
+        def run(recover):
+            world = World(6, seed=3, faults=crash_plan(rank, 7e-4),
+                          suppress_crashes=not recover)
+            msglog = MessageLogger(world.engine) if recover else None
+            return world.run(split_pipeline), msglog
+
+        rec, msglog = run(recover=True)
+        ref, _ = run(recover=False)
+        assert rec.ok and ref.ok
+        assert rec.results == ref.results
+        assert rec.finished_at == pytest.approx(ref.finished_at)
+        assert [ep.rank for ep in msglog.episodes] == [rank]
+        # No send overwrote another's send-log entry.
+        assert len(msglog.send_log) == msglog.stats["logged"]
+
+
 class TestDurability:
+    """The journal's rank WALs are the durable determinant log."""
+
     def test_wal_roundtrips_determinants(self, tmp_path):
         jdir = str(tmp_path / "journal")
         _, _, _, msglog = run_once(crash_plan(), recover=True,
                                    journal_dir=jdir)
-        msglog.close()
-        dets, torn = read_determinants(os.path.join(jdir, "msglog.wal"))
-        assert torn == 0
-        flat = [d for lst in msglog.determinants.values() for d in lst]
-        assert sorted(dets, key=lambda d: (d.t, d.seq)) == \
-            sorted(flat, key=lambda d: (d.t, d.seq))
+        for rank in range(WORKERS + 1):
+            dets, torn = journal_deliveries(jdir, rank)
+            assert torn == 0
+            assert dets == msglog.determinants.get(rank, [])
 
     def test_wal_torn_tail_loads_prefix(self, tmp_path):
         jdir = str(tmp_path / "journal")
-        _, _, _, msglog = run_once(crash_plan(), recover=True,
-                                   journal_dir=jdir)
-        msglog.close()
-        path = os.path.join(jdir, "msglog.wal")
-        whole, _ = read_determinants(path)
-        with open(path, "ab") as fh:
-            fh.write(b"\x05\xff\xff garbage")
-        dets, torn = read_determinants(path)
+        run_once(crash_plan(), recover=True, journal_dir=jdir)
+        whole, _ = journal_deliveries(jdir, 1)
+        with open(os.path.join(jdir, rank_wal_name(1)), "ab") as fh:
+            fh.write(b"\x01\xff\xff garbage")
+        dets, torn = journal_deliveries(jdir, 1)
         assert torn > 0
         assert dets == whole
-
-    def test_determinant_dict_roundtrip(self):
-        det = Determinant(src=0, dest=2, ctx=7, tag=3, seq=41,
-                          t=1.25e-3, nbytes=64)
-        assert Determinant.from_dict(det.to_dict()) == det
 
 
 class TestGc:
