@@ -97,8 +97,11 @@ class LogFollower:
                  cursors_file: str | None = None,
                  journal_dir: str | None = None,
                  perf: PerfRecorder = NO_PERF,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float] = time.monotonic,
+                 on_new_rank: Callable[[int], None] | None = None) -> None:
         self.base_path = base_path
+        #: Called with a rank found late, before its cursor exists.
+        self.on_new_rank = on_new_rank
         self.policy = policy or DEFAULT_POLICY
         self.cursors_file = cursors_file or cursors_path(base_path)
         self.journal_dir = journal_dir
@@ -146,6 +149,11 @@ class LogFollower:
         for path in self._discover():
             rank = _rank_of(path)
             if rank not in self.cursors.ranks:
+                if self.on_new_rank is not None:
+                    # Before the cursor and the tail below: a write the
+                    # hook watches for is then read by this poll or wakes
+                    # the watcher, never neither.
+                    self.on_new_rank(rank)
                 self.cursors.ranks[rank] = RankCursor(os.path.basename(path))
                 update.new_ranks.append(rank)
             if rank not in self._refused:

@@ -97,7 +97,8 @@ class StreamService:
         self.perf = perf
         self.follower = LogFollower(base_path, policy=self.policy,
                                     cursors_file=cursors_file,
-                                    journal_dir=journal_dir, perf=perf)
+                                    journal_dir=journal_dir, perf=perf,
+                                    on_new_rank=self._watch_rank)
         from repro.stream.fold import LiveFold
 
         self.fold = LiveFold(frame_size=frame_size, perf=perf)
@@ -169,7 +170,8 @@ class StreamService:
         watch_writes(self._wake, [
             exit_path(base),
             *(partial_path(base, r)
-              for r in range(self.expected_ranks or 0))])
+              for r in {*range(self.expected_ranks or 0),
+                        *self.follower.cursors.ranks})])
         woken = False
         try:
             while not self._stop.is_set():
@@ -196,13 +198,13 @@ class StreamService:
         finally:
             unwatch_writes(self._wake)
 
+    def _watch_rank(self, rank: int) -> None:
+        watch_writes(self._wake, [partial_path(self.base_path, rank)])
+
     def _poll_once(self) -> bool:
         perf = self.perf
         with perf.stage("stream-tail"):
             update = self.follower.poll()
-        if update.new_ranks:
-            watch_writes(self._wake, [partial_path(self.base_path, r)
-                                      for r in update.new_ranks])
         self.fold.absorb(update)
         for rank in update.refused_ranks:
             self.fold.mark_rank_finished(rank)

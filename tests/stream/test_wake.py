@@ -173,6 +173,30 @@ def test_a_rank_found_late_is_watched_too(tmp_path):
         service.stop()
 
 
+def test_a_rank_known_from_saved_cursors_is_watched(tmp_path):
+    base = str(tmp_path / "run.clog2")
+    log = rank_log(3)
+    writer = AppendPartialWriter(partial_path(base, 3), 3, 1e-6)
+    add_records(log, 3, 2)
+    writer.checkpoint(log)
+    first = StreamService(base, policy=SLOW)
+    first.follower.poll()
+    first.follower.save_cursors()
+    # A restarted service resumes rank 3 from the sidecar, so no poll
+    # ever finds it new; it is watched all the same.
+    service = StreamService(base, policy=SLOW).start()
+    try:
+        assert wait_for(lambda: partial_path(base, 3)
+                        in watched(service._wake), FAST_S) is not None
+        add_records(log, 3, 2)
+        writer.checkpoint(log)
+        assert wait_for(lambda: service.follower.cursors.ranks[3].records
+                        == 4, FAST_S) is not None
+    finally:
+        service.stop()
+        first._httpd.server_close()
+
+
 def test_stop_returns_at_once_and_leaves_no_watcher(run):
     assert watched(run.service._wake)
     started = time.monotonic()
